@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import NEG_INF, c_transform
+from .core import NEG_INF, Tolerances, c_transform
 from .decompose import ComponentDecomposition
 from .documents import (
     ProblemDocument,
@@ -30,12 +30,18 @@ from .documents import (
 from .errors import OTUniqError, ProblemFormatError
 from .regularity import asymptotic_region, dominated_region
 from .solver import (
+    ORACLE_SIZE_CAP,
     dual_face_oracle,
     solve,
     solve_exact,
     tight_graph_connectivity_oracle,
 )
-from .uniqueness import ambiguity_witness, certify
+from .uniqueness import (
+    ComponentFlowGraph,
+    ambiguity_witness,
+    certify,
+    marginal_degeneracy_check,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -141,7 +147,7 @@ def cmd_certify(args) -> int:
     if doc.exact:
         body["exact"] = _exact_section(doc, dec)
     disagreement = False
-    if args.oracle == "on" and doc.mu.n + doc.nu.n <= 400:
+    if args.oracle == "on" and doc.mu.n + doc.nu.n <= ORACLE_SIZE_CAP:
         face = dual_face_oracle(doc.mu, doc.nu, doc.cost,
                                 result.duality.primal_cost,
                                 plan=result.plan)
@@ -184,53 +190,27 @@ def cmd_certify(args) -> int:
 
 def _exact_section(doc: ProblemDocument, dec: ComponentDecomposition) -> dict:
     """Exact-rational degeneracy analysis next to the float certificate."""
-    from .uniqueness import marginal_degeneracy_check
-
     cost_rows = doc.cost.exact_matrix(doc.mu, doc.nu)
     masses, _f, _g, _it = solve_exact(cost_rows, doc.exact_weights[0],
                                       doc.exact_weights[1])
-    src_of = {i: k for k, grp in enumerate(dec.source_components)
-              for i in grp}
-    tgt_of = {j: k for k, grp in enumerate(dec.target_components)
-              for j in grp}
-    parent = list(range(len(dec.source_components)
-                        + len(dec.target_components)))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    ns = len(dec.source_components)
-    for (i, j) in masses:
-        a, b = src_of[i], ns + tgt_of[j]
-        parent[find(a)] = find(b)
-    blocks = len({find(v) for v in range(len(parent))})
     ms = [sum(doc.exact_weights[0][i] for i in grp)
           for grp in dec.source_components]
     mt = [sum(doc.exact_weights[1][j] for j in grp)
           for grp in dec.target_components]
-    collision = None
-    import itertools
-    for r in range(1, len(ms)):
-        for combo in itertools.combinations(range(len(ms)), r):
-            s = sum(ms[i] for i in combo)
-            for r2 in range(1, len(mt)):
-                for combo2 in itertools.combinations(range(len(mt)), r2):
-                    if s == sum(mt[j] for j in combo2):
-                        collision = [list(combo), list(combo2)]
-                        break
-                if collision:
-                    break
-            if collision:
-                break
-        if collision:
-            break
+    acc: dict = {}
+    for (i, j), v in masses.items():
+        key = (int(dec.source_index[i]), int(dec.target_index[j]))
+        acc[key] = acc.get(key, 0) + v
+    graph = ComponentFlowGraph(
+        len(ms), len(mt), tuple((a, b, acc[(a, b)]) for a, b in sorted(acc)),
+        tuple(ms), tuple(mt))
+    blocks = len(graph.connected_blocks())
+    hit = marginal_degeneracy_check(ms, mt, Tolerances(mass=0))
     return {
         "plan_blocks": blocks,
         "plan_degenerate": blocks > 1,
-        "marginal_collision": collision,
+        "marginal_collision": [list(hit["I"]), list(hit["J"])]
+        if hit["status"] == "colliding" else None,
     }
 
 
@@ -238,7 +218,7 @@ def cmd_witness(args) -> int:
     doc = _load(args.problem, False)
     dec = _decomposition(doc, args)
     wit = ambiguity_witness(doc.mu, doc.cost, dec, n_samples=args.samples,
-                            run_oracle=(doc.mu.n * 2 <= 400))
+                            run_oracle=(doc.mu.n * 2 <= ORACLE_SIZE_CAP))
     body = {"witness": {
         "delta": wit.delta,
         "oracle_spread_second_component": wit.oracle_spread,

@@ -1,4 +1,4 @@
-"""Domain types, c-transform calculus, and duality verification.
+"""Domain types, c-transform calculus, duality verification, connectivity.
 
 Measures, costs, plans, and potentials are immutable once built; all heavy
 lifting works on plain numpy arrays.  Potentials may take the value -inf
@@ -7,11 +7,13 @@ lifting works on plain numpy arrays.  Potentials may take the value -inf
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     AllInfinite,
@@ -54,6 +56,24 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def component_labels(n_nodes: int, edges: Iterable[tuple[int, int]],
+                     strong: bool = False) -> np.ndarray:
+    """Connected-component id of each node of a directed graph.
+
+    Weak connectivity ignores edge directions; ``strong`` asks for
+    strongly connected components.  Ids count up in the order of each
+    component's smallest node.
+    """
+    e = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
+                     shape=(n_nodes, n_nodes))
+    _, labels = connected_components(
+        adj, directed=True, connection="strong" if strong else "weak")
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 @dataclass(frozen=True)
@@ -171,8 +191,8 @@ class CostProfile:
 class CostSpec:
     """Cost family: lp-norm power, profile of distance, or explicit matrix.
 
-    Closed-form kinds evaluate lazily; the full matrix for a measure pair is
-    built on first use and cached.
+    Closed-form kinds evaluate lazily; ``matrix`` builds the full matrix
+    for a measure pair on every call.
     """
 
     kind: Literal["lp_norm_power", "profile_of_distance", "explicit_matrix"]
@@ -180,7 +200,6 @@ class CostSpec:
     p: float = 1.0               # power applied to the norm, p > 0
     profile: Optional[CostProfile] = None
     values: Optional[np.ndarray] = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "lp_norm_power":
@@ -229,17 +248,13 @@ class CostSpec:
         return float(self.profile(np.linalg.norm(d)))
 
     def matrix(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-        """Full cost matrix for a measure pair (lazy, cached)."""
+        """Full cost matrix for a measure pair."""
         if self.kind == "explicit_matrix":
             if self.values.shape != (mu.n, nu.n):
                 raise DimensionMismatch(
                     f"cost is {self.values.shape}, measures are {(mu.n, nu.n)}"
                 )
             return self.values
-        key = (id(mu), id(nu))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         diff = mu.points[:, None, :] - nu.points[None, :, :]
         if self.kind == "lp_norm_power":
             mat = _lp_norm(diff.reshape(-1, mu.dim), self.q).reshape(mu.n, nu.n)
@@ -249,9 +264,7 @@ class CostSpec:
             mat = np.asarray(self.profile(dist), dtype=float)
         if np.any(~np.isfinite(mat)) or np.any(mat < -1e-12):
             raise OTUniqError("cost evaluation produced invalid entries")
-        mat = _as_readonly(np.maximum(mat, 0.0))
-        self._cache[key] = mat
-        return mat
+        return _as_readonly(np.maximum(mat, 0.0))
 
     def exact_matrix(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> list:
         """Rational cost matrix for the exact mode (limited kinds)."""

@@ -9,7 +9,7 @@ support; every downstream certificate flags that distinction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -21,31 +21,10 @@ from .core import (
     PotentialPair,
     Tolerances,
     TransportPlan,
+    _as_readonly,
+    component_labels,
 )
 from .errors import BadEpsilon, MassLoss, OTUniqError, ZeroMassComponent
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, v: int) -> int:
-        p = self.parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
-        return v
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def groups(self) -> list[list[int]]:
-        buckets: dict[int, list[int]] = {}
-        for v in range(len(self.parent)):
-            buckets.setdefault(self.find(v), []).append(v)
-        return [buckets[r] for r in sorted(buckets)]
 
 
 def decompose(measure: DiscreteMeasure,
@@ -56,32 +35,45 @@ def decompose(measure: DiscreteMeasure,
     if method == "explicit_labels":
         if measure.labels is None:
             raise OTUniqError("measure carries no labels")
-        buckets: dict[int, list[int]] = {}
-        for idx, lab in enumerate(measure.labels):
-            buckets.setdefault(int(lab), []).append(idx)
-        parts = sorted(buckets.values(), key=lambda g: g[0])
-        return parts
-    if method == "epsilon_graph":
+        keys = [int(lab) for lab in measure.labels]
+    elif method == "epsilon_graph":
         if epsilon is None or epsilon <= 0:
             raise BadEpsilon("epsilon must be positive")
         pts = measure.points
-        uf = _UnionFind(measure.n)
-        for i in range(measure.n):
-            d = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
-            for off in np.nonzero(d <= epsilon)[0]:
-                uf.union(i, i + 1 + int(off))
-        return uf.groups()
-    raise OTUniqError(f"unknown decomposition method {method!r}")
+        edges = [(i, i + 1 + int(off)) for i in range(measure.n)
+                 for off in np.nonzero(np.linalg.norm(pts[i + 1:] - pts[i],
+                                                      axis=1) <= epsilon)[0]]
+        keys = component_labels(measure.n, edges).tolist()
+    else:
+        raise OTUniqError(f"unknown decomposition method {method!r}")
+    buckets: dict[int, list[int]] = {}
+    for idx, key in enumerate(keys):
+        buckets.setdefault(key, []).append(idx)
+    return sorted(buckets.values(), key=lambda g: g[0])
 
 
 @dataclass(frozen=True)
 class ComponentDecomposition:
-    """Index partitions of both supports, with the method that built them."""
+    """Index partitions of both supports, with the method that built them.
+
+    ``source_index[i]`` and ``target_index[j]`` give the component of
+    each point.
+    """
 
     source_components: tuple
     target_components: tuple
     method: str
     epsilon: Optional[float] = None
+    source_index: np.ndarray = field(init=False, repr=False, compare=False)
+    target_index: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, parts in (("source_index", self.source_components),
+                            ("target_index", self.target_components)):
+            index = np.empty(sum(len(g) for g in parts), dtype=int)
+            for k, grp in enumerate(parts):
+                index[list(grp)] = k
+            object.__setattr__(self, name, _as_readonly(index))
 
     @classmethod
     def build(cls, mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -97,12 +89,6 @@ class ComponentDecomposition:
                 ) -> "ComponentDecomposition":
         return cls((tuple(range(mu.n)),), (tuple(range(nu.n)),),
                    "explicit_labels", None)
-
-    def source_of(self, i: int) -> int:
-        for k, grp in enumerate(self.source_components):
-            if i in grp:
-                return k
-        raise OTUniqError(f"source index {i} not in any component")
 
     def component_masses(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
         ms = [float(np.sum(mu.weights[list(g)]))

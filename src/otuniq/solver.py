@@ -29,6 +29,7 @@ from .core import (
     Tolerances,
     TransportPlan,
     c_transform,
+    component_labels,
     subdifferential_of,
     verify_duality,
 )
@@ -336,54 +337,6 @@ def dual_face_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
                           max_spread=max_spread, tolerance=tau)
 
 
-def _strongly_connected(n_nodes: int, edges_out) -> list:
-    """Iterative Tarjan SCC; returns a component id per node."""
-    index = [None] * n_nodes
-    low = [0] * n_nodes
-    on_stack = [False] * n_nodes
-    comp = [None] * n_nodes
-    stack = []
-    counter = 0
-    n_comp = 0
-    for root in range(n_nodes):
-        if index[root] is not None:
-            continue
-        work = [(root, iter(edges_out[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] is None:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(edges_out[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comp
-                    if w == v:
-                        break
-                n_comp += 1
-    return comp
-
-
 def tight_graph_connectivity_oracle(result: SolveResult, cost: CostSpec,
                                     tol: Tolerances = DEFAULT_TOLERANCES
                                     ) -> dict:
@@ -402,27 +355,13 @@ def tight_graph_connectivity_oracle(result: SolveResult, cost: CostSpec,
     positive = result.plan.support_pairs()
     # digraph on n + m nodes: i -> n+j for every tight edge, the reverse
     # arc only where the plan carries mass
-    out = [[] for _ in range(n + m)]
-    for (i, j) in sub.tight_pairs:
-        out[i].append(n + j)
-        if (i, j) in positive:
-            out[n + j].append(i)
-    comp = _strongly_connected(n + m, out)
+    arcs = [(i, n + j) for (i, j) in sub.tight_pairs] + \
+        [(n + j, i) for (i, j) in sub.tight_pairs if (i, j) in positive]
+    comp = component_labels(n + m, arcs, strong=True)
     usable = sorted(
         (i, j) for (i, j) in sub.tight_pairs
         if (i, j) in positive or comp[i] == comp[n + j]
     )
-    parent = list(range(n + m))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for (i, j) in usable:
-        parent[find(i)] = find(n + j)
-    live = [i for i in range(n) if mu.weights[i] > 0] + \
-        [n + j for j in range(m) if nu.weights[j] > 0]
-    roots = {find(v) for v in live}
-    return {"unique": len(roots) <= 1, "usable_edges": usable}
+    blocks = component_labels(n + m, [(i, n + j) for (i, j) in usable])
+    live = np.concatenate([mu.weights, nu.weights]) > 0
+    return {"unique": len(set(blocks[live])) <= 1, "usable_edges": usable}

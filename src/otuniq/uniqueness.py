@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from .core import (
     PotentialPair,
     Tolerances,
     TransportPlan,
+    component_labels,
     verify_duality,
 )
 from .decompose import (
@@ -56,21 +57,13 @@ class ComponentFlowGraph:
     @classmethod
     def build(cls, plan: TransportPlan,
               decomposition: ComponentDecomposition) -> "ComponentFlowGraph":
-        src_of = {}
-        for k, grp in enumerate(decomposition.source_components):
-            for i in grp:
-                src_of[i] = k
-        tgt_of = {}
-        for k, grp in enumerate(decomposition.target_components):
-            for j in grp:
-                tgt_of[j] = k
+        src = decomposition.source_index[plan.rows].tolist()
+        tgt = decomposition.target_index[plan.cols].tolist()
         acc: dict[tuple[int, int], float] = {}
-        for i, j, v in plan.entries:
-            key = (src_of[i], tgt_of[j])
+        for key, v in zip(zip(src, tgt), plan.masses.tolist()):
             acc[key] = acc.get(key, 0.0) + v
         ms, mt = decomposition.component_masses(plan.source, plan.target)
-        return cls(len(decomposition.source_components),
-                   len(decomposition.target_components),
+        return cls(len(ms), len(mt),
                    tuple((i, j, acc[(i, j)]) for i, j in sorted(acc)),
                    tuple(ms), tuple(mt))
 
@@ -78,28 +71,19 @@ class ComponentFlowGraph:
         """Connected components over positive-mass nodes.
 
         Each block lists its source and target component indices.
-        Zero-mass components are left out entirely.
+        Zero-mass components are left out entirely.  Blocks are ordered
+        by their smallest source component; a block with no source comes
+        after all others, ordered by its smallest target component.
         """
-        parent = list(range(self.n_source + self.n_target))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for i, j, _ in self.edges:
-            parent[find(i)] = find(self.n_source + j)
+        ns = self.n_source
+        labels = component_labels(ns + self.n_target,
+                                  [(i, ns + j) for i, j, _ in self.edges])
         blocks: dict[int, dict] = {}
-        for i in range(self.n_source):
-            if self.source_masses[i] > 0:
-                blocks.setdefault(find(i), {"sources": [], "targets": []})[
-                    "sources"].append(i)
-        for j in range(self.n_target):
-            if self.target_masses[j] > 0:
-                blocks.setdefault(find(self.n_source + j),
-                                  {"sources": [], "targets": []})[
-                    "targets"].append(j)
+        for v, mass in enumerate(self.source_masses + self.target_masses):
+            if mass > 0:
+                side, k = ("sources", v) if v < ns else ("targets", v - ns)
+                blocks.setdefault(labels[v], {"sources": [], "targets": []})[
+                    side].append(k)
         return [blocks[k] for k in sorted(blocks)]
 
 
@@ -111,10 +95,13 @@ def marginal_degeneracy_check(component_masses_mu: Sequence[float],
     Nondegenerate iff no nonempty proper subset of source-component
     masses matches a nonempty proper subset of target-component masses
     within tau_mass.  Also reports the minimal gap over all subset pairs
-    for knife-edge warnings.
+    for knife-edge warnings.  Any exact scalar type works too: with
+    Fraction masses and tau_mass = 0 the test is exact.  The reported
+    (I, J) is the first colliding source subset by size, then
+    lexicographically, with the least target subset of equal sum.
     """
-    ms = [float(v) for v in component_masses_mu]
-    mt = [float(v) for v in component_masses_nu]
+    ms = list(component_masses_mu)
+    mt = list(component_masses_nu)
     if len(ms) + len(mt) > SUBSET_CAP:
         raise TooManyComponents(
             f"{len(ms)} + {len(mt)} components exceed the cap {SUBSET_CAP}"
@@ -177,18 +164,15 @@ def build_contact_links(plan: TransportPlan,
     Finite closures are the sets themselves, so a contact point is
     simply a shared column of the plan.
     """
-    src_of = {i: k for k, grp in enumerate(decomposition.source_components)
-              for i in grp}
-    tgt_of = {j: k for k, grp in enumerate(decomposition.target_components)
-              for j in grp}
+    src, tgt = decomposition.source_index, decomposition.target_index
     feeders: dict[int, set[int]] = {}
     for i, j, _ in plan.entries:
-        feeders.setdefault(j, set()).add(src_of[i])
+        feeders.setdefault(j, set()).add(int(src[i]))
     links = []
     for j in sorted(feeders):
         comps = sorted(feeders[j])
         for i1, i2 in itertools.combinations(comps, 2):
-            links.append(ContactLink(i1, i2, tgt_of[j], j, "point"))
+            links.append(ContactLink(i1, i2, int(tgt[j]), j, "point"))
     return links
 
 
@@ -202,13 +186,10 @@ def continuum_links(plan: TransportPlan,
     plus continuity of the target potential); certificates flag them as
     finite-scale assertions.
     """
-    src_of = {i: k for k, grp in enumerate(decomposition.source_components)
-              for i in grp}
-    tgt_of = {j: k for k, grp in enumerate(decomposition.target_components)
-              for j in grp}
+    src, tgt = decomposition.source_index, decomposition.target_index
     feeders: dict[int, set[int]] = {}
     for i, j, _ in plan.entries:
-        feeders.setdefault(tgt_of[j], set()).add(src_of[i])
+        feeders.setdefault(int(tgt[j]), set()).add(int(src[i]))
     links = []
     for jc in sorted(feeders):
         if len(decomposition.target_components[jc]) < 2:
@@ -247,18 +228,16 @@ def propagate_offsets(links: Sequence[ContactLink],
     mat = cost.matrix(plan.source, plan.target)
     tau = tol.tight(float(np.max(mat)))
     n_comp = len(per_component_potentials)
-    comp_f = {}
+    # per source point: its component and its component potential
+    comp_of = np.full(plan.source.n, -1)
+    f_of = np.full(plan.source.n, np.nan)
     for cp in per_component_potentials:
-        comp_f[cp.component] = dict(zip(cp.indices,
-                                        np.asarray(cp.values, dtype=float)))
+        comp_of[list(cp.indices)] = cp.component
+        f_of[list(cp.indices)] = cp.values
     # rows of the plan grouped by (component, target point)
     rows_at: dict[tuple[int, int], list[int]] = {}
-    idx_of = {}
-    for cp in per_component_potentials:
-        for i in cp.indices:
-            idx_of[i] = cp.component
     for i, j, _ in plan.entries:
-        rows_at.setdefault((idx_of[i], j), []).append(i)
+        rows_at.setdefault((int(comp_of[i]), j), []).append(i)
 
     def side_value(comp: int, j: int) -> float:
         """c(x, y) - f_comp(x) over support rows; checked consistent."""
@@ -267,7 +246,7 @@ def propagate_offsets(links: Sequence[ContactLink],
             raise OTUniqError(
                 f"component {comp} sends no mass to target {j}"
             )
-        vals = [float(mat[i, j]) - comp_f[comp][i] for i in rows]
+        vals = [float(mat[i, j]) - f_of[i] for i in rows]
         if max(vals) - min(vals) > tau:
             raise InconsistentCycle(
                 f"support pairs at target {j} disagree by "
@@ -302,6 +281,8 @@ def propagate_offsets(links: Sequence[ContactLink],
         return anchored(link.i1) - anchored(link.i2)
 
     offsets = np.full(n_comp, np.nan)
+    # A first-come spanning forest, not a library connectivity call: the
+    # links it picks are reported as spanning_links.
     parent = list(range(n_comp))
 
     def find(v):
@@ -369,38 +350,6 @@ class UniquenessCertificate:
     solve_result: Optional[SolveResult] = None
 
 
-def _component_verdict(prob, decomposition_method, epsilon, depth,
-                       tol) -> tuple[str, list[str]]:
-    """Uniqueness of one restricted problem.
-
-    Singleton sources are trivially unique.  A subproblem whose source
-    support forms a single component is treated as unique, standing in
-    for the connected-support theorem; the flag records that this is a
-    continuum assertion the finite check cannot certify.
-    """
-    if prob.mu.n == 1:
-        return "unique", []
-    if depth > 8:
-        return "inconclusive", ["recursion depth exceeded"]
-    try:
-        from .decompose import decompose as _dec
-        sub = _dec(prob.mu, decomposition_method, epsilon)
-    except OTUniqError:
-        sub = [list(range(prob.mu.n))]
-    if len(sub) == 1:
-        return "unique", [
-            "single-component subproblem treated as unique; connectedness "
-            "of the continuum support is asserted, not certified"
-        ]
-    sub_dec = ComponentDecomposition.build(
-        prob.mu, prob.nu, decomposition_method, epsilon) \
-        if decomposition_method == "epsilon_graph" else \
-        ComponentDecomposition.trivial(prob.mu, prob.nu)
-    cert = certify(prob.mu, prob.nu, prob.cost, sub_dec, tol=tol,
-                   _depth=depth + 1)
-    return cert.verdict, list(cert.flags)
-
-
 def _block_witness(result: SolveResult, blocks, decomposition, mat, tol):
     """Two distinct optimal pairs from a disconnected flow graph.
 
@@ -411,14 +360,8 @@ def _block_witness(result: SolveResult, blocks, decomposition, mat, tol):
     """
     pair = result.pair
     block = blocks[0]
-    src_pts = sorted(i for k in block["sources"]
-                     for i in decomposition.source_components[k])
-    tgt_pts = sorted(j for k in block["targets"]
-                     for j in decomposition.target_components[k])
-    in_s = np.zeros(pair.source.n, dtype=bool)
-    in_s[src_pts] = True
-    in_t = np.zeros(pair.target.n, dtype=bool)
-    in_t[tgt_pts] = True
+    in_s = np.isin(decomposition.source_index, block["sources"])
+    in_t = np.isin(decomposition.target_index, block["targets"])
     slack = mat - pair.f[:, None] - pair.g[None, :]
     up = slack[np.ix_(in_s, ~in_t)]
     down = slack[np.ix_(~in_s, in_t)]
@@ -441,15 +384,18 @@ def _block_witness(result: SolveResult, blocks, decomposition, mat, tol):
 
 def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
             decomposition: ComponentDecomposition,
-            tol: Tolerances = DEFAULT_TOLERANCES,
-            _depth: int = 0) -> UniquenessCertificate:
+            tol: Tolerances = DEFAULT_TOLERANCES) -> UniquenessCertificate:
     """Structural uniqueness certificate for the dual optimizers.
 
-    Pipeline: solve, split the potential over source components, settle
-    each component's own uniqueness, test plan degeneracy, build contact
-    links, and propagate offsets.  Unique iff every component is unique
-    and the link graph is connected; a disconnected graph yields a
-    verified shift witness and verdict non_unique.
+    Pipeline: solve, split the potential over source components, test
+    plan degeneracy, build contact links, and propagate offsets.  Every
+    positive-mass component counts as unique: its support is one
+    component by construction, and uniqueness on a connected support is
+    the continuum theorem the finite check stands in for, so components
+    of two or more points carry a flag saying so.  Zero-mass components
+    are reported as such.  Unique iff the flow graph is connected; a
+    disconnected graph yields a verified shift witness and verdict
+    non_unique.
     """
     result = solve(mu, nu, cost, tol)
     mat = cost.matrix(mu, nu)
@@ -470,15 +416,12 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     degeneracy = plan_degeneracy_check(graph)
     comp_pots = decompose_potential(result.pair, decomposition, result.plan,
                                     cost)
-    comp_verdicts = []
-    for cp in comp_pots:
-        if cp.skipped:
-            comp_verdicts.append((cp.component, "zero_mass"))
-            continue
-        v, fl = _component_verdict(cp.problem, decomposition.method,
-                                   decomposition.epsilon, _depth, tol)
-        comp_verdicts.append((cp.component, v))
-        flags.extend(fl)
+    comp_verdicts = [(cp.component, "zero_mass" if cp.skipped else "unique")
+                     for cp in comp_pots]
+    if any(not cp.skipped and len(cp.indices) > 1 for cp in comp_pots):
+        flags.append("single-component subproblem treated as unique; "
+                     "connectedness of the continuum support is asserted, "
+                     "not certified")
     links = build_contact_links(result.plan, decomposition)
     clinks = continuum_links(result.plan, decomposition)
     if clinks:
@@ -491,18 +434,9 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
         global_pair=result.pair,
         target_components=decomposition.target_components, tol=tol)
     freedom = len(degeneracy["blocks"]) - 1
-    sub_bad = [c for c, v in comp_verdicts if v == "non_unique"]
-    sub_open = [c for c, v in comp_verdicts if v == "inconclusive"]
     flags = list(dict.fromkeys(flags))  # dedupe, keep order
-    if freedom == 0 and not sub_bad and not sub_open:
-        return UniquenessCertificate(
-            verdict="unique", degeneracy=degeneracy,
-            marginal_degeneracy=marginal,
-            spanning_links=offsets.spanning_links, freedom_dim=0,
-            offsets=offsets.offsets, witness=None, flags=tuple(flags),
-            component_verdicts=tuple(comp_verdicts), solve_result=result)
     witness = None
-    verdict = "inconclusive"
+    verdict = "unique" if freedom == 0 else "inconclusive"
     if freedom > 0:
         built = _block_witness(result, degeneracy["blocks"], decomposition,
                                mat, tol)
@@ -512,9 +446,6 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
         else:
             flags.append("disconnected flow graph but no feasible shift; "
                          "witness construction failed")
-    elif sub_bad:
-        verdict = "non_unique"
-        flags.append(f"non-unique subproblems at components {sub_bad}")
     return UniquenessCertificate(
         verdict=verdict, degeneracy=degeneracy, marginal_degeneracy=marginal,
         spanning_links=offsets.spanning_links, freedom_dim=max(freedom, 0),

@@ -170,6 +170,38 @@ class TestCertifyReport:
         assert rep["seed"] == 7
 
 
+class TestExactSection:
+    def test_zero_mass_component_is_not_a_block(self, tmp_path, capsys):
+        path = _write(tmp_path, {
+            "schema": "1",
+            "source": {"points": [[0], [1], [2]],
+                       "weights": ["1/2", "1/2", "0"], "labels": [0, 1, 2]},
+            "target": {"points": [[0], [1]], "weights": ["1/2", "1/2"],
+                       "labels": [0, 0]},
+            "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
+        })
+        assert main(["certify", path, "--exact", "--labels"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert len(rep["certificate"]["degeneracy"]["blocks"]) == 1
+        assert rep["exact"]["plan_blocks"] == 1
+        assert rep["exact"]["plan_degenerate"] is False
+
+    def test_component_cap_is_solver_error(self, tmp_path, capsys):
+        # 14 + 13 components exceed SUBSET_CAP; the subset search would
+        # otherwise enumerate 2^14 * 2^13 pairs
+        path = _write(tmp_path, {
+            "schema": "1",
+            "source": {"points": [[i] for i in range(14)],
+                       "weights": ["1/14"] * 14, "labels": list(range(14))},
+            "target": {"points": [[i] for i in range(13)],
+                       "weights": ["1/13"] * 13, "labels": list(range(13))},
+            "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
+        })
+        assert main(["certify", path, "--exact", "--labels",
+                     "--oracle", "off"]) == 3
+        assert "TooManyComponents" in capsys.readouterr().err
+
+
 class TestWitness:
     def test_samples_verified(self, tmp_path, capsys):
         n = 5

@@ -257,7 +257,13 @@ class TestDomainTypes:
         c2 = CostSpec.sq_euclidean()
         assert c2.value([0.0], [2.0]) == pytest.approx(4.0)
 
-    def test_cost_matrix_cached(self):
-        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        c = CostSpec.sq_euclidean()
-        assert c.matrix(mu, mu) is c.matrix(mu, mu)
+    def test_cost_matrix_not_stale_across_measures(self):
+        # measures built and dropped one after another recycle their ids,
+        # so a matrix keyed on identity would be served to the wrong pair
+        rng = np.random.default_rng(7)
+        shared = CostSpec.sq_euclidean()
+        for _ in range(2000):
+            mu = DiscreteMeasure(rng.uniform(0, 1, (3, 2)), np.full(3, 1 / 3))
+            nu = DiscreteMeasure(rng.uniform(0, 1, (3, 2)), np.full(3, 1 / 3))
+            assert np.array_equal(shared.matrix(mu, nu),
+                                  CostSpec.sq_euclidean().matrix(mu, nu))
