@@ -1,9 +1,13 @@
 """Transportation simplex and independent dual-uniqueness oracles.
 
-The simplex is a plain network simplex on the dense bipartite graph with a
-northwest-corner start and Bland's pivot rule.  It is generic over the
-scalar type, so the same code runs in float mode and in exact Fraction
-mode.  Two oracles cross-validate certificates produced elsewhere:
+The simplex is an incremental network simplex on the dense bipartite
+graph: a northwest-corner start, a basis tree kept as parent, depth and
+adjacency arrays, cycles found by a lowest-common-ancestor walk, dual
+updates confined to the re-hung subtree, block-search pricing, and the
+strongly-feasible-tree leaving rule against cycling.  It is generic over
+the scalar type, so the same code runs in float mode and in exact
+Fraction mode.  Two oracles cross-validate certificates produced
+elsewhere:
 
 * ``dual_face_oracle`` bounds each normalized dual coordinate over the
   optimal face by solving small dense LPs (scipy's HiGHS backend);
@@ -13,7 +17,10 @@ mode.  Two oracles cross-validate certificates produced elsewhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import logging
+import math
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -42,6 +49,8 @@ from .errors import (
 
 ORACLE_SIZE_CAP = 400  # n + m limit for the per-coordinate LPs
 
+log = logging.getLogger("otuniq")
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -52,6 +61,9 @@ class SolveResult:
     basis: tuple  # (i, j) arcs, n + m - 1 of them, covering supp plan
     iterations: int
     duality: DualityReport
+    # the n x m cost matrix solved on, for callers that need it again
+    cost_matrix: Optional[np.ndarray] = field(default=None, repr=False,
+                                              compare=False)
 
 
 @dataclass(frozen=True)
@@ -66,126 +78,158 @@ class DualFaceReport:
     tolerance: float
 
 
-def _northwest_corner(a: list, b: list):
-    """Initial spanning-tree basis via the northwest-corner rule."""
-    n, m = len(a), len(b)
+def _price(cost, u, v, start: int, rows: int, enter_tol):
+    """Block search for an entering arc, starting at row ``start``.
+
+    Blocks of ``rows`` rows are scanned in turn, wrapping around; the
+    most negative reduced cost of the first block holding one below
+    ``-enter_tol`` wins.  Returns (i, j, reduced cost, next start row),
+    or None when no arc prices out.  The same expression serves float
+    arrays and object arrays of Fractions, which numpy evaluates entry
+    by entry with Fraction arithmetic.
+    """
+    n, m = cost.shape
+    r, scanned = start, 0
+    while scanned < n:
+        r1 = min(r + rows, n)
+        block = cost[r:r1] - u[r:r1, None] - v[None, :]
+        k = int(block.argmin())
+        rc = block.flat[k]
+        if rc < -enter_tol:
+            return r + k // m, k % m, rc, r1 % n
+        scanned += r1 - r
+        r = r1 % n
+    return None
+
+
+def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
+    """Network simplex on the complete bipartite graph.
+
+    ``cost`` is an n x m ndarray, float or object-holding Fractions;
+    ``a``/``b`` are supply and demand lists of the matching scalar type.
+    Nodes are sources 0..n-1 and targets n..n+m-1.  The basis is a tree
+    rooted at source 0, stored as ``parent``, ``depth`` and undirected
+    adjacency sets; ``flow[x]`` is the mass on the arc joining x to its
+    parent.  It starts as the northwest-corner tree.  Each pivot finds
+    the entering arc's cycle by walking up to the lowest common
+    ancestor, re-hangs the subtree cut off by the leaving arc from the
+    entering arc, and shifts only that subtree's duals.  The leaving arc
+    follows the strongly-feasible-tree rule (Cunningham 1976): the last
+    blocking arc met when walking the cycle from its apex in the
+    entering arc's direction, which rules out cycling when all weights
+    are positive; ``max_iter`` guards the rest.
+    Returns (masses dict, u, v, basis, iterations).
+    """
+    n, m = cost.shape
+    zero = a[0] * 0
+    u = np.full(n, zero, dtype=cost.dtype)
+    v = np.full(m, zero, dtype=cost.dtype)
+    parent = [-1] * (n + m)
+    depth = [0] * (n + m)
+    flow = [zero] * (n + m)
+    adj = [set() for _ in range(n + m)]
+    # northwest corner: a staircase path from source 0; each arc adds one
+    # new node, hung from the node it shares with the previous arc, and
+    # fixes that node's dual
     ra, rb = list(a), list(b)
-    basis = []
-    masses = {}
     i = j = 0
+    new = n
     while True:
         t = ra[i] if ra[i] < rb[j] else rb[j]
-        basis.append((i, j))
-        masses[(i, j)] = t
+        old = i if new >= n else n + j
+        parent[new], depth[new], flow[new] = old, depth[old] + 1, t
+        adj[new].add(old)
+        adj[old].add(new)
+        if new >= n:
+            v[j] = cost[i, j] - u[i]
+        else:
+            u[i] = cost[i, j] - v[j]
         ra[i] -= t
         rb[j] -= t
         if i == n - 1 and j == m - 1:
             break
-        if ra[i] == 0 and i < n - 1:
+        if i < n - 1 and (ra[i] == 0 or j == m - 1):
             i += 1
+            new = i
         else:
             j += 1
-    return basis, masses
-
-
-def _tree_duals(basis, cost, n: int, m: int, zero):
-    """Dual values from the basis tree, rooted at source 0 with u0 = 0."""
-    adj = [[] for _ in range(n + m)]
-    for (i, j) in basis:
-        adj[i].append(n + j)
-        adj[n + j].append(i)
-    pot = [None] * (n + m)
-    pot[0] = zero
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if pot[w] is None:
-                if w >= n:
-                    pot[w] = cost[v][w - n] - pot[v]
-                else:
-                    pot[w] = cost[w][v - n] - pot[v]
-                stack.append(w)
-    if any(p is None for p in pot):
-        raise SolverError("basis does not span the bipartite node set")
-    return pot[:n], pot[n:]
-
-
-def _tree_path(basis, start: int, goal: int, n: int):
-    """Node path between two tree nodes (sources < n, targets >= n)."""
-    adj = {}
-    for (i, j) in basis:
-        adj.setdefault(i, []).append(n + j)
-        adj.setdefault(n + j, []).append(i)
-    parent = {start: None}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        if v == goal:
-            break
-        for w in adj.get(v, ()):
-            if w not in parent:
-                parent[w] = v
-                stack.append(w)
-    if goal not in parent:
-        raise SolverError("entering arc endpoints not connected in basis")
-    path = [goal]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def _transport_simplex(cost, a, b, *, zero, enter_tol, max_iter: int):
-    """Generic transportation simplex.
-
-    ``cost`` is an indexable n x m table, ``a``/``b`` supply and demand
-    lists of a common scalar type, ``zero`` that type's zero.  Returns
-    (masses dict, u, v, basis, iterations).
-    """
-    n, m = len(a), len(b)
-    basis, masses = _northwest_corner(a, b)
-    in_basis = set(basis)
+            new = n + j
+    side = math.isqrt(n * m - 1) + 1          # ceil(sqrt(n m)) arcs
+    rows = -(-side // m)
+    start = 0
     iterations = 0
     while True:
-        if iterations > max_iter:
-            raise SolverError(f"simplex exceeded {max_iter} pivots")
-        u, v = _tree_duals(basis, cost, n, m, zero)
-        entering = None
-        for i in range(n):
-            ui = u[i]
-            row = cost[i]
-            for j in range(m):
-                if (i, j) in in_basis:
-                    continue
-                if row[j] - ui - v[j] < -enter_tol:
-                    entering = (i, j)
-                    break
-            if entering is not None:
-                break
+        entering = _price(cost, u, v, start, rows, enter_tol)
         if entering is None:
-            return masses, u, v, basis, iterations
+            break
+        if iterations >= max_iter:
+            raise SolverError(f"simplex exceeded {max_iter} pivots")
         iterations += 1
-        ei, ej = entering
-        path = _tree_path(basis, ei, n + ej, n)
-        # arcs along the path alternate sign; the one sharing row ei with
-        # the entering arc is a minus arc
-        minus, plus = [], []
-        for k in range(len(path) - 1):
-            p, q = path[k], path[k + 1]
-            arc = (p, q - n) if p < n else (q, p - n)
-            (minus if k % 2 == 0 else plus).append(arc)
-        theta = min(masses[arc] for arc in minus)
-        leaving = min(arc for arc in minus if masses[arc] == theta)
-        for arc in minus:
-            masses[arc] -= theta
-        for arc in plus:
-            masses[arc] += theta
-        masses[entering] = theta
-        del masses[leaving]
-        in_basis.remove(leaving)
-        in_basis.add(entering)
-        basis[basis.index(leaving)] = entering
+        i, j, rc, start = entering
+        # cycle: the tree paths from i and from target j up to their
+        # lowest common ancestor; a pred arc loses mass when it is a
+        # source's on the i side or a target's on the j side
+        p, q = i, n + j
+        up_i, up_j = [], []
+        while p != q:
+            if depth[p] > depth[q]:
+                up_i.append(p)
+                p = parent[p]
+            else:
+                up_j.append(q)
+                q = parent[q]
+        theta = min([flow[x] for x in up_i if x < n]
+                    + [flow[x] for x in up_j if x >= n])
+        # last blocking arc from the apex: the j side nearest the apex,
+        # else the i side nearest i
+        for k in range(len(up_j) - 1, -1, -1):
+            x = up_j[k]
+            if x >= n and flow[x] == theta:
+                path, e_in, e_out = up_j[:k + 1], n + j, i
+                break
+        else:
+            for k, x in enumerate(up_i):
+                if x < n and flow[x] == theta:
+                    path, e_in, e_out = up_i[:k + 1], i, n + j
+                    break
+        if theta != zero:
+            for x in up_i:
+                flow[x] += -theta if x < n else theta
+            for x in up_j:
+                flow[x] += -theta if x >= n else theta
+        # re-hang the cut-off subtree from the entering arc, reversing
+        # the path from its endpoint e_in up to the leaving arc
+        leaving = path[-1]
+        cut = parent[leaving]
+        adj[leaving].discard(cut)
+        adj[cut].discard(leaving)
+        adj[e_in].add(e_out)
+        adj[e_out].add(e_in)
+        prev, prev_flow = e_out, theta
+        for x in path:
+            parent[x], prev = prev, x
+            flow[x], prev_flow = prev_flow, flow[x]
+        # the subtree's duals move by rc so the entering arc becomes tight
+        depth[e_in] = depth[e_out] + 1
+        stack, src, tgt = [e_in], [], []
+        while stack:
+            x = stack.pop()
+            if x < n:
+                src.append(x)
+            else:
+                tgt.append(x - n)
+            below = depth[x] + 1
+            for y in adj[x]:
+                if y != parent[x]:
+                    depth[y] = below
+                    stack.append(y)
+        shift = rc if e_in < n else -rc
+        u[src] += shift
+        v[tgt] -= shift
+    basis = [(x, parent[x] - n) if x < n else (parent[x], x - n)
+             for x in range(1, n + m)]
+    masses = dict(zip(basis, flow[1:]))
+    return masses, u, v, basis, iterations
 
 
 def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
@@ -194,30 +238,33 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
 
     The returned pair is c-concave on the support (a final c-transform
     pass) and normalized to f = 0 at the lexicographically smallest
-    source point.  Deterministic for a fixed input ordering.
+    source point.  Plan arcs of mass at most tau_mass times the total
+    mass are rounding residue of the pivots and are dropped.
+    Deterministic for a fixed input ordering.
     """
     if abs(float(mu.weights.sum()) - float(nu.weights.sum())) > tol.mass:
         raise Unbalanced("source and target masses differ")
+    t0 = time.perf_counter()
     mat = cost.matrix(mu, nu)
     scale = float(np.max(mat)) if mat.size else 0.0
     enter_tol = 1e-12 * (1.0 + scale)
     max_iter = 50 * (mu.n + nu.n) * max(mu.n, nu.n)
-    masses, u, v, basis, iterations = _transport_simplex(
-        mat.tolist(), mu.weights.tolist(), nu.weights.tolist(),
-        zero=0.0, enter_tol=enter_tol, max_iter=max_iter,
+    masses, u, _, basis, iterations = _transport_simplex(
+        np.asarray(mat, dtype=float), mu.weights.tolist(),
+        nu.weights.tolist(), enter_tol=enter_tol, max_iter=max_iter,
     )
-    f = np.array(u, dtype=float)
-    g = c_transform(f, mat, "to_target")
+    g = c_transform(u, mat, "to_target")
     f = c_transform(g, mat, "to_source")
     anchor = mu.anchor_index()
     shift = f[anchor]
     f = f - shift
     g = g + shift
-    rows = [i for (i, j) in sorted(masses) if masses[(i, j)] > 0]
-    cols = [j for (i, j) in sorted(masses) if masses[(i, j)] > 0]
-    vals = [masses[(i, j)] for (i, j) in sorted(masses) if masses[(i, j)] > 0]
-    plan = TransportPlan(np.array(rows, dtype=int), np.array(cols, dtype=int),
-                         np.array(vals, dtype=float), mu, nu)
+    floor = tol.mass * float(mu.weights.sum())
+    arcs = sorted(arc for arc, x in masses.items() if x > floor)
+    plan = TransportPlan(np.array([i for i, _ in arcs], dtype=int),
+                         np.array([j for _, j in arcs], dtype=int),
+                         np.array([masses[arc] for arc in arcs], dtype=float),
+                         mu, nu)
     pair = PotentialPair(f, g, mu, nu)
     report = verify_duality(plan, pair, mat, tol)
     if not report.optimal:
@@ -225,8 +272,11 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
             f"simplex terminated non-optimal: gap={report.gap:.3e}, "
             f"feasible={report.feasible}, support_tight={report.support_tight}"
         )
+    log.debug("solve: n=%d m=%d pivots=%d %.4f s", mu.n, nu.n, iterations,
+              time.perf_counter() - t0)
     return SolveResult(plan=plan, pair=pair, basis=tuple(sorted(basis)),
-                       iterations=iterations, duality=report)
+                       iterations=iterations, duality=report,
+                       cost_matrix=mat)
 
 
 def solve_exact(cost_rows: Sequence[Sequence[Fraction]],
@@ -241,16 +291,21 @@ def solve_exact(cost_rows: Sequence[Sequence[Fraction]],
     b = [Fraction(x) for x in demands]
     if sum(a) != sum(b):
         raise Unbalanced("exact supplies and demands differ")
-    cost = [[Fraction(c) for c in row] for row in cost_rows]
+    t0 = time.perf_counter()
+    cost = np.array([[Fraction(c) for c in row] for row in cost_rows],
+                    dtype=object)
     n, m = len(a), len(b)
-    masses, u, v, _, iterations = _transport_simplex(
-        cost, a, b, zero=Fraction(0), enter_tol=Fraction(0),
+    masses, u, _, _, iterations = _transport_simplex(
+        cost, a, b, enter_tol=Fraction(0),
         max_iter=200 * (n + m) * max(n, m),
     )
     # c-concave pass in exact arithmetic
-    g = [min(cost[i][j] - u[i] for i in range(n)) for j in range(m)]
-    f = [min(cost[i][j] - g[j] for j in range(m)) for i in range(n)]
-    return {k: val for k, val in masses.items() if val > 0}, f, g, iterations
+    g = (cost - u[:, None]).min(axis=0)
+    f = (cost - g[None, :]).min(axis=1)
+    log.debug("solve_exact: n=%d m=%d pivots=%d %.4f s", n, m, iterations,
+              time.perf_counter() - t0)
+    return ({k: val for k, val in masses.items() if val > 0}, f.tolist(),
+            g.tolist(), iterations)
 
 
 def dual_face_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
@@ -349,7 +404,8 @@ def tight_graph_connectivity_oracle(result: SolveResult, cost: CostSpec,
     usable-edge bipartite graph connects all positive-weight points.
     """
     mu, nu = result.plan.source, result.plan.target
-    mat = cost.matrix(mu, nu)
+    mat = result.cost_matrix if result.cost_matrix is not None \
+        else cost.matrix(mu, nu)
     sub = subdifferential_of(result.pair, mat, tol)
     n, m = mu.n, nu.n
     positive = result.plan.support_pairs()

@@ -225,7 +225,14 @@ def propagate_offsets(links: Sequence[ContactLink],
     Continuum links route the same difference through the solved global
     target potential, which requires ``global_pair``.
     """
-    mat = cost.matrix(plan.source, plan.target)
+    return _propagate_offsets(links, per_component_potentials,
+                              cost.matrix(plan.source, plan.target), plan,
+                              global_pair, target_components, tol)
+
+
+def _propagate_offsets(links, per_component_potentials, mat, plan,
+                       global_pair, target_components, tol) -> OffsetResult:
+    """``propagate_offsets`` on an already built cost matrix."""
     tau = tol.tight(float(np.max(mat)))
     n_comp = len(per_component_potentials)
     # per source point: its component and its component potential
@@ -398,7 +405,7 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     non_unique.
     """
     result = solve(mu, nu, cost, tol)
-    mat = cost.matrix(mu, nu)
+    mat = result.cost_matrix
     graph = ComponentFlowGraph.build(result.plan, decomposition)
     flags: list[str] = []
     try:
@@ -429,10 +436,9 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
             "continuum links used: connected multi-point target components "
             "are asserted to glue their feeders"
         )
-    offsets = propagate_offsets(
-        links + clinks, comp_pots, cost, result.plan,
-        global_pair=result.pair,
-        target_components=decomposition.target_components, tol=tol)
+    offsets = _propagate_offsets(
+        links + clinks, comp_pots, mat, result.plan, result.pair,
+        decomposition.target_components, tol)
     freedom = len(degeneracy["blocks"]) - 1
     flags = list(dict.fromkeys(flags))  # dedupe, keep order
     witness = None

@@ -1,11 +1,20 @@
 """Transportation simplex and the two dual-uniqueness oracles."""
 
+import logging
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
-from otuniq.core import CostSpec, DiscreteMeasure, PotentialPair
+from otuniq.core import (
+    CostSpec,
+    DiscreteMeasure,
+    PotentialPair,
+    component_labels,
+)
+from otuniq.decompose import ComponentDecomposition
 from otuniq.errors import InfeasibleOptimum, Unbalanced
 from otuniq.solver import (
     dual_face_oracle,
@@ -13,6 +22,7 @@ from otuniq.solver import (
     solve_exact,
     tight_graph_connectivity_oracle,
 )
+from otuniq.uniqueness import certify
 
 from helpers import enumerate_vertices, random_instance
 
@@ -50,6 +60,17 @@ class TestSolve:
         with pytest.raises(Unbalanced):
             solve(mu, bad, CostSpec.sq_euclidean())
 
+    def test_trailing_zero_weight_source(self):
+        # float rounding leaves source mass over once the last target is
+        # filled, before the zero-weight last source is reached
+        mu = DiscreteMeasure(np.arange(5.0)[:, None],
+                             np.array([9, 8, 1, 2, 0]) / 20)
+        nu = DiscreteMeasure(np.arange(4.0)[:, None] + 0.5,
+                             np.array([8, 1, 9, 8]) / 26)
+        res = solve(mu, nu, CostSpec.sq_euclidean())
+        assert res.duality.optimal
+        assert len(res.basis) == 5 + 4 - 1
+
     def test_basis_is_spanning_tree_covering_support(self):
         rng = np.random.default_rng(10)
         mu = DiscreteMeasure(rng.uniform(0, 1, (6, 1)),
@@ -74,6 +95,16 @@ class TestSolve:
                                           mu.weights, nu.weights)
         assert res.duality.primal_cost == pytest.approx(best, abs=1e-9)
 
+    def test_debug_log_reports_size_and_pivots(self, caplog):
+        rng = np.random.default_rng(16)
+        mu = DiscreteMeasure(rng.uniform(0, 1, (7, 2)), np.full(7, 1 / 7))
+        nu = DiscreteMeasure(rng.uniform(0, 1, (5, 2)), np.full(5, 1 / 5))
+        with caplog.at_level(logging.DEBUG, logger="otuniq"):
+            res = solve(mu, nu, CostSpec.sq_euclidean())
+        assert any(r.getMessage().startswith(
+            f"solve: n=7 m=5 pivots={res.iterations} ")
+            for r in caplog.records)
+
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         mu = DiscreteMeasure(rng.uniform(0, 1, (8, 2)),
@@ -85,6 +116,104 @@ class TestSolve:
         r2 = solve(mu, nu, cost)
         assert np.array_equal(r1.pair.f, r2.pair.f)
         assert r1.plan.entries == r2.plan.entries
+
+
+def _highs_optimum(cost: np.ndarray, a, b) -> float:
+    n, m = cost.shape
+    rows = sp.kron(sp.eye(n), np.ones((1, m)))
+    cols = sp.kron(np.ones((1, n)), sp.eye(m))
+    res = linprog(cost.ravel(), A_eq=sp.vstack([rows, cols]).tocsr(),
+                  b_eq=np.concatenate([a, b]), bounds=(0, None),
+                  method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+def _dyadic_ties(rng, k: int) -> list:
+    """k masses from {1, 2, 4} / 2^p summing to one, with many ties."""
+    ticks = rng.choice([1, 2, 4], size=k)
+    total = int(ticks.sum())
+    pad = 1 << (total - 1).bit_length()      # next power of two
+    ticks[-1] += pad - total
+    return [Fraction(int(t), pad) for t in ticks]
+
+
+class TestDegenerateDifferential:
+    """The pivoting simplex on degenerate inputs: the float optimum must
+    equal the exact and the HiGHS optimum, the pivots must stop well
+    short of the cycling guard, and the basis must stay a spanning tree
+    that covers the plan."""
+
+    @staticmethod
+    def _check(cost: np.ndarray, a: list, b: list):
+        n, m = cost.shape
+        mu = DiscreteMeasure(np.arange(n, dtype=float)[:, None],
+                             np.array([float(x) for x in a]))
+        nu = DiscreteMeasure(np.arange(m, dtype=float)[:, None],
+                             np.array([float(x) for x in b]))
+        res = solve(mu, nu, CostSpec.explicit(cost.astype(float)))
+        masses, _, _, exact_pivots = solve_exact(
+            [[Fraction(int(c)) for c in row] for row in cost], a, b)
+        exact = sum(int(cost[i, j]) * x for (i, j), x in masses.items())
+        highs = _highs_optimum(cost.astype(float), mu.weights, nu.weights)
+        assert res.duality.primal_cost == pytest.approx(float(exact),
+                                                        abs=1e-12)
+        assert highs == pytest.approx(float(exact), abs=1e-9)
+        assert res.iterations < 50 * (n + m) * max(n, m)
+        assert exact_pivots < 200 * (n + m) * max(n, m)
+        assert len(res.basis) == n + m - 1
+        tree = component_labels(n + m, [(i, n + j) for i, j in res.basis])
+        assert len(set(tree.tolist())) == 1
+        assert res.plan.support_pairs() <= set(res.basis)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 13])
+    def test_all_ones(self, k):
+        self._check(np.ones((k, k), dtype=int),
+                    [Fraction(1, k)] * k, [Fraction(1, k)] * k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_assignment(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        cost = rng.integers(0, 4 if seed % 2 else 50, size=(30, 30))
+        self._check(cost, [Fraction(1, 30)] * 30, [Fraction(1, 30)] * 30)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dyadic_tied_masses(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        n, m = int(rng.integers(3, 12)), int(rng.integers(3, 12))
+        cost = rng.integers(0, 3, size=(n, m))
+        self._check(cost, _dyadic_ties(rng, n), _dyadic_ties(rng, m))
+
+
+class TestRoundingResidue:
+    """Float pivots can leave ~1e-17 of mass on an arc between two exactly
+    balanced groups; 9/20 = 8/20 + 1/20 holds in rationals but not in
+    binary floating point.  Such an arc would join the two blocks of the
+    flow graph and hide the second optimal pair."""
+
+    @staticmethod
+    def _instance():
+        mu = DiscreteMeasure(np.array([[0.0, 0.0], [50.0, 0.0]]),
+                             np.array([9, 11]) / 20, np.arange(2))
+        nu = DiscreteMeasure(np.array([[0.25, 1.0], [0.75, 1.0],
+                                       [50.25, 1.0], [50.75, 1.0]]),
+                             np.array([8, 1, 1, 10]) / 20, np.arange(4))
+        return mu, nu
+
+    def test_plan_has_no_cross_group_arc(self):
+        mu, nu = self._instance()
+        res = solve(mu, nu, CostSpec.sq_euclidean())
+        assert res.plan.support_pairs() == {(0, 0), (0, 1), (1, 2), (1, 3)}
+
+    def test_certify_finds_the_collision(self):
+        mu, nu = self._instance()
+        cost = CostSpec.sq_euclidean()
+        dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
+        cert = certify(mu, nu, cost, dec)
+        assert cert.marginal_degeneracy["status"] == "colliding"
+        assert cert.verdict == "non_unique"
+        assert cert.freedom_dim == 1
+        assert cert.witness is not None
 
 
 class TestExactMode:
