@@ -30,7 +30,6 @@ from .documents import (
 from .errors import OTUniqError, ProblemFormatError
 from .regularity import asymptotic_region, dominated_region
 from .solver import (
-    ORACLE_SIZE_CAP,
     dual_face_oracle,
     solve,
     solve_exact,
@@ -147,10 +146,8 @@ def cmd_certify(args) -> int:
     if doc.exact:
         body["exact"] = _exact_section(doc, dec)
     disagreement = False
-    if args.oracle == "on" and doc.mu.n + doc.nu.n <= ORACLE_SIZE_CAP:
-        face = dual_face_oracle(doc.mu, doc.nu, doc.cost,
-                                result.duality.primal_cost,
-                                plan=result.plan)
+    if args.oracle == "on":
+        face = dual_face_oracle(result.plan, result.pair, result.cost_matrix)
         tight = tight_graph_connectivity_oracle(result, doc.cost)
         body["oracles"] = {
             "dual_face": {"unique": face.unique,
@@ -217,8 +214,7 @@ def _exact_section(doc: ProblemDocument, dec: ComponentDecomposition) -> dict:
 def cmd_witness(args) -> int:
     doc = _load(args.problem, False)
     dec = _decomposition(doc, args)
-    wit = ambiguity_witness(doc.mu, doc.cost, dec, n_samples=args.samples,
-                            run_oracle=(doc.mu.n * 2 <= ORACLE_SIZE_CAP))
+    wit = ambiguity_witness(doc.mu, doc.cost, dec, n_samples=args.samples)
     body = {"witness": {
         "delta": wit.delta,
         "oracle_spread_second_component": wit.oracle_spread,

@@ -14,6 +14,7 @@ from typing import Iterable, Literal, Optional, Sequence
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .errors import (
     AllInfinite,
@@ -134,15 +135,14 @@ class DiscreteMeasure:
 
 
 def _check_distinct(pts: np.ndarray) -> None:
-    # O(n^2) but n stays in the hundreds for this artifact
-    order = np.lexsort(pts.T[::-1])
-    sorted_pts = pts[order]
-    close = np.all(np.abs(np.diff(sorted_pts, axis=0)) <= TAU_GEOM, axis=1)
-    if np.any(close):
-        k = int(np.argmax(close))
-        raise OTUniqError(
-            f"points {order[k]} and {order[k + 1]} coincide within {TAU_GEOM}"
-        )
+    bad = np.nonzero(~np.all(np.isfinite(pts), axis=1))[0]
+    if bad.size:
+        raise OTUniqError(f"point {bad[0]} has a non-finite coordinate")
+    close = cKDTree(pts).query_pairs(TAU_GEOM, p=np.inf,
+                                     output_type="ndarray")
+    if close.size:
+        i, j = min(map(tuple, close.tolist()))
+        raise OTUniqError(f"points {i} and {j} coincide within {TAU_GEOM}")
 
 
 class CostProfile:

@@ -193,28 +193,22 @@ class ComponentPotential:
     component: int
     indices: tuple
     values: np.ndarray
-    problem: Optional[RestrictedProblem]
     skipped: bool = False
 
 
 def decompose_potential(pair: PotentialPair,
-                        decomposition: ComponentDecomposition,
-                        plan: TransportPlan,
-                        cost: CostSpec) -> list[ComponentPotential]:
+                        decomposition: ComponentDecomposition
+                        ) -> list[ComponentPotential]:
     """Split f into per-source-component restricted potentials f_i.
 
-    Zero-mass components are skipped with a warning record rather than
-    raising, matching the positive-mass filter of the decomposition
-    theory.
+    Components of source mass at most tau_mass are marked ``skipped``
+    rather than raising, matching the positive-mass filter of the
+    decomposition theory and of ``restrict_partial``.
     """
     out = []
     for k, grp in enumerate(decomposition.source_components):
-        idx = tuple(int(i) for i in grp)
-        try:
-            prob = restrict_partial(pair.source, pair.target, plan, cost, idx)
-        except ZeroMassComponent:
-            out.append(ComponentPotential(k, idx, pair.f[list(idx)], None,
-                                          skipped=True))
-            continue
-        out.append(ComponentPotential(k, idx, pair.f[list(idx)], prob))
+        idx = [int(i) for i in grp]
+        mass = float(np.sum(pair.source.weights[idx]))
+        out.append(ComponentPotential(k, tuple(idx), pair.f[idx],
+                                      mass <= DEFAULT_TOLERANCES.mass))
     return out

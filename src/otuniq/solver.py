@@ -10,7 +10,8 @@ Fraction mode.  Two oracles cross-validate certificates produced
 elsewhere:
 
 * ``dual_face_oracle`` bounds each normalized dual coordinate over the
-  optimal face by solving small dense LPs (scipy's HiGHS backend);
+  optimal face by two shortest-path runs on the difference-constraint
+  graph of the plan's support;
 * ``tight_graph_connectivity_oracle`` applies the classical
   transportation-LP criterion on the tight-edge graph.
 """
@@ -25,7 +26,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .core import (
     DEFAULT_TOLERANCES,
@@ -42,12 +44,9 @@ from .core import (
 )
 from .errors import (
     InfeasibleOptimum,
-    OTUniqError,
     SolverError,
     Unbalanced,
 )
-
-ORACLE_SIZE_CAP = 400  # n + m limit for the per-coordinate LPs
 
 log = logging.getLogger("otuniq")
 
@@ -308,83 +307,49 @@ def solve_exact(cost_rows: Sequence[Sequence[Fraction]],
             g.tolist(), iterations)
 
 
-def dual_face_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
-                     optimum: float, plan: Optional[TransportPlan] = None,
+def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
+                     cost_matrix: np.ndarray,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> DualFaceReport:
     """Exact per-coordinate bounds of the dual-optimal face.
 
-    The face is pinned by complementary slackness: dual feasibility
-    everywhere plus equality on the support of an optimal plan (solved
-    here when not supplied).  Each source coordinate f(x) is then
-    minimized and maximized over that polytope, with f anchored to 0 at
-    the lexicographically smallest source point.  A relaxed dual-value
-    row would instead let near-balanced groups drift by slack over the
-    cut imbalance, which is why the support equalities are used.
-    Coordinates of zero-weight points may be unbounded; they are
-    reported as +-inf and excluded from the spread.
+    The face is pinned by complementary slackness: f_i + g_j <= c_ij
+    everywhere, with equality on the support of the optimal ``plan``.
+    With f fixed to 0 at the lexicographically smallest source point
+    (the anchor), that is a system of difference constraints on the
+    node values f_i and -g_j, so max f_i = dist(anchor -> x_i) and
+    min f_i = -dist(x_i -> anchor) on the digraph with arcs y_j -> x_i of
+    weight c_ij and x_i -> y_j of weight -c_ij on the support.  The
+    arcs are reweighted by ``pair``, which must be optimal for the plan:
+    every weight becomes a slack >= 0, and two Dijkstra runs from the
+    anchor, on the graph and on its transpose, give all bounds.  The
+    bounds depend only on the support and the costs, not on which
+    optimal pair is passed.  Coordinates a path cannot reach (zero-weight
+    points) are unbounded; they are reported as +-inf and excluded from
+    the spread.
     """
-    n, m = mu.n, nu.n
-    if n + m > ORACLE_SIZE_CAP:
-        raise OTUniqError(f"oracle limited to n + m <= {ORACLE_SIZE_CAP}")
-    mat = np.asarray(cost.matrix(mu, nu), dtype=float)
-    scale = float(np.max(mat))
-    anchor = mu.anchor_index()
-    # variables: f (n) then g (m); A_ub rows: f_i + g_j <= c_ij
-    a_ub = np.zeros((n * m, n + m))
-    b_ub = np.zeros(n * m)
-    r = 0
-    for i in range(n):
-        for j in range(m):
-            a_ub[r, i] = 1.0
-            a_ub[r, n + j] = 1.0
-            b_ub[r] = mat[i, j]
-            r += 1
-    bounds = [(None, None)] * (n + m)
-    bounds[anchor] = (0.0, 0.0)
-    # validate the claimed optimum against the LP's own best dual value
-    check = linprog(np.concatenate([-mu.weights, -nu.weights]),
-                    A_ub=a_ub, b_ub=b_ub, bounds=bounds,
-                    method="highs")
-    if check.status != 0:
-        raise SolverError(f"optimum-validation LP failed: {check.message}")
-    best = -check.fun
-    if abs(best - optimum) > tol.gap * (1.0 + abs(optimum)):
-        raise InfeasibleOptimum(
-            f"claimed optimum {optimum!r} differs from the dual maximum "
-            f"{best!r}"
-        )
-    if plan is None:
-        plan = solve(mu, nu, cost, tol).plan
-    support = sorted(plan.support_pairs())
-    a_eq = np.zeros((len(support), n + m))
-    b_eq = np.zeros(len(support))
-    for r, (i, j) in enumerate(support):
-        a_eq[r, i] = 1.0
-        a_eq[r, n + j] = 1.0
-        b_eq[r] = mat[i, j]
-    f_min = np.empty(n)
-    f_max = np.empty(n)
-    for i in range(n):
-        for sense, store in ((1.0, f_min), (-1.0, f_max)):
-            if i == anchor:
-                store[i] = 0.0
-                continue
-            obj = np.zeros(n + m)
-            obj[i] = sense
-            res = linprog(obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                          bounds=bounds, method="highs")
-            if res.status == 2:
-                raise InfeasibleOptimum(
-                    "no dual-feasible pair attains the claimed optimum"
-                )
-            if res.status == 3:
-                store[i] = -np.inf if sense > 0 else np.inf
-            elif res.status != 0:
-                raise SolverError(f"face LP failed: {res.message}")
-            else:
-                store[i] = sense * res.fun
-    tau = tol.face(scale)
-    live = mu.weights > 0
+    if not verify_duality(plan, pair, cost_matrix, tol).optimal:
+        raise InfeasibleOptimum("the pair is not optimal for the plan")
+    mat = np.asarray(cost_matrix, dtype=float)
+    n, m = mat.shape
+    anchor = plan.source.anchor_index()
+    f = pair.f
+    slack = np.maximum(mat - f[:, None] - pair.g[None, :], 0.0)
+    # nodes: sources 0..n-1, targets n..n+m-1; zero weights must stay
+    # stored entries, so both graphs are built from triplets directly
+    src = np.repeat(np.arange(n), m)
+    tgt = n + np.tile(np.arange(m), n)
+    tail = np.concatenate([tgt, plan.rows])
+    head = np.concatenate([src, n + plan.cols])
+    weight = np.concatenate([slack.ravel(), np.zeros(len(plan.rows))])
+    shape = (n + m, n + m)
+    d_out = dijkstra(csr_matrix((weight, (tail, head)), shape=shape),
+                     indices=anchor)[:n]
+    d_in = dijkstra(csr_matrix((weight, (head, tail)), shape=shape),
+                    indices=anchor)[:n]
+    f_max = f - f[anchor] + d_out
+    f_min = f - f[anchor] - d_in
+    tau = tol.face(float(np.max(mat)))
+    live = plan.source.weights > 0
     spreads = f_max[live] - f_min[live]
     max_spread = float(np.max(spreads)) if spreads.size else 0.0
     return DualFaceReport(f_min=f_min, f_max=f_max, anchor=anchor,

@@ -421,8 +421,7 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
         marginal = None
         flags.append("marginal degeneracy check skipped: component cap")
     degeneracy = plan_degeneracy_check(graph)
-    comp_pots = decompose_potential(result.pair, decomposition, result.plan,
-                                    cost)
+    comp_pots = decompose_potential(result.pair, decomposition)
     comp_verdicts = [(cp.component, "zero_mass" if cp.skipped else "unique")
                      for cp in comp_pots]
     if any(not cp.skipped and len(cp.indices) > 1 for cp in comp_pots):
@@ -464,13 +463,12 @@ class AmbiguityWitness:
     delta: float
     samples: tuple               # ((a, b), ...) parameters
     pairs: tuple                 # matching PotentialPairs, all optimal
-    oracle_spread: Optional[float]
+    oracle_spread: float
 
 
 def ambiguity_witness(mu: DiscreteMeasure, cost: CostSpec,
                       decomposition: ComponentDecomposition,
-                      n_samples: int = 9, run_oracle: bool = True,
-                      tol: Tolerances = DEFAULT_TOLERANCES
+                      n_samples: int = 9, tol: Tolerances = DEFAULT_TOLERANCES
                       ) -> AmbiguityWitness:
     """The f_{a, b} family on a separated self-coupled instance.
 
@@ -478,7 +476,9 @@ def ambiguity_witness(mu: DiscreteMeasure, cost: CostSpec,
     exactly two source components.  Delta is the minimal cross-component
     cost; every emitted pair f = a on the first component, b on the
     second, g = -f with |a - b| <= Delta is verified optimal for the
-    identity plan of cost zero.
+    identity plan of cost zero.  ``oracle_spread`` is the widest range
+    of f over the second component's points on the whole optimal face,
+    from ``dual_face_oracle`` on the identity plan and the zero pair.
     """
     if len(decomposition.source_components) != 2:
         raise WrongComponentCount(
@@ -507,10 +507,8 @@ def ambiguity_witness(mu: DiscreteMeasure, cost: CostSpec,
             )
         samples.append((0.0, float(b)))
         pairs.append(pair)
-    spread = None
-    if run_oracle:
-        face = dual_face_oracle(mu, mu, cost, 0.0, plan=plan, tol=tol)
-        spread = float(np.max(face.f_max[list(grp2)]
-                              - face.f_min[list(grp2)]))
+    zero = np.zeros(mu.n)
+    face = dual_face_oracle(plan, PotentialPair(zero, zero, mu, mu), mat, tol)
+    spread = float(np.max(face.f_max[list(grp2)] - face.f_min[list(grp2)]))
     return AmbiguityWitness(delta=delta, samples=tuple(samples),
                             pairs=tuple(pairs), oracle_spread=spread)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from otuniq.core import CostSpec, DiscreteMeasure
 
@@ -69,6 +71,46 @@ def _solve_tree(basis, a, b, n, m):
     if np.max(np.abs(rem_a)) > 1e-9 or np.max(np.abs(rem_b)) > 1e-9:
         return None
     return x
+
+
+# HiGHS's default 1e-7 feasibility tolerances move face bounds by up to
+# 1e-7 on costs of order 1e-8; the reference needs them tighter
+HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10,
+               "dual_feasibility_tolerance": 1e-10}
+
+
+def lp_face_bounds(plan, cost_matrix):
+    """Bounds of each f_i over the dual-optimal face, one LP per bound.
+
+    The reference for ``dual_face_oracle``: f_i + g_j <= c_ij on every
+    pair, with equality on the plan's support and f = 0 at the
+    lexicographically smallest source point; each f_i is minimized and
+    maximized by HiGHS.  Unbounded coordinates come back as +-inf.  Runs
+    2n LPs over n*m rows, so keep n + m small.
+    """
+    mat = np.asarray(cost_matrix, dtype=float)
+    n, m = mat.shape
+    rows = np.arange(n * m)
+    i, j = np.divmod(rows, m)
+    # row i*m + j holds f_i + g_j; variables are f (n) then g (m)
+    a_ub = sp.csr_matrix((np.ones(2 * n * m), (np.concatenate([rows, rows]),
+                                               np.concatenate([i, n + j]))),
+                         shape=(n * m, n + m))
+    a_eq = a_ub[plan.rows * m + plan.cols]
+    b_eq = mat[plan.rows, plan.cols]
+    bounds = [(None, None)] * (n + m)
+    bounds[plan.source.anchor_index()] = (0.0, 0.0)
+    f_min, f_max = np.empty(n), np.empty(n)
+    for k in range(n):
+        for sense, out in ((1.0, f_min), (-1.0, f_max)):
+            obj = np.zeros(n + m)
+            obj[k] = sense
+            res = linprog(obj, A_ub=a_ub, b_ub=mat.ravel(), A_eq=a_eq,
+                          b_eq=b_eq, bounds=bounds, method="highs",
+                          options=HIGHS_TIGHT)
+            assert res.status in (0, 3), res.message
+            out[k] = -sense * np.inf if res.status == 3 else sense * res.fun
+    return f_min, f_max
 
 
 def direct_degeneracy(edge_masses: dict, n_source: int, n_target: int,

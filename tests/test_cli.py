@@ -170,6 +170,42 @@ class TestCertifyReport:
         assert rep["seed"] == 7
 
 
+class TestOraclesWithoutSizeCap:
+    def test_certify_over_400_points_has_oracles(self, tmp_path, capsys):
+        n = 400
+        path = _write(tmp_path, {
+            "schema": "1",
+            "source": {"points": [[x] for x in np.linspace(0, 1, n)],
+                       "weights": [1.0 / n] * n},
+            "target": {"points": [[0.5]], "weights": [1.0]},
+            "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
+            "options": {"epsilon": 0.5},
+        })
+        assert main(["certify", path]) == 0
+        oracles = json.loads(capsys.readouterr().out)["oracles"]
+        assert oracles["dual_face"]["unique"]
+        assert oracles["dual_face"]["max_spread"] == pytest.approx(0.0,
+                                                                   abs=1e-12)
+        assert oracles["tight_graph"]["unique"]
+
+    def test_witness_over_200_points_has_spread(self, tmp_path, capsys):
+        n = 101
+        pts = [[i * 1e-6] for i in range(n)] + \
+              [[1 + i * 1e-6] for i in range(n)]
+        w = [1.0 / (2 * n)] * (2 * n)
+        path = _write(tmp_path, {
+            "schema": "1",
+            "source": {"points": pts, "weights": w},
+            "target": {"points": pts, "weights": w},
+            "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
+            "options": {"epsilon": 0.1},
+        })
+        assert main(["witness", path, "--samples", "3"]) == 0
+        wit = json.loads(capsys.readouterr().out)["witness"]
+        assert wit["oracle_spread_second_component"] == pytest.approx(
+            2 * wit["delta"], abs=1e-6 * 3)
+
+
 class TestExactSection:
     def test_zero_mass_component_is_not_a_block(self, tmp_path, capsys):
         path = _write(tmp_path, {

@@ -221,6 +221,17 @@ class TestDomainTypes:
         with pytest.raises(OTUniqError):
             DiscreteMeasure(np.array([[0.0], [0.0]]), np.array([0.5, 0.5]))
 
+    def test_coincident_points_not_lexicographic_neighbours(self):
+        # points 0 and 2 coincide within TAU_GEOM, but point 1 sorts
+        # between them
+        pts = np.array([[0.0, 0.0], [5e-13, 5.0], [1e-12, 0.0]])
+        with pytest.raises(OTUniqError, match="points 0 and 2 coincide"):
+            DiscreteMeasure(pts, np.full(3, 1 / 3))
+
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(OTUniqError, match="point 1 has a non-finite"):
+            DiscreteMeasure(np.array([[0.0], [np.nan]]), np.array([0.5, 0.5]))
+
     def test_plan_marginal_check(self):
         mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
         with pytest.raises(OTUniqError):

@@ -182,9 +182,19 @@ class TestDecomposePotential:
         cost = CostSpec.sq_euclidean()
         res = solve(mu, nu, cost)
         dec = ComponentDecomposition.trivial(mu, nu)
-        parts = decompose_potential(res.pair, dec, res.plan, cost)
+        parts = decompose_potential(res.pair, dec)
         assert len(parts) == 1
         assert np.array_equal(parts[0].values, res.pair.f)
+
+    def test_zero_mass_component_skipped(self):
+        mu = _measure([0.0, 1.0, 5.0], [0.5, 0.5, 0.0], labels=[0, 0, 1])
+        nu = _measure([0.5], [1.0], labels=[0])
+        res = solve(mu, nu, CostSpec.sq_euclidean())
+        dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
+        parts = decompose_potential(res.pair, dec)
+        assert [cp.skipped for cp in parts] == [False, True]
+        assert parts[1].indices == (2,)
+        assert np.array_equal(parts[1].values, res.pair.f[[2]])
 
     def test_two_components_each_optimal(self):
         mu = two_interval_instance(10, mass_left=0.3)
@@ -192,11 +202,11 @@ class TestDecomposePotential:
         cost = CostSpec.sq_euclidean()
         res = solve(mu, nu, cost)
         dec = ComponentDecomposition.build(mu, nu, "epsilon_graph", 0.5)
-        parts = decompose_potential(res.pair, dec, res.plan, cost)
+        parts = decompose_potential(res.pair, dec)
         assert len(parts) == 2
         for cp in parts:
             assert not cp.skipped
-            prob = cp.problem
+            prob = restrict_partial(mu, nu, res.plan, cost, cp.indices)
             f = cp.values
             g = res.pair.g[list(prob.target_indices)]
             mat = prob.cost.matrix(prob.mu, prob.nu)

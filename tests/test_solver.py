@@ -12,6 +12,7 @@ from otuniq.core import (
     CostSpec,
     DiscreteMeasure,
     PotentialPair,
+    TransportPlan,
     component_labels,
 )
 from otuniq.decompose import ComponentDecomposition
@@ -24,7 +25,7 @@ from otuniq.solver import (
 )
 from otuniq.uniqueness import certify
 
-from helpers import enumerate_vertices, random_instance
+from helpers import enumerate_vertices, lp_face_bounds, random_instance
 
 
 class TestSolve:
@@ -245,15 +246,40 @@ class TestExactMode:
             solve_exact([[Fraction(1)]], [Fraction(1)], [Fraction(1, 2)])
 
 
+def _identity_face(mu, cost, f=None):
+    """dual_face_oracle on the identity plan of a self-coupled instance,
+    with the pair (f, -f), zero by default."""
+    mat = cost.matrix(mu, mu)
+    idx = np.arange(mu.n)
+    f = np.zeros(mu.n) if f is None else np.asarray(f, dtype=float)
+    plan = TransportPlan(idx, idx, mu.weights, mu, mu)
+    pair = PotentialPair(f, -f, mu, mu)
+    return plan, mat, dual_face_oracle(plan, pair, mat)
+
+
+def _solved_face(mu, nu, cost):
+    res = solve(mu, nu, cost)
+    return res, dual_face_oracle(res.plan, res.pair, res.cost_matrix)
+
+
+def _assert_matches_lp(plan, mat, rep):
+    """Oracle bounds equal the LP reference, infinities included."""
+    lo, hi = lp_face_bounds(plan, mat)
+    for ours, ref in ((rep.f_min, lo), (rep.f_max, hi)):
+        assert np.array_equal(np.isinf(ours), np.isinf(ref))
+        assert np.array_equal(ours[np.isinf(ours)], ref[np.isinf(ref)])
+        fin = np.isfinite(ref)
+        assert np.allclose(ours[fin], ref[fin], rtol=0,
+                           atol=1e-9 * (1.0 + float(np.max(mat))))
+
+
 class TestDualFaceOracle:
     def test_single_target_spread_zero(self):
         rng = np.random.default_rng(13)
         mu = DiscreteMeasure(rng.uniform(0, 1, (5, 1)),
                              rng.dirichlet(np.ones(5)))
         nu = DiscreteMeasure(np.array([[0.5]]), np.array([1.0]))
-        cost = CostSpec.sq_euclidean()
-        res = solve(mu, nu, cost)
-        rep = dual_face_oracle(mu, nu, cost, res.duality.primal_cost)
+        _, rep = _solved_face(mu, nu, CostSpec.sq_euclidean())
         assert rep.unique
         assert rep.max_spread <= rep.tolerance
 
@@ -265,19 +291,15 @@ class TestDualFaceOracle:
         w_t = np.full(10, 0.1)
         mu = DiscreteMeasure(pts_s, w_s)
         nu = DiscreteMeasure(pts_t, w_t)
-        cost = CostSpec.sq_euclidean()
-        res = solve(mu, nu, cost)
-        rep = dual_face_oracle(mu, nu, cost, res.duality.primal_cost)
+        _, rep = _solved_face(mu, nu, CostSpec.sq_euclidean())
         assert rep.unique
 
     def test_separated_clusters_spread_two_delta(self):
         pts = np.concatenate([np.arange(5) * 1e-4,
                               1 + np.arange(5) * 1e-4])[:, None]
         mu = DiscreteMeasure(pts, np.full(10, 0.1))
-        cost = CostSpec.sq_euclidean()
-        mat = cost.matrix(mu, mu)
+        _, mat, rep = _identity_face(mu, CostSpec.sq_euclidean())
         delta = float(np.min(mat[:5, 5:]))
-        rep = dual_face_oracle(mu, mu, cost, 0.0)
         spread = float(np.max(rep.f_max[5:] - rep.f_min[5:]))
         assert spread == pytest.approx(2 * delta, abs=rep.tolerance)
 
@@ -287,9 +309,7 @@ class TestDualFaceOracle:
                              rng.dirichlet(np.ones(6)))
         nu = DiscreteMeasure(rng.uniform(0, 1, (7, 1)),
                              rng.dirichlet(np.ones(7)))
-        cost = CostSpec.sq_euclidean()
-        res = solve(mu, nu, cost)
-        rep = dual_face_oracle(mu, nu, cost, res.duality.primal_cost)
+        res, rep = _solved_face(mu, nu, CostSpec.sq_euclidean())
         slack = 1e-6
         assert np.all(res.pair.f >= rep.f_min - slack)
         assert np.all(res.pair.f <= rep.f_max + slack)
@@ -297,8 +317,86 @@ class TestDualFaceOracle:
     def test_wrong_optimum_rejected(self):
         mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
         cost = CostSpec.explicit([[0.0, 2.0], [3.0, 1.0]])
+        # f = g = 0 is feasible but leaves the support arc (1, 1) slack
         with pytest.raises(InfeasibleOptimum):
-            dual_face_oracle(mu, mu, cost, -1.0)
+            _identity_face(mu, cost)
+
+    def test_bounds_independent_of_the_optimal_pair(self):
+        pts = np.concatenate([np.arange(4) * 0.1,
+                              2 + np.arange(4) * 0.1])[:, None]
+        mu = DiscreteMeasure(pts, np.full(8, 0.125))
+        cost = CostSpec.lp_norm_power(1.0, 1.0)
+        _, _, zero = _identity_face(mu, cost)
+        _, _, tilted = _identity_face(mu, cost, f=pts[:, 0])
+        assert np.allclose(zero.f_min, tilted.f_min, rtol=0, atol=1e-12)
+        assert np.allclose(zero.f_max, tilted.f_max, rtol=0, atol=1e-12)
+
+
+class TestDualFaceOracleAgainstLP:
+    """The shortest-path bounds against one HiGHS LP per bound."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_cost_degenerate(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        n, m = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+        mu = DiscreteMeasure(np.arange(n, dtype=float)[:, None],
+                             _dyadic_ties(rng, n))
+        nu = DiscreteMeasure(np.arange(m, dtype=float)[:, None],
+                             _dyadic_ties(rng, m))
+        cost = CostSpec.explicit(rng.integers(0, 3, (n, m)).astype(float))
+        res, rep = _solved_face(mu, nu, cost)
+        _assert_matches_lp(res.plan, res.cost_matrix, rep)
+
+    @pytest.mark.parametrize("anchor_weight", [0.25, 0.0])
+    def test_zero_weight_points_unbounded(self, anchor_weight):
+        rng = np.random.default_rng(710)
+        ws = np.array([anchor_weight, 0.25, 0.0, 0.5 - anchor_weight, 0.0,
+                       0.25])
+        wt = np.array([0.0, 0.5, 0.25, 0.0, 0.25])
+        mu = DiscreteMeasure(np.arange(6, dtype=float)[:, None], ws)
+        nu = DiscreteMeasure(rng.uniform(0, 5, (5, 1)), wt)
+        res, rep = _solved_face(mu, nu, CostSpec.sq_euclidean())
+        _assert_matches_lp(res.plan, res.cost_matrix, rep)
+        others = np.arange(6) != rep.anchor
+        # a zero-weight source sends no mass, so nothing bounds its f
+        # from below
+        assert np.array_equal(np.isneginf(rep.f_min[others]),
+                              ws[others] == 0)
+        if anchor_weight > 0:
+            assert np.all(np.isfinite(rep.f_max))
+        else:
+            # nor does anything bound the anchor's partners from above
+            assert np.all(np.isposinf(rep.f_max[others]))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_all_ones(self, k):
+        mu = DiscreteMeasure(np.arange(k, dtype=float)[:, None],
+                             np.full(k, 1.0 / k))
+        res, rep = _solved_face(mu, mu, CostSpec.explicit(np.ones((k, k))))
+        _assert_matches_lp(res.plan, res.cost_matrix, rep)
+        assert rep.max_spread == 0.0 and rep.unique
+
+    def test_self_coupled_separated_clusters(self):
+        # intra-cluster costs of order 1e-8, below the LP solver's default
+        # feasibility tolerance
+        pts = np.concatenate([np.arange(5) * 1e-4,
+                              1 + np.arange(5) * 1e-4])[:, None]
+        mu = DiscreteMeasure(pts, np.full(10, 0.1))
+        plan, mat, rep = _identity_face(mu, CostSpec.sq_euclidean())
+        _assert_matches_lp(plan, mat, rep)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_self_coupled_zero_slack_arcs(self, seed):
+        rng = np.random.default_rng(720 + seed)
+        n = int(rng.integers(4, 20))
+        pts = np.sort(rng.choice(40, n, replace=False)).astype(float)
+        mu = DiscreteMeasure(pts[:, None], rng.dirichlet(np.ones(n)))
+        # with cost |x - y| the pair f = x, g = -x is optimal for the
+        # identity plan and leaves every arc with y >= x at slack zero
+        plan, mat, rep = _identity_face(mu, CostSpec.lp_norm_power(1.0, 1.0),
+                                        f=pts)
+        assert np.sum(mat - pts[:, None] + pts[None, :] == 0) > n
+        _assert_matches_lp(plan, mat, rep)
 
 
 class TestTightGraphOracle:
@@ -324,8 +422,7 @@ class TestTightGraphOracle:
         rng = np.random.default_rng(200 + seed)
         kind = "unique" if seed % 2 == 0 else "non_unique"
         mu, nu, cost, _, _ = random_instance(rng, kind, max_points=16)
-        res = solve(mu, nu, cost)
-        face = dual_face_oracle(mu, nu, cost, res.duality.primal_cost)
+        res, face = _solved_face(mu, nu, cost)
         tight = tight_graph_connectivity_oracle(res, cost)
         assert face.unique == tight["unique"]
 

@@ -163,7 +163,7 @@ class TestPropagateOffsets:
         cost = CostSpec.sq_euclidean()
         res = solve(mu, nu, cost)
         dec = ComponentDecomposition.trivial(mu, nu)
-        parts = decompose_potential(res.pair, dec, res.plan, cost)
+        parts = decompose_potential(res.pair, dec)
         out = propagate_offsets([], parts, cost, res.plan)
         assert np.array_equal(out.offsets, [0.0])
 
@@ -173,11 +173,11 @@ class TestPropagateOffsets:
         cost = CostSpec.sq_euclidean()
         res = solve(mu, nu, cost)
         dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
-        parts = decompose_potential(res.pair, dec, res.plan, cost)
+        parts = decompose_potential(res.pair, dec)
         # replace per-component potentials by zeros: the delta must be
         # c(x, y) - c(x', y)
         zero_parts = [cp.__class__(cp.component, cp.indices,
-                                   np.zeros(len(cp.indices)), cp.problem)
+                                   np.zeros(len(cp.indices)))
                       for cp in parts]
         links = build_contact_links(res.plan, dec)
         out = propagate_offsets(links, zero_parts, cost, res.plan)
@@ -191,7 +191,7 @@ class TestPropagateOffsets:
         mu, nu, cost, eps, _, res = generic_instance(rng, "unique",
                                                      max_points=20)
         dec = ComponentDecomposition.build(mu, nu, "epsilon_graph", eps)
-        parts = decompose_potential(res.pair, dec, res.plan, cost)
+        parts = decompose_potential(res.pair, dec)
         links = build_contact_links(res.plan, dec) \
             + continuum_links(res.plan, dec)
         out = propagate_offsets(links, parts, cost, res.plan,
@@ -207,7 +207,7 @@ class TestPropagateOffsets:
         cost = CostSpec.sq_euclidean()
         res = solve(mu, nu, cost)
         dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
-        parts = decompose_potential(res.pair, dec, res.plan, cost)
+        parts = decompose_potential(res.pair, dec)
         out = propagate_offsets([], parts, cost, res.plan)
         assert out.offsets is None
         assert out.free_blocks == ((0,), (1,))
@@ -308,7 +308,7 @@ class TestAmbiguityWitness:
         mu = self._clusters()
         cost = CostSpec.sq_euclidean()
         dec = ComponentDecomposition.build(mu, mu, "epsilon_graph", 0.1)
-        wit = ambiguity_witness(mu, cost, dec, n_samples=7, run_oracle=False)
+        wit = ambiguity_witness(mu, cost, dec, n_samples=7)
         mid = wit.pairs[3]
         assert np.allclose(mid.f, 0.0) and np.allclose(mid.g, 0.0)
 
