@@ -20,7 +20,6 @@ from .decompose import (
     ComponentDecomposition,
     RestrictedProblem,
     decompose,
-    decompose_potential,
     restrict_full_mass,
     restrict_partial,
 )
@@ -37,11 +36,9 @@ from .uniqueness import (
     ComponentFlowGraph,
     UniquenessCertificate,
     ambiguity_witness,
-    build_contact_links,
     certify,
     marginal_degeneracy_check,
     plan_degeneracy_check,
-    propagate_offsets,
 )
 from .regularity import (
     asymptotic_region,

@@ -127,10 +127,6 @@ def cmd_certify(args) -> int:
             "marginal_degeneracy": cert.marginal_degeneracy,
             "flags": list(cert.flags),
             "component_verdicts": list(cert.component_verdicts),
-            "offsets": None if cert.offsets is None else list(cert.offsets),
-            "spanning_links": [
-                [lk.i1, lk.i2, lk.target_component, lk.contact_target,
-                 lk.kind] for lk in cert.spanning_links],
         },
         "solve": {
             "primal_cost": result.duality.primal_cost,
@@ -194,13 +190,10 @@ def _exact_section(doc: ProblemDocument, dec: ComponentDecomposition) -> dict:
           for grp in dec.source_components]
     mt = [sum(doc.exact_weights[1][j] for j in grp)
           for grp in dec.target_components]
-    acc: dict = {}
-    for (i, j), v in masses.items():
-        key = (int(dec.source_index[i]), int(dec.target_index[j]))
-        acc[key] = acc.get(key, 0) + v
-    graph = ComponentFlowGraph(
-        len(ms), len(mt), tuple((a, b, acc[(a, b)]) for a, b in sorted(acc)),
-        tuple(ms), tuple(mt))
+    graph = ComponentFlowGraph.from_arcs(
+        [int(dec.source_index[i]) for i, _ in masses],
+        [int(dec.target_index[j]) for _, j in masses],
+        list(masses.values()), ms, mt)
     blocks = len(graph.connected_blocks())
     hit = marginal_degeneracy_check(ms, mt, Tolerances(mass=0))
     return {

@@ -18,7 +18,6 @@ from .core import (
     DEFAULT_TOLERANCES,
     CostSpec,
     DiscreteMeasure,
-    PotentialPair,
     Tolerances,
     TransportPlan,
     _as_readonly,
@@ -186,29 +185,3 @@ def extend_potential(f_restricted: np.ndarray, keep_source: Sequence[int],
     f_full[ks] = f_restricted
     g = c_transform(f_full, cost_matrix_full, "to_target")
     return c_transform(g, cost_matrix_full, "to_source"), g
-
-
-@dataclass(frozen=True)
-class ComponentPotential:
-    component: int
-    indices: tuple
-    values: np.ndarray
-    skipped: bool = False
-
-
-def decompose_potential(pair: PotentialPair,
-                        decomposition: ComponentDecomposition
-                        ) -> list[ComponentPotential]:
-    """Split f into per-source-component restricted potentials f_i.
-
-    Components of source mass at most tau_mass are marked ``skipped``
-    rather than raising, matching the positive-mass filter of the
-    decomposition theory and of ``restrict_partial``.
-    """
-    out = []
-    for k, grp in enumerate(decomposition.source_components):
-        idx = [int(i) for i in grp]
-        mass = float(np.sum(pair.source.weights[idx]))
-        out.append(ComponentPotential(k, tuple(idx), pair.f[idx],
-                                      mass <= DEFAULT_TOLERANCES.mass))
-    return out

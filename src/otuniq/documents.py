@@ -4,13 +4,15 @@ A problem document is a JSON object with blocks ``source``, ``target``,
 ``cost``, and optional ``options``.  Numbers are decimals, or exact
 rationals written "p/q" when the exact flag is set.  Reports serialize
 deterministically (sorted keys, repr floats) so identical inputs give
-byte-identical files.
+byte-identical files, and as strict JSON: infinities are written as the
+strings "inf" and "-inf".
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
@@ -180,6 +182,9 @@ def _plain(obj: Any) -> Any:
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
+        # strict JSON has no infinities; "inf" is what --values reads
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
@@ -199,7 +204,7 @@ def render_report(body: dict, digest: str,
     }
     if seed is not None:
         doc["seed"] = int(seed)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_csv_grid(path, points: np.ndarray, values) -> None:

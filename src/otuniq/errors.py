@@ -41,10 +41,6 @@ class MassLoss(OTUniqError):
     """Discarded points carry more than the mass tolerance."""
 
 
-class InconsistentCycle(OTUniqError):
-    """Offset propagation found two paths with conflicting deltas."""
-
-
 class TooManyComponents(OTUniqError):
     """Subset enumeration cap exceeded."""
 

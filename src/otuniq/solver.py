@@ -314,24 +314,27 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
 
     The face is pinned by complementary slackness: f_i + g_j <= c_ij
     everywhere, with equality on the support of the optimal ``plan``.
-    With f fixed to 0 at the lexicographically smallest source point
-    (the anchor), that is a system of difference constraints on the
-    node values f_i and -g_j, so max f_i = dist(anchor -> x_i) and
-    min f_i = -dist(x_i -> anchor) on the digraph with arcs y_j -> x_i of
-    weight c_ij and x_i -> y_j of weight -c_ij on the support.  The
-    arcs are reweighted by ``pair``, which must be optimal for the plan:
-    every weight becomes a slack >= 0, and two Dijkstra runs from the
-    anchor, on the graph and on its transpose, give all bounds.  The
-    bounds depend only on the support and the costs, not on which
-    optimal pair is passed.  Coordinates a path cannot reach (zero-weight
-    points) are unbounded; they are reported as +-inf and excluded from
-    the spread.
+    With f fixed to 0 at the lexicographically smallest source point of
+    positive weight (the anchor), that is a system of difference
+    constraints on the node values f_i and -g_j, so max f_i =
+    dist(anchor -> x_i) and min f_i = -dist(x_i -> anchor) on the
+    digraph with arcs y_j -> x_i of weight c_ij and x_i -> y_j of weight
+    -c_ij on the support.  The arcs are reweighted by ``pair``, which
+    must be optimal for the plan: every weight becomes a slack >= 0, and
+    two Dijkstra runs from the anchor, on the graph and on its
+    transpose, give all bounds.  The bounds depend only on the support
+    and the costs, not on which optimal pair is passed.  Coordinates a
+    path cannot reach (zero-weight points) are unbounded; they are
+    reported as +-inf and excluded from the spread.
     """
     if not verify_duality(plan, pair, cost_matrix, tol).optimal:
         raise InfeasibleOptimum("the pair is not optimal for the plan")
     mat = np.asarray(cost_matrix, dtype=float)
     n, m = mat.shape
-    anchor = plan.source.anchor_index()
+    # a zero-weight anchor sends no mass, so nothing would tie the rest
+    # of the face to it
+    order = np.lexsort(plan.source.points.T[::-1])
+    anchor = int(order[np.argmax(plan.source.weights[order] > 0)])
     f = pair.f
     slack = np.maximum(mat - f[:, None] - pair.g[None, :], 0.0)
     # nodes: sources 0..n-1, targets n..n+m-1; zero weights must stay

@@ -1,9 +1,8 @@
 """Structural uniqueness machinery for Kantorovich potentials.
 
-Degeneracy tests on component masses and on the solved plan, the
-contact-link graph between source components, offset propagation over a
-spanning forest, the certification pipeline, and the explicit
-f_{a, b} ambiguity witness family for separated self-coupled instances.
+Degeneracy tests on component masses and on the solved plan's component
+flow graph, the certification pipeline, and the explicit f_{a, b}
+ambiguity witness family for separated self-coupled instances.
 """
 
 from __future__ import annotations
@@ -25,13 +24,8 @@ from .core import (
     component_labels,
     verify_duality,
 )
-from .decompose import (
-    ComponentDecomposition,
-    ComponentPotential,
-    decompose_potential,
-)
+from .decompose import ComponentDecomposition
 from .errors import (
-    InconsistentCycle,
     NotSelfCoupled,
     NotSymmetric,
     OTUniqError,
@@ -57,15 +51,28 @@ class ComponentFlowGraph:
     @classmethod
     def build(cls, plan: TransportPlan,
               decomposition: ComponentDecomposition) -> "ComponentFlowGraph":
-        src = decomposition.source_index[plan.rows].tolist()
-        tgt = decomposition.target_index[plan.cols].tolist()
-        acc: dict[tuple[int, int], float] = {}
-        for key, v in zip(zip(src, tgt), plan.masses.tolist()):
-            acc[key] = acc.get(key, 0.0) + v
         ms, mt = decomposition.component_masses(plan.source, plan.target)
-        return cls(len(ms), len(mt),
+        return cls.from_arcs(decomposition.source_index[plan.rows].tolist(),
+                             decomposition.target_index[plan.cols].tolist(),
+                             plan.masses.tolist(), ms, mt)
+
+    @classmethod
+    def from_arcs(cls, source_components: Sequence[int],
+                  target_components: Sequence[int], masses: Sequence,
+                  source_masses: Sequence, target_masses: Sequence
+                  ) -> "ComponentFlowGraph":
+        """Sum plan arcs per (source, target) component pair.
+
+        Arc k runs from source component ``source_components[k]`` to
+        target component ``target_components[k]`` with mass
+        ``masses[k]``; any scalar type works, Fractions stay exact.
+        """
+        acc: dict = {}
+        for key, v in zip(zip(source_components, target_components), masses):
+            acc[key] = acc[key] + v if key in acc else v
+        return cls(len(source_masses), len(target_masses),
                    tuple((i, j, acc[(i, j)]) for i, j in sorted(acc)),
-                   tuple(ms), tuple(mt))
+                   tuple(source_masses), tuple(target_masses))
 
     def connected_blocks(self) -> list[dict]:
         """Connected components over positive-mass nodes.
@@ -146,211 +153,11 @@ def plan_degeneracy_check(graph: ComponentFlowGraph) -> dict:
 
 
 @dataclass(frozen=True)
-class ContactLink:
-    """Evidence joining two source components through a target."""
-
-    i1: int
-    i2: int
-    target_component: int
-    contact_target: Optional[int]   # point index; None for continuum links
-    kind: str                       # "point" or "continuum"
-
-
-def build_contact_links(plan: TransportPlan,
-                        decomposition: ComponentDecomposition
-                        ) -> list[ContactLink]:
-    """Point-contact links: a target atom fed by two source components.
-
-    Finite closures are the sets themselves, so a contact point is
-    simply a shared column of the plan.
-    """
-    src, tgt = decomposition.source_index, decomposition.target_index
-    feeders: dict[int, set[int]] = {}
-    for i, j, _ in plan.entries:
-        feeders.setdefault(j, set()).add(int(src[i]))
-    links = []
-    for j in sorted(feeders):
-        comps = sorted(feeders[j])
-        for i1, i2 in itertools.combinations(comps, 2):
-            links.append(ContactLink(i1, i2, int(tgt[j]), j, "point"))
-    return links
-
-
-def continuum_links(plan: TransportPlan,
-                    decomposition: ComponentDecomposition
-                    ) -> list[ContactLink]:
-    """Links through a multi-point target component fed by two source
-    components.
-
-    These stand in for the continuum argument (connected target support
-    plus continuity of the target potential); certificates flag them as
-    finite-scale assertions.
-    """
-    src, tgt = decomposition.source_index, decomposition.target_index
-    feeders: dict[int, set[int]] = {}
-    for i, j, _ in plan.entries:
-        feeders.setdefault(int(tgt[j]), set()).add(int(src[i]))
-    links = []
-    for jc in sorted(feeders):
-        if len(decomposition.target_components[jc]) < 2:
-            continue
-        for i1, i2 in itertools.combinations(sorted(feeders[jc]), 2):
-            links.append(ContactLink(i1, i2, jc, None, "continuum"))
-    return links
-
-
-@dataclass(frozen=True)
-class OffsetResult:
-    """Outcome of offset propagation over the link graph."""
-
-    offsets: Optional[np.ndarray]       # None when the graph is disconnected
-    free_blocks: tuple                  # source-component index groups
-    spanning_links: tuple               # links actually used
-    cycle_checks: int                   # redundant links verified
-
-
-def propagate_offsets(links: Sequence[ContactLink],
-                      per_component_potentials: Sequence[ComponentPotential],
-                      cost: CostSpec, plan: TransportPlan,
-                      global_pair: Optional[PotentialPair] = None,
-                      target_components: Optional[Sequence[Sequence[int]]]
-                      = None,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> OffsetResult:
-    """Glue per-component potentials by propagating offset deltas.
-
-    A point link with contact target y gives
-    a_{i1} - a_{i2} = (c(x, y) - f_{i1}(x)) - (c(x', y) - f_{i2}(x'))
-    for any support pairs (x, y), (x', y) of the two components; the
-    choice is verified to be immaterial within the tightness tolerance.
-    Continuum links route the same difference through the solved global
-    target potential, which requires ``global_pair``.
-    """
-    return _propagate_offsets(links, per_component_potentials,
-                              cost.matrix(plan.source, plan.target), plan,
-                              global_pair, target_components, tol)
-
-
-def _propagate_offsets(links, per_component_potentials, mat, plan,
-                       global_pair, target_components, tol) -> OffsetResult:
-    """``propagate_offsets`` on an already built cost matrix."""
-    tau = tol.tight(float(np.max(mat)))
-    n_comp = len(per_component_potentials)
-    # per source point: its component and its component potential
-    comp_of = np.full(plan.source.n, -1)
-    f_of = np.full(plan.source.n, np.nan)
-    for cp in per_component_potentials:
-        comp_of[list(cp.indices)] = cp.component
-        f_of[list(cp.indices)] = cp.values
-    # rows of the plan grouped by (component, target point)
-    rows_at: dict[tuple[int, int], list[int]] = {}
-    for i, j, _ in plan.entries:
-        rows_at.setdefault((int(comp_of[i]), j), []).append(i)
-
-    def side_value(comp: int, j: int) -> float:
-        """c(x, y) - f_comp(x) over support rows; checked consistent."""
-        rows = rows_at.get((comp, j))
-        if not rows:
-            raise OTUniqError(
-                f"component {comp} sends no mass to target {j}"
-            )
-        vals = [float(mat[i, j]) - f_of[i] for i in rows]
-        if max(vals) - min(vals) > tau:
-            raise InconsistentCycle(
-                f"support pairs at target {j} disagree by "
-                f"{max(vals) - min(vals):.3e}"
-            )
-        return vals[0]
-
-    tgt_comp = {}
-    if target_components is not None:
-        tgt_comp = {int(j): k for k, grp in enumerate(target_components)
-                    for j in grp}
-
-    def delta(link: ContactLink) -> float:
-        if link.kind == "point":
-            j = link.contact_target
-            return side_value(link.i1, j) - side_value(link.i2, j)
-        if global_pair is None or not tgt_comp:
-            raise OTUniqError(
-                "continuum links need the solved global pair and the "
-                "target partition"
-            )
-        g = np.asarray(global_pair.g, dtype=float)
-
-        def anchored(comp):
-            # a_comp relative to the global potential, via any support
-            # pair into the linking target component
-            for (cmp_, j) in sorted(rows_at):
-                if cmp_ == comp and tgt_comp[j] == link.target_component:
-                    return side_value(comp, j) - float(g[j])
-            raise OTUniqError("no support pair into the linking component")
-
-        return anchored(link.i1) - anchored(link.i2)
-
-    offsets = np.full(n_comp, np.nan)
-    # A first-come spanning forest, not a library connectivity call: the
-    # links it picks are reported as spanning_links.
-    parent = list(range(n_comp))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    spanning = []
-    extra = []
-    for lk in links:
-        if find(lk.i1) != find(lk.i2):
-            parent[find(lk.i1)] = find(lk.i2)
-            spanning.append(lk)
-        else:
-            extra.append(lk)
-    roots = sorted({find(k) for k in range(n_comp)})
-    blocks = tuple(tuple(k for k in range(n_comp) if find(k) == r)
-                   for r in roots)
-    # assign offsets by walking the forest from each block's smallest member
-    adj: dict[int, list] = {}
-    deltas = {}
-    for lk in spanning:
-        d = delta(lk)
-        deltas[(lk.i1, lk.i2)] = d
-        adj.setdefault(lk.i1, []).append((lk.i2, -d))
-        adj.setdefault(lk.i2, []).append((lk.i1, d))
-    for block in blocks:
-        offsets[block[0]] = 0.0
-        stack = [block[0]]
-        while stack:
-            v = stack.pop()
-            for w, d in adj.get(v, ()):
-                if np.isnan(offsets[w]):
-                    offsets[w] = offsets[v] + d
-                    stack.append(w)
-    checks = 0
-    for lk in extra:
-        d = delta(lk)
-        if abs((offsets[lk.i1] - offsets[lk.i2]) - d) > tau:
-            raise InconsistentCycle(
-                f"link ({lk.i1}, {lk.i2}) delta {d:.6e} conflicts with "
-                f"propagated {offsets[lk.i1] - offsets[lk.i2]:.6e}"
-            )
-        checks += 1
-    return OffsetResult(
-        offsets=offsets if len(blocks) <= 1 else None,
-        free_blocks=blocks,
-        spanning_links=tuple(spanning),
-        cycle_checks=checks,
-    )
-
-
-@dataclass(frozen=True)
 class UniquenessCertificate:
     verdict: str                       # unique | non_unique | inconclusive
     degeneracy: dict
     marginal_degeneracy: Optional[dict]
-    spanning_links: tuple
     freedom_dim: int
-    offsets: Optional[np.ndarray]
     witness: Optional[tuple]           # two distinct optimal PotentialPairs
     flags: tuple = ()
     component_verdicts: tuple = ()
@@ -394,15 +201,19 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
             tol: Tolerances = DEFAULT_TOLERANCES) -> UniquenessCertificate:
     """Structural uniqueness certificate for the dual optimizers.
 
-    Pipeline: solve, split the potential over source components, test
-    plan degeneracy, build contact links, and propagate offsets.  Every
-    positive-mass component counts as unique: its support is one
-    component by construction, and uniqueness on a connected support is
-    the continuum theorem the finite check stands in for, so components
-    of two or more points carry a flag saying so.  Zero-mass components
-    are reported as such.  Unique iff the flow graph is connected; a
-    disconnected graph yields a verified shift witness and verdict
-    non_unique.
+    Pipeline: solve, build the component flow graph of the plan, and
+    test it for degeneracy.  The potentials are unique on each
+    positive-mass component: its support is one component by
+    construction, and uniqueness on a connected support is the continuum
+    theorem the finite check stands in for, so components of two or
+    more points carry a flag saying so.  Components of source mass at
+    most tau_mass are reported as ``zero_mass``.  The per-component
+    constants are glued exactly where the plan moves mass between
+    components, so the verdict is unique iff the flow graph is
+    connected; a multi-point target component fed by two or more source
+    components glues them only through the continuity of the target
+    potential, which a flag records.  A disconnected graph yields a
+    verified shift witness and verdict non_unique.
     """
     result = solve(mu, nu, cost, tol)
     mat = result.cost_matrix
@@ -421,25 +232,24 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
         marginal = None
         flags.append("marginal degeneracy check skipped: component cap")
     degeneracy = plan_degeneracy_check(graph)
-    comp_pots = decompose_potential(result.pair, decomposition)
-    comp_verdicts = [(cp.component, "zero_mass" if cp.skipped else "unique")
-                     for cp in comp_pots]
-    if any(not cp.skipped and len(cp.indices) > 1 for cp in comp_pots):
+    live = [mass > DEFAULT_TOLERANCES.mass for mass in graph.source_masses]
+    comp_verdicts = [(k, "unique" if ok else "zero_mass")
+                     for k, ok in enumerate(live)]
+    if any(ok and len(grp) > 1
+           for ok, grp in zip(live, decomposition.source_components)):
         flags.append("single-component subproblem treated as unique; "
                      "connectedness of the continuum support is asserted, "
                      "not certified")
-    links = build_contact_links(result.plan, decomposition)
-    clinks = continuum_links(result.plan, decomposition)
-    if clinks:
+    feeders: dict[int, set] = {}
+    for i, j, _ in graph.edges:
+        feeders.setdefault(j, set()).add(i)
+    if any(len(decomposition.target_components[j]) > 1 and len(srcs) > 1
+           for j, srcs in feeders.items()):
         flags.append(
             "continuum links used: connected multi-point target components "
             "are asserted to glue their feeders"
         )
-    offsets = _propagate_offsets(
-        links + clinks, comp_pots, mat, result.plan, result.pair,
-        decomposition.target_components, tol)
     freedom = len(degeneracy["blocks"]) - 1
-    flags = list(dict.fromkeys(flags))  # dedupe, keep order
     witness = None
     verdict = "unique" if freedom == 0 else "inconclusive"
     if freedom > 0:
@@ -453,8 +263,7 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
                          "witness construction failed")
     return UniquenessCertificate(
         verdict=verdict, degeneracy=degeneracy, marginal_degeneracy=marginal,
-        spanning_links=offsets.spanning_links, freedom_dim=max(freedom, 0),
-        offsets=offsets.offsets, witness=witness, flags=tuple(flags),
+        freedom_dim=max(freedom, 0), witness=witness, flags=tuple(flags),
         component_verdicts=tuple(comp_verdicts), solve_result=result)
 
 

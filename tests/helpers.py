@@ -79,14 +79,14 @@ HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10,
                "dual_feasibility_tolerance": 1e-10}
 
 
-def lp_face_bounds(plan, cost_matrix):
+def lp_face_bounds(plan, cost_matrix, anchor):
     """Bounds of each f_i over the dual-optimal face, one LP per bound.
 
     The reference for ``dual_face_oracle``: f_i + g_j <= c_ij on every
-    pair, with equality on the plan's support and f = 0 at the
-    lexicographically smallest source point; each f_i is minimized and
-    maximized by HiGHS.  Unbounded coordinates come back as +-inf.  Runs
-    2n LPs over n*m rows, so keep n + m small.
+    pair, with equality on the plan's support and f = 0 at source point
+    ``anchor``; each f_i is minimized and maximized by HiGHS.  Unbounded
+    coordinates come back as +-inf.  Runs 2n LPs over n*m rows, so keep
+    n + m small.
     """
     mat = np.asarray(cost_matrix, dtype=float)
     n, m = mat.shape
@@ -99,7 +99,7 @@ def lp_face_bounds(plan, cost_matrix):
     a_eq = a_ub[plan.rows * m + plan.cols]
     b_eq = mat[plan.rows, plan.cols]
     bounds = [(None, None)] * (n + m)
-    bounds[plan.source.anchor_index()] = (0.0, 0.0)
+    bounds[anchor] = (0.0, 0.0)
     f_min, f_max = np.empty(n), np.empty(n)
     for k in range(n):
         for sense, out in ((1.0, f_min), (-1.0, f_max)):

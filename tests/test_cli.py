@@ -149,6 +149,41 @@ class TestCertifyReport:
         assert rep["certificate"]["witness"] is not None
         assert "oracles" in rep
 
+    def test_zero_weight_first_source_agrees_with_oracles(self, tmp_path,
+                                                          capsys):
+        # the lexicographically first source carries no mass, so the
+        # dual-face oracle anchors at the next one
+        path = _write(tmp_path, {
+            "schema": "1",
+            "source": {"points": [[0.0], [1.0], [2.0]],
+                       "weights": [0.0, 0.5, 0.5], "labels": [0, 1, 2]},
+            "target": {"points": [[1.5]], "weights": [1.0], "labels": [0]},
+            "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
+        })
+        assert main(["certify", path, "--labels"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["certificate"]["component_verdicts"] == [
+            [0, "zero_mass"], [1, "unique"], [2, "unique"]]
+        assert rep["oracles"]["dual_face"]["unique"]
+        assert rep["oracles"]["dual_face"]["max_spread"] == 0.0
+
+    def test_report_is_strict_json(self, tmp_path, capsys):
+        # one source component: no proper subset, so min_gap is infinite
+        path = _write(tmp_path, {
+            "schema": "1",
+            "source": {"points": [[0.0], [0.1]], "weights": [0.5, 0.5]},
+            "target": {"points": [[0.0], [5.0]], "weights": [0.5, 0.5]},
+            "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
+            "options": {"epsilon": 0.5},
+        })
+        assert main(["certify", path]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        rep = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert rep["certificate"]["marginal_degeneracy"]["min_gap"] == "inf"
+
     def test_determinism(self, tmp_path):
         path = _two_interval(tmp_path, mass_left=0.5)
         o1, o2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -7,13 +7,13 @@ from otuniq.core import CostSpec, DiscreteMeasure, PotentialPair, verify_duality
 from otuniq.decompose import (
     ComponentDecomposition,
     decompose,
-    decompose_potential,
     extend_potential,
     restrict_full_mass,
     restrict_partial,
 )
 from otuniq.errors import BadEpsilon, MassLoss, OTUniqError, ZeroMassComponent
 from otuniq.solver import solve
+from otuniq.uniqueness import certify
 
 from helpers import two_interval_instance
 
@@ -175,26 +175,15 @@ class TestRestrictFullMass:
 
 
 class TestDecomposePotential:
-    def test_single_component_passthrough(self):
-        rng = np.random.default_rng(24)
-        mu = _measure(rng.uniform(0, 1, 5), rng.dirichlet(np.ones(5)))
-        nu = _measure(rng.uniform(0, 1, 5), rng.dirichlet(np.ones(5)))
-        cost = CostSpec.sq_euclidean()
-        res = solve(mu, nu, cost)
-        dec = ComponentDecomposition.trivial(mu, nu)
-        parts = decompose_potential(res.pair, dec)
-        assert len(parts) == 1
-        assert np.array_equal(parts[0].values, res.pair.f)
+    """The potential split over source components."""
 
     def test_zero_mass_component_skipped(self):
         mu = _measure([0.0, 1.0, 5.0], [0.5, 0.5, 0.0], labels=[0, 0, 1])
         nu = _measure([0.5], [1.0], labels=[0])
-        res = solve(mu, nu, CostSpec.sq_euclidean())
         dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
-        parts = decompose_potential(res.pair, dec)
-        assert [cp.skipped for cp in parts] == [False, True]
-        assert parts[1].indices == (2,)
-        assert np.array_equal(parts[1].values, res.pair.f[[2]])
+        cert = certify(mu, nu, CostSpec.sq_euclidean(), dec)
+        assert cert.component_verdicts == ((0, "unique"), (1, "zero_mass"))
+        assert cert.verdict == "unique"
 
     def test_two_components_each_optimal(self):
         mu = two_interval_instance(10, mass_left=0.3)
@@ -202,12 +191,10 @@ class TestDecomposePotential:
         cost = CostSpec.sq_euclidean()
         res = solve(mu, nu, cost)
         dec = ComponentDecomposition.build(mu, nu, "epsilon_graph", 0.5)
-        parts = decompose_potential(res.pair, dec)
-        assert len(parts) == 2
-        for cp in parts:
-            assert not cp.skipped
-            prob = restrict_partial(mu, nu, res.plan, cost, cp.indices)
-            f = cp.values
+        assert len(dec.source_components) == 2
+        for grp in dec.source_components:
+            prob = restrict_partial(mu, nu, res.plan, cost, grp)
+            f = res.pair.f[list(grp)]
             g = res.pair.g[list(prob.target_indices)]
             mat = prob.cost.matrix(prob.mu, prob.nu)
             sub_res = solve(prob.mu, prob.nu, prob.cost)

@@ -264,7 +264,7 @@ def _solved_face(mu, nu, cost):
 
 def _assert_matches_lp(plan, mat, rep):
     """Oracle bounds equal the LP reference, infinities included."""
-    lo, hi = lp_face_bounds(plan, mat)
+    lo, hi = lp_face_bounds(plan, mat, rep.anchor)
     for ours, ref in ((rep.f_min, lo), (rep.f_max, hi)):
         assert np.array_equal(np.isinf(ours), np.isinf(ref))
         assert np.array_equal(ours[np.isinf(ours)], ref[np.isinf(ref)])
@@ -357,16 +357,14 @@ class TestDualFaceOracleAgainstLP:
         nu = DiscreteMeasure(rng.uniform(0, 5, (5, 1)), wt)
         res, rep = _solved_face(mu, nu, CostSpec.sq_euclidean())
         _assert_matches_lp(res.plan, res.cost_matrix, rep)
+        # the anchor is the first point of positive weight
+        assert rep.anchor == (0 if anchor_weight > 0 else 1)
         others = np.arange(6) != rep.anchor
         # a zero-weight source sends no mass, so nothing bounds its f
         # from below
         assert np.array_equal(np.isneginf(rep.f_min[others]),
                               ws[others] == 0)
-        if anchor_weight > 0:
-            assert np.all(np.isfinite(rep.f_max))
-        else:
-            # nor does anything bound the anchor's partners from above
-            assert np.all(np.isposinf(rep.f_max[others]))
+        assert np.all(np.isfinite(rep.f_max))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
     def test_all_ones(self, k):

@@ -1,26 +1,28 @@
-"""Degeneracy tests, contact links, offsets, certificates, witnesses."""
+"""Degeneracy tests, component flow graphs, certificates, witnesses."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from otuniq.core import CostSpec, DiscreteMeasure, verify_duality
-from otuniq.decompose import ComponentDecomposition, decompose_potential
+from otuniq.decompose import ComponentDecomposition
 from otuniq.errors import (
     NotSelfCoupled,
     NotSymmetric,
     TooManyComponents,
     WrongComponentCount,
 )
-from otuniq.solver import solve
+from otuniq.solver import (
+    dual_face_oracle,
+    solve,
+    tight_graph_connectivity_oracle,
+)
 from otuniq.uniqueness import (
     ComponentFlowGraph,
     ambiguity_witness,
-    build_contact_links,
     certify,
-    continuum_links,
     marginal_degeneracy_check,
     plan_degeneracy_check,
-    propagate_offsets,
 )
 
 from helpers import direct_degeneracy, generic_instance, two_interval_instance
@@ -117,100 +119,49 @@ class TestPlanDegeneracy:
 
 
 class TestContactLinks:
+    """A target fed by two source components joins them in the flow
+    graph."""
+
+    def _graph(self, mu, nu):
+        res = solve(mu, nu, CostSpec.sq_euclidean())
+        dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
+        return ComponentFlowGraph.build(res.plan, dec)
+
     def test_shared_target_recorded(self):
         mu = _measure([0.0, 1.0], [0.5, 0.5], labels=[0, 1])
         nu = _measure([0.5], [1.0], labels=[0])
-        cost = CostSpec.sq_euclidean()
-        res = solve(mu, nu, cost)
-        dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
-        links = build_contact_links(res.plan, dec)
-        assert len(links) == 1
-        assert (links[0].i1, links[0].i2) == (0, 1)
-        assert links[0].kind == "point"
+        graph = self._graph(mu, nu)
+        assert [(i, j) for i, j, _ in graph.edges] == [(0, 0), (1, 0)]
+        assert graph.connected_blocks() == [{"sources": [0, 1],
+                                             "targets": [0]}]
 
     def test_matched_diagonal_no_cross_links(self):
         mu = _measure([0.0, 10.0], [0.5, 0.5], labels=[0, 1])
         nu = _measure([0.1, 10.1], [0.5, 0.5], labels=[0, 1])
-        cost = CostSpec.sq_euclidean()
-        res = solve(mu, nu, cost)
-        dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
-        assert build_contact_links(res.plan, dec) == []
+        graph = self._graph(mu, nu)
+        assert [(i, j) for i, j, _ in graph.edges] == [(0, 0), (1, 1)]
+        assert len(graph.connected_blocks()) == 2
 
     def test_semi_discrete_links_iff_off_quarter(self):
         for b, expect_connected in ((0.3, True), (0.5, False)):
-            mu, nu, dec = _semi_discrete(b)
-            res = solve(mu, nu, CostSpec.sq_euclidean())
-            links = build_contact_links(res.plan, dec)
-            # union-find over 4 source components
-            parent = list(range(4))
-
-            def find(v):
-                while parent[v] != v:
-                    v = parent[v]
-                return v
-
-            for lk in links:
-                parent[find(lk.i1)] = find(lk.i2)
-            n_comp = len({find(v) for v in range(4)})
-            assert (n_comp == 1) == expect_connected
+            mu, nu, _ = _semi_discrete(b)
+            blocks = self._graph(mu, nu).connected_blocks()
+            assert (len(blocks) == 1) == expect_connected
 
 
 class TestPropagateOffsets:
-    def test_single_component_anchor_only(self):
-        rng = np.random.default_rng(30)
-        mu = _measure(rng.uniform(0, 1, 4), rng.dirichlet(np.ones(4)))
-        nu = _measure(rng.uniform(0, 1, 4), rng.dirichlet(np.ones(4)))
-        cost = CostSpec.sq_euclidean()
-        res = solve(mu, nu, cost)
-        dec = ComponentDecomposition.trivial(mu, nu)
-        parts = decompose_potential(res.pair, dec)
-        out = propagate_offsets([], parts, cost, res.plan)
-        assert np.array_equal(out.offsets, [0.0])
-
-    def test_two_components_zero_potentials_formula(self):
-        mu = _measure([0.0, 1.0], [0.5, 0.5], labels=[0, 1])
-        nu = _measure([0.4], [1.0], labels=[0])
-        cost = CostSpec.sq_euclidean()
-        res = solve(mu, nu, cost)
-        dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
-        parts = decompose_potential(res.pair, dec)
-        # replace per-component potentials by zeros: the delta must be
-        # c(x, y) - c(x', y)
-        zero_parts = [cp.__class__(cp.component, cp.indices,
-                                   np.zeros(len(cp.indices)))
-                      for cp in parts]
-        links = build_contact_links(res.plan, dec)
-        out = propagate_offsets(links, zero_parts, cost, res.plan)
-        mat = cost.matrix(mu, nu)
-        expected = float(mat[0, 0] - mat[1, 0])
-        assert out.offsets is not None
-        assert (out.offsets[0] - out.offsets[1]) == pytest.approx(expected)
-
-    def test_glued_equals_solver_potential_up_to_constant(self):
-        rng = np.random.default_rng(31)
-        mu, nu, cost, eps, _, res = generic_instance(rng, "unique",
-                                                     max_points=20)
-        dec = ComponentDecomposition.build(mu, nu, "epsilon_graph", eps)
-        parts = decompose_potential(res.pair, dec)
-        links = build_contact_links(res.plan, dec) \
-            + continuum_links(res.plan, dec)
-        out = propagate_offsets(links, parts, cost, res.plan,
-                                global_pair=res.pair,
-                                target_components=dec.target_components)
-        assert out.offsets is not None
-        # potentials came from the global f, so all offsets agree
-        assert np.max(np.abs(out.offsets - out.offsets[0])) <= 1e-7
+    """Free blocks of the per-component constants are the flow graph's
+    blocks."""
 
     def test_disconnected_links_reported_free(self):
         mu = _measure([0.0, 10.0], [0.5, 0.5], labels=[0, 1])
         nu = _measure([0.1, 10.1], [0.5, 0.5], labels=[0, 1])
-        cost = CostSpec.sq_euclidean()
-        res = solve(mu, nu, cost)
         dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
-        parts = decompose_potential(res.pair, dec)
-        out = propagate_offsets([], parts, cost, res.plan)
-        assert out.offsets is None
-        assert out.free_blocks == ((0,), (1,))
+        cert = certify(mu, nu, CostSpec.sq_euclidean(), dec)
+        assert cert.degeneracy["blocks"] == [
+            {"sources": [0], "targets": [0]},
+            {"sources": [1], "targets": [1]}]
+        assert cert.freedom_dim == 1
 
 
 class TestCertify:
@@ -272,6 +223,21 @@ class TestCertify:
         assert rep.optimal
         assert np.allclose(shifted.f - res.pair.f, 0.7)
 
+    @pytest.mark.parametrize("target_labels,continuum",
+                             [([0, 0], True), ([0, 1], False)],
+                             ids=["one_target_component",
+                                  "two_target_components"])
+    def test_flags_from_flow_graph(self, target_labels, continuum):
+        # sources 0 and {1, 2}; the two targets are one component or two
+        mu = _measure([0.0, 1.0, 1.1], [0.5, 0.25, 0.25], labels=[0, 1, 1])
+        nu = _measure([0.4, 0.6], [0.5, 0.5], labels=target_labels)
+        dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
+        cert = certify(mu, nu, CostSpec.sq_euclidean(), dec)
+        heads = [fl.split(":")[0].split(";")[0] for fl in cert.flags]
+        assert heads == ["single-component subproblem treated as unique"] \
+            + ["continuum links used"] * continuum
+        assert cert.component_verdicts == ((0, "unique"), (1, "unique"))
+
     def test_degeneracy_margin_warning(self):
         mu = _measure([0.0, 10.0], [0.5 + 5e-9, 0.5 - 5e-9],
                       labels=[0, 1])
@@ -281,6 +247,44 @@ class TestCertify:
         dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
         cert = certify(mu, nu, cost, dec)
         assert any("degeneracy-margin" in fl for fl in cert.flags)
+
+
+@st.composite
+def _labelled_instances(draw):
+    """At most 5 x 5 points, one label each, integer costs 0-2 and
+    small integer weights, zeros included."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    weights = [draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)
+                    .filter(any)) for k in (n, m)]
+    cost = draw(st.lists(st.integers(0, 2), min_size=n * m,
+                         max_size=n * m))
+    mu, nu = (_measure(np.arange(k), np.array(w) / sum(w), list(range(k)))
+              for k, w in zip((n, m), weights))
+    return mu, nu, CostSpec.explicit(np.reshape(cost, (n, m)).astype(float))
+
+
+class TestVerdictSoundness:
+    """Structural verdicts against both oracles on degenerate inputs."""
+
+    @given(_labelled_instances())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_verdict_agrees_with_oracles(self, instance):
+        mu, nu, cost = instance
+        dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
+        cert = certify(mu, nu, cost, dec)
+        res = cert.solve_result
+        face = dual_face_oracle(res.plan, res.pair, res.cost_matrix)
+        tight = tight_graph_connectivity_oracle(res, cost)["unique"]
+        if cert.verdict == "unique":
+            assert face.unique and tight
+        elif cert.verdict == "non_unique":
+            assert not face.unique and not tight
+            for pair in cert.witness:
+                assert verify_duality(res.plan, pair, res.cost_matrix).optimal
+        else:
+            # inconclusive is allowed: a disconnected flow graph whose
+            # shift witness failed
+            assert cert.verdict == "inconclusive"
 
 
 class TestAmbiguityWitness:
