@@ -24,8 +24,8 @@ from .decompose import ComponentDecomposition
 from .documents import (
     ProblemDocument,
     parse_problem,
+    render_csv_grid,
     render_report,
-    write_csv_grid,
 )
 from .errors import OTUniqError, ProblemFormatError
 from .regularity import asymptotic_region, dominated_region
@@ -233,10 +233,7 @@ def cmd_regularity(args) -> int:
         values = region.tail_frequency
     else:
         raise ProblemFormatError("/", "need --partner or --direction")
-    if args.out:
-        write_csv_grid(args.out, grid, values)
-    else:
-        write_csv_grid("/dev/stdout", grid, values)
+    _emit(render_csv_grid(grid, values), args.out)
     return EXIT_OK
 
 
@@ -249,10 +246,7 @@ def cmd_ctransform(args) -> int:
     mat = doc.cost.matrix(doc.mu, doc.nu)
     res = c_transform(vals, mat, args.direction)
     pts = doc.mu.points if args.direction == "to_source" else doc.nu.points
-    if args.out:
-        write_csv_grid(args.out, pts, res)
-    else:
-        write_csv_grid("/dev/stdout", pts, res)
+    _emit(render_csv_grid(pts, res), args.out)
     return EXIT_OK
 
 

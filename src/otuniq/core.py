@@ -238,14 +238,45 @@ class CostSpec:
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Evaluate c(x, y) for single points."""
-        x = np.asarray(x, dtype=float).ravel()
-        y = np.asarray(y, dtype=float).ravel()
-        if self.kind == "explicit_matrix":
-            raise OTUniqError("explicit matrices have no pointwise form")
-        d = x - y
+        d = np.subtract(np.ravel(x), np.ravel(y), dtype=float)
+        return float(self.value_rows(d[None, :])[0])
+
+    def grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Analytic gradient of c in its first argument (closed-form kinds)."""
+        d = np.subtract(np.ravel(x), np.ravel(y), dtype=float)
+        return self.grad_x_rows(d[None, :])[0]
+
+    def value_rows(self, diff: np.ndarray) -> np.ndarray:
+        """c along the rows of a (k, d) array of differences x - y."""
         if self.kind == "lp_norm_power":
-            return float(_lp_norm(d[None, :], self.q)[0] ** self.p)
-        return float(self.profile(np.linalg.norm(d)))
+            return _lp_norm(diff, self.q) ** self.p
+        if self.kind == "profile_of_distance":
+            return self.profile(np.linalg.norm(diff, axis=1))
+        raise OTUniqError("explicit matrices have no pointwise form")
+
+    def grad_x_rows(self, diff: np.ndarray) -> np.ndarray:
+        """grad_x c along the rows of a (k, d) array of differences x - y.
+
+        Rows with x = y get 0.  For q = inf the gradient is
+        p |d|_inf^(p-1) sign(d_k) e_k at the first coordinate k of
+        largest magnitude.
+        """
+        if self.kind == "explicit_matrix":
+            raise OTUniqError("explicit matrices are not differentiable")
+        q = self.q if self.kind == "lp_norm_power" else 2.0
+        norm = _lp_norm(diff, q)[:, None]
+        # d = 0 on zero-norm rows, so any positive stand-in norm gives 0
+        norm = np.where(norm > 0.0, norm, 1.0)
+        if self.kind == "profile_of_distance":
+            return self.profile.derivative(norm) * diff / norm
+        if np.isinf(q):
+            inner = np.zeros_like(diff)
+            rows = np.arange(diff.shape[0])
+            k = np.argmax(np.abs(diff), axis=1)
+            inner[rows, k] = np.sign(diff[rows, k])
+            return self.p * norm ** (self.p - 1.0) * inner
+        inner = np.sign(diff) * np.abs(diff) ** (q - 1.0)
+        return self.p * norm ** (self.p - q) * inner
 
     def matrix(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
         """Full cost matrix for a measure pair."""
@@ -256,12 +287,7 @@ class CostSpec:
                 )
             return self.values
         diff = mu.points[:, None, :] - nu.points[None, :, :]
-        if self.kind == "lp_norm_power":
-            mat = _lp_norm(diff.reshape(-1, mu.dim), self.q).reshape(mu.n, nu.n)
-            mat = mat ** self.p
-        else:
-            dist = np.linalg.norm(diff, axis=2)
-            mat = np.asarray(self.profile(dist), dtype=float)
+        mat = self.value_rows(diff.reshape(-1, mu.dim)).reshape(mu.n, nu.n)
         if np.any(~np.isfinite(mat)) or np.any(mat < -1e-12):
             raise OTUniqError("cost evaluation produced invalid entries")
         return _as_readonly(np.maximum(mat, 0.0))
@@ -287,30 +313,6 @@ class CostSpec:
         raise OTUniqError(
             "exact mode supports explicit matrices, squared Euclidean, and l1 costs"
         )
-
-    def grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Analytic gradient of c in its first argument (closed-form kinds)."""
-        x = np.asarray(x, dtype=float).ravel()
-        y = np.asarray(y, dtype=float).ravel()
-        d = x - y
-        if self.kind == "lp_norm_power":
-            q, p = self.q, self.p
-            norm = _lp_norm(d[None, :], q)[0]
-            if norm == 0.0:
-                return np.zeros_like(d)
-            if q == 2.0:
-                return p * norm ** (p - 2.0) * d
-            if q == 1.0:
-                s = float(np.sum(np.abs(d)))
-                return p * s ** (p - 1.0) * np.sign(d)
-            inner = np.sign(d) * np.abs(d) ** (q - 1.0)
-            return p * norm ** (p - q) * inner
-        if self.kind == "profile_of_distance":
-            r = float(np.linalg.norm(d))
-            if r == 0.0:
-                return np.zeros_like(d)
-            return float(self.profile.derivative(r)) * d / r
-        raise OTUniqError("explicit matrices are not differentiable")
 
 
 def _lp_norm(diff: np.ndarray, q: float) -> np.ndarray:
@@ -446,9 +448,9 @@ def double_transform_residual(f: np.ndarray, cost_matrix: np.ndarray) -> float:
     return float(np.max(diff))
 
 
-def subdifferential_of(pair: PotentialPair, cost_matrix: np.ndarray,
-                       tol: Tolerances = DEFAULT_TOLERANCES) -> Subdifferential:
-    """All tight pairs of a dual-feasible potential pair."""
+def _tight_mask(pair: PotentialPair, cost_matrix: np.ndarray,
+                tol: Tolerances) -> np.ndarray:
+    """Boolean (n, m) mask of the tight pairs of a dual-feasible pair."""
     tau = tol.tight(float(np.max(cost_matrix)))
     with np.errstate(invalid="ignore"):
         slack = cost_matrix - pair.f[:, None] - pair.g[None, :]
@@ -458,7 +460,13 @@ def subdifferential_of(pair: PotentialPair, cost_matrix: np.ndarray,
         raise InfeasiblePair(
             f"f({i}) + g({j}) exceeds c by {-float(slack[i, j]):.3e}"
         )
-    mask = np.abs(slack) <= tau
+    return np.abs(slack) <= tau
+
+
+def subdifferential_of(pair: PotentialPair, cost_matrix: np.ndarray,
+                       tol: Tolerances = DEFAULT_TOLERANCES) -> Subdifferential:
+    """All tight pairs of a dual-feasible potential pair."""
+    mask = _tight_mask(pair, cost_matrix, tol)
     pairs = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(mask)))
     return Subdifferential(tight_pairs=pairs, mask=mask)
 
@@ -488,9 +496,9 @@ def verify_duality(plan: TransportPlan, pair: PotentialPair,
     gap = primal - dual
     tau_gap = tol.gap * (1.0 + abs(primal))
     try:
-        sub = subdifferential_of(pair, cost_matrix, tol)
+        mask = _tight_mask(pair, cost_matrix, tol)
         feasible = True
-        support_tight = bool(np.all(sub.mask[plan.rows, plan.cols]))
+        support_tight = bool(np.all(mask[plan.rows, plan.cols]))
     except InfeasiblePair:
         feasible = False
         support_tight = False

@@ -207,16 +207,14 @@ def render_report(body: dict, digest: str,
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def write_csv_grid(path, points: np.ndarray, values) -> None:
+def render_csv_grid(points: np.ndarray, values) -> str:
     """Plot-ready CSV: one row per point, header x1,...,xd,value."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    values = np.asarray(values)
-    d = points.shape[1]
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x{k + 1}" for k in range(d)) + ",value\n")
-        for row, v in zip(points, values):
-            coords = ",".join(repr(float(c)) for c in row)
-            fh.write(f"{coords},{_csv_value(v)}\n")
+    lines = [",".join(f"x{k + 1}" for k in range(points.shape[1])) + ",value"]
+    for row, v in zip(points, np.asarray(values)):
+        coords = ",".join(repr(float(c)) for c in row)
+        lines.append(f"{coords},{_csv_value(v)}")
+    return "\n".join(lines) + "\n"
 
 
 def _csv_value(v) -> str:

@@ -44,16 +44,16 @@ class DominatedCostRegion:
 
 
 def dominated_region(x, y, cost: CostSpec, grid) -> DominatedCostRegion:
-    """Exact pointwise evaluation of the dominated-cost region."""
+    """Exact evaluation of the dominated-cost region at every grid point."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] == 0:
         raise OTUniqError("empty query grid")
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     thr = cost.value(x, y)
-    vals = np.array([cost.value(p, y) for p in grid])
     return DominatedCostRegion(anchor_x=x, anchor_y=y, grid=grid,
-                               member=vals <= thr, threshold=thr)
+                               member=cost.value_rows(grid - y) <= thr,
+                               threshold=thr)
 
 
 @dataclass(frozen=True)
@@ -134,17 +134,13 @@ def escape_diagnostic(mu: DiscreteMeasure,
     radii = np.asarray(radii, dtype=float)
     dist = np.zeros((len(nu_family), mu.n))
     for k, nu in enumerate(nu_family):
-        res = solve(mu, nu, cost, tol)
-        for i, j, _ in res.plan.entries:
-            d = float(np.linalg.norm(mu.points[i] - nu.points[j]))
-            dist[k, i] = max(dist[k, i], d)
+        plan = solve(mu, nu, cost, tol).plan
+        np.maximum.at(dist[k], plan.rows, np.linalg.norm(
+            mu.points[plan.rows] - nu.points[plan.cols], axis=1))
     tiny = 1e-12 * (1.0 + float(np.max(dist)))
-    flagged = np.zeros(mu.n, dtype=bool)
-    for i in range(mu.n):
-        running_min = np.minimum.accumulate(np.maximum(dist[:, i], tiny))
-        later = dist[1:, i]
-        flagged[i] = bool(np.any(
-            later >= ESCAPE_GROWTH_FACTOR * running_min[:-1]))
+    running_min = np.minimum.accumulate(np.maximum(dist, tiny), axis=0)
+    flagged = np.any(dist[1:] >= ESCAPE_GROWTH_FACTOR * running_min[:-1],
+                     axis=0)
     return EscapeDiagnostic(radii=radii, partner_distance=dist,
                             escape_score=dist.max(axis=0), flagged=flagged)
 
@@ -209,55 +205,41 @@ def gradient_identity_check(result: SolveResult, cost: CostSpec,
     average partner gradient (the finite stand-in for the continuum
     partner).  Deviations are reported, never thresholded away.
     """
-    mu = result.plan.source
-    nu = result.plan.target
+    plan = result.plan
+    mu = plan.source
     axes, index = _grid_structure(mu.points)
-    d = mu.dim
-    lattice = {tuple(ix): k for k, ix in enumerate(index)}
-    shape = tuple(len(a) for a in axes)
+    shape = [len(a) for a in axes]
     if interior is None:
-        interior = np.ones(mu.n, dtype=bool)
-        for k, ix in enumerate(index):
-            for ax in range(d):
-                if len(axes[ax]) < 3 or ix[ax] == 0 \
-                        or ix[ax] == shape[ax] - 1:
-                    interior[k] = False
+        interior = np.all((index > 0) & (index < np.array(shape) - 1), axis=1)
+    interior = np.asarray(interior, dtype=bool)
+    at = np.empty(mu.n, dtype=int)      # point id at each lattice position
+    at[np.ravel_multi_index(index.T, shape)] = np.arange(mu.n)
     f = result.pair.f
-    grads = np.full((mu.n, d), np.nan)
-    for k, ix in enumerate(index):
-        if not interior[k]:
-            continue
-        g = np.empty(d)
-        for ax in range(d):
-            lo = list(ix)
-            hi = list(ix)
-            lo[ax] -= 1
-            hi[ax] += 1
-            h = axes[ax][hi[ax]] - axes[ax][lo[ax]]
-            g[ax] = (f[lattice[tuple(hi)]] - f[lattice[tuple(lo)]]) / h
-        grads[k] = g
-    entries = []
-    weighted_num = np.zeros((mu.n, d))
-    weighted_den = np.zeros(mu.n)
-    for i, j, v in result.plan.entries:
-        if not interior[i]:
-            continue
-        cg = cost.grad_x(mu.points[i], nu.points[j])
-        dev = float(np.linalg.norm(grads[i] - cg))
-        entries.append((i, j, grads[i].copy(), cg, dev))
-        weighted_num[i] += v * cg
-        weighted_den[i] += v
-    per_pair = np.array([e[4] for e in entries]) if entries else np.zeros(0)
+    ix = index[interior]
+    grads = np.full((mu.n, mu.dim), np.nan)
+    for ax, step in enumerate(np.eye(mu.dim, dtype=int)):
+        hi = at[np.ravel_multi_index((ix + step).T, shape)]
+        lo = at[np.ravel_multi_index((ix - step).T, shape)]
+        h = axes[ax][ix[:, ax] + 1] - axes[ax][ix[:, ax] - 1]
+        grads[interior, ax] = (f[hi] - f[lo]) / h
+    keep = interior[plan.rows]
+    rows, cols, mass = plan.rows[keep], plan.cols[keep], plan.masses[keep]
+    cgs = cost.grad_x_rows(mu.points[rows] - plan.target.points[cols])
+    devs = np.linalg.norm(grads[rows] - cgs, axis=1)
+    entries = tuple(zip(rows.tolist(), cols.tolist(), grads[rows], cgs,
+                        devs.tolist()))
+    weighted_num = np.zeros((mu.n, mu.dim))
+    np.add.at(weighted_num, rows, mass[:, None] * cgs)
+    weighted_den = np.bincount(rows, weights=mass, minlength=mu.n)
     live = weighted_den > 0
     wdev = np.linalg.norm(
-        grads[live] - weighted_num[live] / weighted_den[live, None], axis=1) \
-        if np.any(live) else np.zeros(0)
+        grads[live] - weighted_num[live] / weighted_den[live, None], axis=1)
     summary = {
-        "max": float(np.max(per_pair)) if per_pair.size else 0.0,
-        "median": float(np.median(per_pair)) if per_pair.size else 0.0,
+        "max": float(np.max(devs)) if devs.size else 0.0,
+        "median": float(np.median(devs)) if devs.size else 0.0,
         "max_weighted": float(np.max(wdev)) if wdev.size else 0.0,
         "median_weighted": float(np.median(wdev)) if wdev.size else 0.0,
         "n_interior_pairs": len(entries),
     }
-    return GradientCheckReport(entries=tuple(entries), summary=summary,
-                               interior=np.asarray(interior, dtype=bool))
+    return GradientCheckReport(entries=entries, summary=summary,
+                               interior=interior)

@@ -325,6 +325,14 @@ class TestRegularityCommand:
             member = abs(float(x) - 1.0) <= 1.0 + 1e-12
             assert bool(int(v)) == member
 
+    def test_csv_goes_to_sys_stdout_without_out(self, tmp_path, capsys):
+        path = self._problem(tmp_path)
+        out = tmp_path / "region.csv"
+        args = ["regularity", path, "--anchor", "0", "--partner", "1"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert main(args) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_asymptotic_tail_csv(self, tmp_path):
         path = self._problem(tmp_path)
         out = tmp_path / "tail.csv"
@@ -352,6 +360,13 @@ class TestCTransform:
         got = [float(r.split(",")[1]) for r in rows]
         # f(x_i) = min_j c_ij - g_j with g = 0
         assert got == [0.0, 1.0]
+
+    def test_csv_goes_to_sys_stdout_without_out(self, tmp_path, capsys):
+        path = _two_by_two(tmp_path)
+        vals = tmp_path / "g.json"
+        vals.write_text("[0, 0]")
+        assert main(["ctransform", path, "--values", str(vals)]) == 0
+        assert capsys.readouterr().out == "x1,value\n0.0,0.0\n1.0,1.0\n"
 
     def test_minus_inf_values_ignored(self, tmp_path):
         path = _two_by_two(tmp_path)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from otuniq.core import (
     NEG_INF,
+    CostProfile,
     CostSpec,
     DiscreteMeasure,
     PotentialPair,
@@ -278,3 +279,69 @@ class TestDomainTypes:
             nu = DiscreteMeasure(rng.uniform(0, 1, (3, 2)), np.full(3, 1 / 3))
             assert np.array_equal(shared.matrix(mu, nu),
                                   CostSpec.sq_euclidean().matrix(mu, nu))
+
+
+KERNEL_COSTS = {
+    **{f"l{q}^{p}": CostSpec.lp_norm_power(q, p)
+       for q in (1.0, 2.0, 3.0, np.inf) for p in (1.0, 1.5, 2.0, 3.0)},
+    "polynomial": CostSpec.profile_of_distance(
+        CostProfile(coeffs=[0.5, 1.0, 0.0, 2.0])),
+    "tabulated": CostSpec.profile_of_distance(
+        CostProfile(table=([0.0, 1.0, 2.0, 5.0], [0.0, 1.0, 3.0, 10.0]))),
+}
+
+
+@pytest.mark.parametrize("cost", KERNEL_COSTS.values(), ids=KERNEL_COSTS)
+class TestCostKernels:
+    def test_rows_equal_matrix_rows(self, cost):
+        rng = np.random.default_rng(11)
+        mu = DiscreteMeasure(rng.uniform(-1, 1, (7, 3)), np.full(7, 1 / 7))
+        nu = DiscreteMeasure(rng.uniform(-1, 1, (5, 3)), np.full(5, 1 / 5))
+        mat = cost.matrix(mu, nu)
+        for i, x in enumerate(mu.points):
+            diff = x - nu.points
+            assert np.array_equal(cost.value_rows(diff), mat[i])
+            assert [cost.value(x, y) for y in nu.points] == mat[i].tolist()
+            assert np.array_equal(cost.grad_x_rows(diff),
+                                  [cost.grad_x(x, y) for y in nu.points])
+
+    def test_gradient_matches_central_differences(self, cost):
+        # points stay inside the table's range (|x - y| < 5), where the
+        # tabulated profile is piecewise linear rather than clamped
+        rng = np.random.default_rng(12)
+        h = 1e-6
+        for _ in range(20):
+            x, y = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+            fd = [(cost.value(x + h * e, y) - cost.value(x - h * e, y))
+                  / (2 * h) for e in np.eye(3)]
+            assert np.allclose(cost.grad_x(x, y), fd, rtol=1e-5, atol=1e-6)
+
+    def test_zero_difference_has_zero_gradient(self, cost):
+        # warnings are errors in this suite, so this also asserts that
+        # no 0 ** negative power is evaluated
+        assert np.array_equal(cost.grad_x([0.3, -1.0], [0.3, -1.0]),
+                              [0.0, 0.0])
+
+
+class TestCostKernelEdges:
+    def test_linf_gradient_at_first_largest_coordinate(self):
+        cost = CostSpec.lp_norm_power(np.inf, 2.0)
+        assert np.array_equal(cost.grad_x([2.0, 0.5], [0.0, 0.0]), [4.0, 0.0])
+        assert np.array_equal(cost.grad_x([0.5, 0.2], [0.0, 0.0]), [1.0, 0.0])
+        assert np.array_equal(cost.grad_x([0.0, -0.5], [0.0, 0.0]),
+                              [0.0, -1.0])
+        assert np.array_equal(cost.grad_x([1.0, -1.0], [0.0, 0.0]),
+                              [2.0, 0.0])
+
+    def test_explicit_matrix_has_no_pointwise_form(self):
+        cost = CostSpec.explicit([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(OTUniqError):
+            cost.value([0.0], [1.0])
+        with pytest.raises(OTUniqError):
+            cost.grad_x([0.0], [1.0])
+
+    def test_negative_profile_rejected_in_matrix(self):
+        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        cost = CostSpec.profile_of_distance(CostProfile(coeffs=[-1.0]))
+        with pytest.raises(OTUniqError, match="invalid entries"):
+            cost.matrix(mu, mu)

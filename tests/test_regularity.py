@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from otuniq.core import CostProfile, CostSpec, DiscreteMeasure
-from otuniq.errors import NotAGrid, OTUniqError, ScheduleTooShort
+from otuniq.errors import (
+    NotAGrid,
+    OTUniqError,
+    ProfileNotMonotone,
+    ScheduleTooShort,
+)
 from otuniq.regularity import (
     asymptotic_region,
     dominated_region,
@@ -63,6 +68,27 @@ class TestDominatedRegion:
             assert reg.member[0]
 
 
+    @pytest.mark.parametrize("cost, ref", [
+        (CostSpec.lp_norm_power(1.0, 1.0),
+         lambda d: np.sum(np.abs(d), axis=1)),
+        (CostSpec.lp_norm_power(3.0, 2.0),
+         lambda d: np.sum(np.abs(d) ** 3, axis=1) ** (2 / 3)),
+        (CostSpec.profile_of_distance(CostProfile(coeffs=[0.0, 1.0, 0.5])),
+         lambda d: np.hypot(d[:, 0], d[:, 1])
+         + 0.5 * np.hypot(d[:, 0], d[:, 1]) ** 2),
+    ], ids=["l1", "l3", "profile"])
+    def test_membership_matches_numpy_reference(self, cost, ref):
+        grid = _grid_2d(-3, 3, 61)
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            x, y = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
+            reg = dominated_region(x, y, cost, grid)
+            vals, thr = ref(grid - y), ref((x - y)[None, :])[0]
+            off_band = np.abs(vals - thr) > 1e-12 * (1.0 + thr)
+            assert np.array_equal(reg.member[off_band],
+                                  (vals <= thr)[off_band])
+
+
 class TestAsymptoticRegion:
     def test_sq_euclidean_tail_is_half_space(self):
         # the limsup of the balls along the ray is the half-space
@@ -112,6 +138,13 @@ class TestAsymptoticRegion:
                               _grid_1d(-1, 1, 5))
 
 
+    def test_decreasing_profile_rejected(self):
+        cost = CostSpec.profile_of_distance(CostProfile(coeffs=[1.0, -1.0]))
+        with pytest.raises(ProfileNotMonotone):
+            asymptotic_region([0.0], [1.0], cost, [1.0, 2.0, 4.0],
+                              _grid_1d(-1, 1, 5))
+
+
 class TestEscapeDiagnostic:
     def _truncations(self, partner_schedule):
         # one source atom at 0 plus a sink; each truncation places the
@@ -141,6 +174,25 @@ class TestEscapeDiagnostic:
         short = escape_diagnostic(mu, fam[:3], CostSpec.sq_euclidean())
         full = escape_diagnostic(mu, fam, CostSpec.sq_euclidean())
         assert np.all(full.flagged >= short.flagged)
+
+    def test_matches_per_entry_loop_in_2d(self):
+        rng = np.random.default_rng(43)
+        mu = DiscreteMeasure(rng.uniform(-1, 1, (6, 2)), np.full(6, 1 / 6))
+        family = [DiscreteMeasure(rng.uniform(-r, r, (5, 2)),
+                                  np.full(5, 1 / 5)) for r in (1, 2, 4, 8)]
+        cost = CostSpec.sq_euclidean()
+        out = escape_diagnostic(mu, family, cost)
+        dist = np.zeros((len(family), mu.n))
+        for k, nu in enumerate(family):
+            for i, j, _ in solve(mu, nu, cost).plan.entries:
+                dist[k, i] = max(dist[k, i], float(np.linalg.norm(
+                    mu.points[i] - nu.points[j])))
+        assert np.allclose(out.partner_distance, dist, rtol=1e-15, atol=0)
+        tiny = 1e-12 * (1.0 + dist.max())
+        for i in range(mu.n):
+            running_min = np.minimum.accumulate(np.maximum(dist[:, i], tiny))
+            assert out.flagged[i] == bool(np.any(
+                dist[1:, i] >= 2.0 * running_min[:-1]))
 
     def test_too_short_schedule(self):
         mu, fam = self._truncations([1.0, 1.0])
@@ -233,3 +285,51 @@ class TestGradientIdentity:
         rep = gradient_identity_check(res, CostSpec.sq_euclidean(),
                                       interior=mask)
         assert all(e[0] == 3 for e in rep.entries)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_2d_matches_per_entry_recomputation(self, masked):
+        rng = np.random.default_rng(44)
+        w = rng.uniform(0.5, 1.5, 36)
+        mu = DiscreteMeasure(_grid_2d(0, 1, 6), w / w.sum())
+        nu = DiscreteMeasure(rng.uniform(-0.2, 1.2, (30, 2)),
+                             np.full(30, 1 / 30))
+        cost = CostSpec.lp_norm_power(3.0, 2.0)
+        res = solve(mu, nu, cost)
+        pts, f = mu.points, res.pair.f
+        axes = [np.unique(pts[:, k]) for k in range(2)]
+        where = {tuple(p): k for k, p in enumerate(pts.tolist())}
+        inner = [all(0 < np.searchsorted(a, p[k]) < len(a) - 1
+                     for k, a in enumerate(axes)) for p in pts]
+        interior = np.array(inner)
+        if masked:
+            interior &= rng.uniform(size=36) < 0.5
+        rep = gradient_identity_check(res, cost,
+                                      interior=interior if masked else None)
+        assert np.array_equal(rep.interior, interior)
+        want, fds = [], {}
+        num, den = np.zeros((36, 2)), np.zeros(36)
+        for i, j, v in res.plan.entries:
+            if not interior[i]:
+                continue
+            fd = np.empty(2)
+            for ax, a in enumerate(axes):
+                k = np.searchsorted(a, pts[i, ax])
+                hi, lo = pts[i].copy(), pts[i].copy()
+                hi[ax], lo[ax] = a[k + 1], a[k - 1]
+                fd[ax] = (f[where[tuple(hi)]] - f[where[tuple(lo)]]) \
+                    / (hi[ax] - lo[ax])
+            fds[i] = fd
+            cg = cost.grad_x(pts[i], nu.points[j])
+            want.append((i, j, fd, cg, float(np.linalg.norm(fd - cg))))
+            num[i] += v * cg
+            den[i] += v
+        assert len(rep.entries) == len(want) > 0
+        for got, ref in zip(rep.entries, want):
+            assert got[:2] == ref[:2]
+            assert np.array_equal(got[2], ref[2])
+            assert np.array_equal(got[3], ref[3])
+            assert got[4] == pytest.approx(ref[4], rel=1e-15, abs=0)
+        wdev = [float(np.linalg.norm(fds[i] - num[i] / den[i])) for i in fds]
+        assert rep.summary["max_weighted"] == pytest.approx(max(wdev),
+                                                            rel=1e-15)
+        assert rep.summary["n_interior_pairs"] == len(want)
