@@ -16,13 +16,7 @@ from .core import (
     subdifferential_of,
     verify_duality,
 )
-from .decompose import (
-    ComponentDecomposition,
-    RestrictedProblem,
-    decompose,
-    restrict_full_mass,
-    restrict_partial,
-)
+from .decompose import ComponentDecomposition, decompose
 from .solver import (
     DualFaceReport,
     SolveResult,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -59,15 +59,15 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def component_labels(n_nodes: int, edges: Iterable[tuple[int, int]],
-                     strong: bool = False) -> np.ndarray:
+def component_labels(n_nodes: int, edges, strong: bool = False) -> np.ndarray:
     """Connected-component id of each node of a directed graph.
 
+    ``edges`` is a list of (tail, head) pairs or a (k, 2) integer array.
     Weak connectivity ignores edge directions; ``strong`` asks for
     strongly connected components.  Ids count up in the order of each
     component's smallest node.
     """
-    e = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
                      shape=(n_nodes, n_nodes))
     _, labels = connected_components(
@@ -179,7 +179,8 @@ class CostProfile:
         xs, ys = self.table
         slopes = np.diff(ys) / np.diff(xs)
         idx = np.clip(np.searchsorted(xs, r, side="right") - 1, 0, len(slopes) - 1)
-        return slopes[idx]
+        # np.interp is flat beyond both ends of the table
+        return np.where((r < xs[0]) | (r > xs[-1]), 0.0, slopes[idx])
 
     def is_nondecreasing(self, r_max: float = 100.0, samples: int = 2048) -> bool:
         rs = np.linspace(0.0, r_max, samples)
@@ -421,21 +422,17 @@ def c_transform(values: np.ndarray, cost_matrix: np.ndarray,
     cost_matrix = np.asarray(cost_matrix, dtype=float)
     if np.all(np.isneginf(values)):
         raise AllInfinite("all dual values are -inf")
-    if direction == "to_source":
-        if values.shape[0] != cost_matrix.shape[1]:
-            raise DimensionMismatch("values do not match cost columns")
-        with np.errstate(invalid="ignore"):
-            diff = cost_matrix - values[None, :]
-        diff[:, np.isneginf(values)] = np.inf
-        return diff.min(axis=1)
-    if direction == "to_target":
-        if values.shape[0] != cost_matrix.shape[0]:
-            raise DimensionMismatch("values do not match cost rows")
-        with np.errstate(invalid="ignore"):
-            diff = cost_matrix - values[:, None]
-        diff[np.isneginf(values), :] = np.inf
-        return diff.min(axis=0)
-    raise OTUniqError(f"unknown direction {direction!r}")
+    if direction not in ("to_source", "to_target"):
+        raise OTUniqError(f"unknown direction {direction!r}")
+    # to_target is to_source on the transposed matrix
+    mat = cost_matrix if direction == "to_source" else cost_matrix.T
+    if values.shape[0] != mat.shape[1]:
+        side = "columns" if direction == "to_source" else "rows"
+        raise DimensionMismatch(f"values do not match cost {side}")
+    with np.errstate(invalid="ignore"):
+        diff = mat - values[None, :]
+    diff[:, np.isneginf(values)] = np.inf
+    return diff.min(axis=1)
 
 
 def double_transform_residual(f: np.ndarray, cost_matrix: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Connected-component decomposition of supports and restricted problems.
+"""Connected-component decomposition of supports.
 
 Components are either taken verbatim from measure labels or built from
 the epsilon-proximity graph (two points share a component iff joined by
@@ -10,20 +10,12 @@ support; every downstream certificate flags that distinction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOLERANCES,
-    CostSpec,
-    DiscreteMeasure,
-    Tolerances,
-    TransportPlan,
-    _as_readonly,
-    component_labels,
-)
-from .errors import BadEpsilon, MassLoss, OTUniqError, ZeroMassComponent
+from .core import DiscreteMeasure, _as_readonly, component_labels
+from .errors import BadEpsilon, OTUniqError
 
 
 def decompose(measure: DiscreteMeasure,
@@ -95,93 +87,3 @@ class ComponentDecomposition:
         mt = [float(np.sum(nu.weights[list(g)]))
               for g in self.target_components]
         return ms, mt
-
-
-@dataclass(frozen=True)
-class RestrictedProblem:
-    """A component's own transport problem, induced by an optimal plan."""
-
-    mu: DiscreteMeasure
-    nu: DiscreteMeasure
-    cost: CostSpec
-    source_indices: tuple      # into the original source measure
-    target_indices: tuple      # into the original target measure
-    mass: float                # mu-mass of the component before renormalizing
-
-
-def restrict_partial(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                     plan: TransportPlan, cost: CostSpec,
-                     component: Sequence[int]) -> RestrictedProblem:
-    """Restricted problem on a source component, per the plan's rows.
-
-    The restricted source is mu conditioned on the component; the
-    restricted target is the plan's image of the component, renormalized.
-    """
-    comp = sorted(int(i) for i in component)
-    comp_set = set(comp)
-    mass = float(np.sum(mu.weights[comp]))
-    if mass <= DEFAULT_TOLERANCES.mass:
-        raise ZeroMassComponent(f"component {comp[:4]}... carries no mass")
-    img: dict[int, float] = {}
-    for i, j, v in plan.entries:
-        if i in comp_set:
-            img[j] = img.get(j, 0.0) + v
-    tgt = sorted(img)
-    sub_mu = DiscreteMeasure(mu.points[comp], mu.weights[comp] / mass,
-                             None if mu.labels is None else mu.labels[comp])
-    sub_nu = DiscreteMeasure(nu.points[tgt],
-                             np.array([img[j] for j in tgt]) / mass,
-                             None if nu.labels is None else nu.labels[tgt])
-    sub_cost = _restricted_cost(cost, mu, nu, comp, tgt)
-    return RestrictedProblem(sub_mu, sub_nu, sub_cost, tuple(comp),
-                             tuple(tgt), mass)
-
-
-def _restricted_cost(cost: CostSpec, mu: DiscreteMeasure, nu: DiscreteMeasure,
-                     rows: Sequence[int], cols: Sequence[int]) -> CostSpec:
-    if cost.kind == "explicit_matrix":
-        return CostSpec.explicit(cost.values[np.ix_(list(rows), list(cols))])
-    return cost  # closed-form kinds restrict by evaluation
-
-
-def restrict_full_mass(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                       cost: CostSpec, keep_source: Sequence[int],
-                       keep_target: Sequence[int],
-                       tol: Tolerances = DEFAULT_TOLERANCES):
-    """Drop zero-mass points; the kept problem has the same potentials.
-
-    Discarded indices must carry weight at most tau_mass in total on each
-    side, else MassLoss.
-    """
-    ks = sorted(int(i) for i in keep_source)
-    kt = sorted(int(j) for j in keep_target)
-    lost_s = float(np.sum(mu.weights)) - float(np.sum(mu.weights[ks]))
-    lost_t = float(np.sum(nu.weights)) - float(np.sum(nu.weights[kt]))
-    if lost_s > tol.mass or lost_t > tol.mass:
-        raise MassLoss(
-            f"discarded weight {max(lost_s, lost_t):.3e} exceeds tolerance"
-        )
-    new_mu = DiscreteMeasure(
-        mu.points[ks], mu.weights[ks] / np.sum(mu.weights[ks]),
-        None if mu.labels is None else mu.labels[ks])
-    new_nu = DiscreteMeasure(
-        nu.points[kt], nu.weights[kt] / np.sum(nu.weights[kt]),
-        None if nu.labels is None else nu.labels[kt])
-    return new_mu, new_nu, _restricted_cost(cost, mu, nu, ks, kt)
-
-
-def extend_potential(f_restricted: np.ndarray, keep_source: Sequence[int],
-                     n_full: int, cost_matrix_full: np.ndarray):
-    """Extend a restricted f to the full support via a c-transform pass.
-
-    Dropped points get f(x) = min_y c(x, y) - g(y) with g computed from
-    the kept points, so the extension agrees with f on the kept support
-    whenever f was c-concave there.
-    """
-    from .core import c_transform
-
-    ks = list(keep_source)
-    f_full = np.full(n_full, -np.inf)
-    f_full[ks] = f_restricted
-    g = c_transform(f_full, cost_matrix_full, "to_target")
-    return c_transform(g, cost_matrix_full, "to_source"), g

@@ -33,14 +33,6 @@ class BadEpsilon(OTUniqError):
     """Proximity-graph decomposition requires a positive epsilon."""
 
 
-class ZeroMassComponent(OTUniqError):
-    """A restriction was requested onto a component of zero mass."""
-
-
-class MassLoss(OTUniqError):
-    """Discarded points carry more than the mass tolerance."""
-
-
 class TooManyComponents(OTUniqError):
     """Subset enumeration cap exceeded."""
 

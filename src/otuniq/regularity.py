@@ -22,6 +22,7 @@ from .core import (
     Tolerances,
 )
 from .errors import (
+    DimensionMismatch,
     NotAGrid,
     OTUniqError,
     ProfileNotMonotone,
@@ -209,9 +210,16 @@ def gradient_identity_check(result: SolveResult, cost: CostSpec,
     mu = plan.source
     axes, index = _grid_structure(mu.points)
     shape = [len(a) for a in axes]
-    if interior is None:
-        interior = np.all((index > 0) & (index < np.array(shape) - 1), axis=1)
-    interior = np.asarray(interior, dtype=bool)
+    inner = np.all((index > 0) & (index < np.array(shape) - 1), axis=1)
+    interior = inner if interior is None else np.asarray(interior, dtype=bool)
+    if interior.shape != inner.shape:
+        raise DimensionMismatch(
+            f"interior mask has {interior.size} entries for {mu.n} grid "
+            f"points (first bad index {min(interior.size, mu.n)})")
+    bad = np.flatnonzero(interior & ~inner)
+    if bad.size:
+        raise OTUniqError(f"interior mask marks point {bad[0]}, which lies "
+                          "on the grid boundary")
     at = np.empty(mu.n, dtype=int)      # point id at each lattice position
     at[np.ravel_multi_index(index.T, shape)] = np.arange(mu.n)
     f = result.pair.f

@@ -4,8 +4,10 @@ The simplex is an incremental network simplex on the dense bipartite
 graph: a northwest-corner start, a basis tree kept as parent, depth and
 adjacency arrays, cycles found by a lowest-common-ancestor walk, dual
 updates confined to the re-hung subtree, block-search pricing, and the
-strongly-feasible-tree leaving rule against cycling.  It is generic over
-the scalar type, so the same code runs in float mode and in exact
+strongly-feasible-tree leaving rule against cycling.  It runs on the
+positive-weight points alone; zero-weight points get their potentials
+by c-transform and join the basis tree by tight arcs.  It is generic
+over the scalar type, so the same code runs in float mode and in exact
 Fraction mode.  Two oracles cross-validate certificates produced
 elsewhere:
 
@@ -37,9 +39,8 @@ from .core import (
     PotentialPair,
     Tolerances,
     TransportPlan,
-    c_transform,
+    _tight_mask,
     component_labels,
-    subdifferential_of,
     verify_duality,
 )
 from .errors import (
@@ -115,8 +116,8 @@ def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
     entering arc, and shifts only that subtree's duals.  The leaving arc
     follows the strongly-feasible-tree rule (Cunningham 1976): the last
     blocking arc met when walking the cycle from its apex in the
-    entering arc's direction, which rules out cycling when all weights
-    are positive; ``max_iter`` guards the rest.
+    entering arc's direction, which rules out cycling on the positive
+    weights ``_solve_core`` passes; ``max_iter`` is a last guard.
     Returns (masses dict, u, v, basis, iterations).
     """
     n, m = cost.shape
@@ -231,15 +232,47 @@ def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
     return masses, u, v, basis, iterations
 
 
+def _solve_core(cost, a, b, *, enter_tol, max_iter: int):
+    """Optimal masses, a c-concave pair and a tight basis tree.
+
+    The simplex runs on the positive-weight rows and columns alone, on
+    ``cost`` itself when every weight is positive.  Zero-weight points
+    get their potentials by c-transform (g from the positive sources,
+    then f from all of g, so f = u on the positive sources) and join the
+    tree by a tight arc of no mass: a target to its argmin positive
+    source, a source to its argmin target.  Returns (masses, f, g, basis
+    of n + m - 1 arcs, iterations) in the original indices; generic over
+    the scalar type like ``_transport_simplex``.
+    """
+    n, m = cost.shape
+    rows = [i for i in range(n) if a[i] > 0]
+    cols = [j for j in range(m) if b[j] > 0]
+    live = cost if len(rows) == n else cost[rows]
+    masses, u, _, basis, iterations = _transport_simplex(
+        live if len(cols) == m else live[:, cols], [a[i] for i in rows],
+        [b[j] for j in cols], enter_tol=enter_tol, max_iter=max_iter,
+    )
+    g = (live - u[:, None]).min(axis=0)
+    f = (cost - g[None, :]).min(axis=1)
+    zero_t = [j for j in range(m) if not b[j] > 0]
+    zero_s = [i for i in range(n) if not a[i] > 0]
+    hang_t = (live[:, zero_t] - u[:, None]).argmin(axis=0).tolist()
+    hang_s = (cost[zero_s] - g[None, :]).argmin(axis=1).tolist()
+    basis = [(rows[i], cols[j]) for i, j in basis] \
+        + [(rows[k], j) for j, k in zip(zero_t, hang_t)] \
+        + list(zip(zero_s, hang_s))
+    masses = {(rows[i], cols[j]): x for (i, j), x in masses.items()}
+    return masses, f, g, basis, iterations
+
+
 def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
           tol: Tolerances = DEFAULT_TOLERANCES) -> SolveResult:
     """Solve the finite transportation problem to optimality.
 
-    The returned pair is c-concave on the support (a final c-transform
-    pass) and normalized to f = 0 at the lexicographically smallest
-    source point.  Plan arcs of mass at most tau_mass times the total
-    mass are rounding residue of the pivots and are dropped.
-    Deterministic for a fixed input ordering.
+    The pair is c-concave (see ``_solve_core``) and normalized to f = 0
+    at the lexicographically smallest source point.  Plan arcs of mass
+    at most tau_mass times the total mass are rounding residue of the
+    pivots and are dropped.  Deterministic for a fixed input ordering.
     """
     if abs(float(mu.weights.sum()) - float(nu.weights.sum())) > tol.mass:
         raise Unbalanced("source and target masses differ")
@@ -248,16 +281,12 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     scale = float(np.max(mat)) if mat.size else 0.0
     enter_tol = 1e-12 * (1.0 + scale)
     max_iter = 50 * (mu.n + nu.n) * max(mu.n, nu.n)
-    masses, u, _, basis, iterations = _transport_simplex(
+    masses, f, g, basis, iterations = _solve_core(
         np.asarray(mat, dtype=float), mu.weights.tolist(),
         nu.weights.tolist(), enter_tol=enter_tol, max_iter=max_iter,
     )
-    g = c_transform(u, mat, "to_target")
-    f = c_transform(g, mat, "to_source")
-    anchor = mu.anchor_index()
-    shift = f[anchor]
-    f = f - shift
-    g = g + shift
+    shift = f[mu.anchor_index()]
+    f, g = f - shift, g + shift
     floor = tol.mass * float(mu.weights.sum())
     arcs = sorted(arc for arc, x in masses.items() if x > floor)
     plan = TransportPlan(np.array([i for i, _ in arcs], dtype=int),
@@ -284,7 +313,7 @@ def solve_exact(cost_rows: Sequence[Sequence[Fraction]],
     """Exact-rational transportation solve on raw data.
 
     Returns (masses dict, f list, g list, iterations) with every value a
-    Fraction; no tolerance enters anywhere.
+    Fraction; no tolerance enters anywhere, and f is not anchored.
     """
     a = [Fraction(x) for x in supplies]
     b = [Fraction(x) for x in demands]
@@ -293,14 +322,9 @@ def solve_exact(cost_rows: Sequence[Sequence[Fraction]],
     t0 = time.perf_counter()
     cost = np.array([[Fraction(c) for c in row] for row in cost_rows],
                     dtype=object)
-    n, m = len(a), len(b)
-    masses, u, _, _, iterations = _transport_simplex(
-        cost, a, b, enter_tol=Fraction(0),
-        max_iter=200 * (n + m) * max(n, m),
-    )
-    # c-concave pass in exact arithmetic
-    g = (cost - u[:, None]).min(axis=0)
-    f = (cost - g[None, :]).min(axis=1)
+    n, m = cost.shape
+    masses, f, g, _, iterations = _solve_core(
+        cost, a, b, enter_tol=Fraction(0), max_iter=200 * (n + m) * max(n, m))
     log.debug("solve_exact: n=%d m=%d pivots=%d %.4f s", n, m, iterations,
               time.perf_counter() - t0)
     return ({k: val for k, val in masses.items() if val > 0}, f.tolist(),
@@ -374,18 +398,15 @@ def tight_graph_connectivity_oracle(result: SolveResult, cost: CostSpec,
     mu, nu = result.plan.source, result.plan.target
     mat = result.cost_matrix if result.cost_matrix is not None \
         else cost.matrix(mu, nu)
-    sub = subdifferential_of(result.pair, mat, tol)
     n, m = mu.n, nu.n
-    positive = result.plan.support_pairs()
+    ti, tj = np.nonzero(_tight_mask(result.pair, mat, tol))
+    carried = np.isin(ti * m + tj, result.plan.rows * m + result.plan.cols)
     # digraph on n + m nodes: i -> n+j for every tight edge, the reverse
     # arc only where the plan carries mass
-    arcs = [(i, n + j) for (i, j) in sub.tight_pairs] + \
-        [(n + j, i) for (i, j) in sub.tight_pairs if (i, j) in positive]
-    comp = component_labels(n + m, arcs, strong=True)
-    usable = sorted(
-        (i, j) for (i, j) in sub.tight_pairs
-        if (i, j) in positive or comp[i] == comp[n + j]
-    )
-    blocks = component_labels(n + m, [(i, n + j) for (i, j) in usable])
+    tails, heads = np.r_[ti, n + tj[carried]], np.r_[n + tj, ti[carried]]
+    comp = component_labels(n + m, np.c_[tails, heads], strong=True)
+    keep = carried | (comp[ti] == comp[n + tj])
+    blocks = component_labels(n + m, np.c_[ti[keep], n + tj[keep]])
     live = np.concatenate([mu.weights, nu.weights]) > 0
-    return {"unique": len(set(blocks[live])) <= 1, "usable_edges": usable}
+    return {"unique": len(set(blocks[live])) <= 1,
+            "usable_edges": list(zip(ti[keep].tolist(), tj[keep].tolist()))}

@@ -169,16 +169,19 @@ def _block_witness(result: SolveResult, blocks, decomposition, mat, tol):
 
     One flow-graph block's sources are shifted by +s and its targets by
     -s; the block is mass balanced, so the dual value is unchanged, and
-    s is chosen inside the cross-block slack.  Returns None when no
-    positive shift is available in either direction.
+    s is chosen inside the cross-block slack between positive-weight
+    points.  Zero-weight points then take their c-transform values, as
+    in ``solve``.  Returns None when no positive shift is available in
+    either direction.
     """
     pair = result.pair
     block = blocks[0]
     in_s = np.isin(decomposition.source_index, block["sources"])
     in_t = np.isin(decomposition.target_index, block["targets"])
+    pos_s, pos_t = pair.source.weights > 0, pair.target.weights > 0
     slack = mat - pair.f[:, None] - pair.g[None, :]
-    up = slack[np.ix_(in_s, ~in_t)]
-    down = slack[np.ix_(~in_s, in_t)]
+    up = slack[np.ix_(in_s & pos_s, ~in_t & pos_t)]
+    down = slack[np.ix_(~in_s & pos_s, in_t & pos_t)]
     s_plus = float(np.min(up)) if up.size else np.inf
     s_minus = float(np.min(down)) if down.size else np.inf
     tau = tol.tight(float(np.max(mat)))
@@ -189,6 +192,9 @@ def _block_witness(result: SolveResult, blocks, decomposition, mat, tol):
         g2 = pair.g.copy()
         f2[in_s] += s
         g2[in_t] -= s
+        g2[~pos_t] = (mat[np.ix_(pos_s, ~pos_t)]
+                      - f2[pos_s, None]).min(axis=0)
+        f2[~pos_s] = (mat[~pos_s] - g2[None, :]).min(axis=1)
         cand = PotentialPair(f2, g2, pair.source, pair.target)
         rep = verify_duality(result.plan, cand, mat, tol)
         if rep.optimal:

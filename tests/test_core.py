@@ -306,8 +306,8 @@ class TestCostKernels:
                                   [cost.grad_x(x, y) for y in nu.points])
 
     def test_gradient_matches_central_differences(self, cost):
-        # points stay inside the table's range (|x - y| < 5), where the
-        # tabulated profile is piecewise linear rather than clamped
+        # |x - y| < 5 here; the flat range beyond the table is covered in
+        # TestCostKernelEdges
         rng = np.random.default_rng(12)
         h = 1e-6
         for _ in range(20):
@@ -332,6 +332,22 @@ class TestCostKernelEdges:
                               [0.0, -1.0])
         assert np.array_equal(cost.grad_x([1.0, -1.0], [0.0, 0.0]),
                               [2.0, 0.0])
+
+    def test_tabulated_gradient_flat_beyond_the_table(self):
+        # np.interp is flat outside [0, 5], so the slope there is 0
+        prof = CostProfile(table=([0.0, 1.0, 2.0, 5.0], [0.0, 1.0, 3.0, 10.0]))
+        cost = CostSpec.profile_of_distance(prof)
+        h = 1e-6
+        r = np.array([-2.0, -0.5, 5.5, 6.0, 40.0])
+        fd = (prof(r + h) - prof(r - h)) / (2 * h)
+        assert np.array_equal(prof.derivative(r), fd)
+        assert np.array_equal(prof.derivative(r), np.zeros(5))
+        for x in ([6.0, 0.0], [3.0, -4.5], [-7.0, 2.0]):
+            fd = [(cost.value(x + h * e, [0.0, 0.0])
+                   - cost.value(x - h * e, [0.0, 0.0])) / (2 * h)
+                  for e in np.eye(2)]
+            assert np.array_equal(cost.grad_x(x, [0.0, 0.0]), fd)
+            assert np.array_equal(fd, [0.0, 0.0])
 
     def test_explicit_matrix_has_no_pointwise_form(self):
         cost = CostSpec.explicit([[0.0, 1.0], [1.0, 0.0]])

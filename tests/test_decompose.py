@@ -1,18 +1,28 @@
-"""Support decomposition and restricted transport problems."""
+"""Support decomposition and the two restriction lemmas.
+
+A restricted problem is read off the solved one by slicing: the cost
+matrix, the plan and the pair restricted to a source component and its
+plan image keep their optimality, and zero-weight points are dropped
+before the simplex and refilled by c-transform.
+"""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from otuniq.core import CostSpec, DiscreteMeasure, PotentialPair, verify_duality
-from otuniq.decompose import (
-    ComponentDecomposition,
-    decompose,
-    extend_potential,
-    restrict_full_mass,
-    restrict_partial,
+from otuniq.core import (
+    CostSpec,
+    DiscreteMeasure,
+    PotentialPair,
+    TransportPlan,
+    component_labels,
+    subdifferential_of,
+    verify_duality,
 )
-from otuniq.errors import BadEpsilon, MassLoss, OTUniqError, ZeroMassComponent
-from otuniq.solver import solve
+from otuniq.decompose import ComponentDecomposition, decompose
+from otuniq.errors import BadEpsilon, OTUniqError
+from otuniq.solver import _solve_core, solve, solve_exact
 from otuniq.uniqueness import certify
 
 from helpers import two_interval_instance
@@ -23,6 +33,63 @@ def _measure(coords, weights=None, labels=None):
     if weights is None:
         weights = np.full(len(coords), 1.0 / len(coords))
     return DiscreteMeasure(coords, np.asarray(weights), labels)
+
+
+def _restrict(res, component):
+    """The restricted problem on a source component, sliced from ``res``.
+
+    The source is mu conditioned on the component, the target is the
+    plan's image of it; plan, pair and cost matrix are the matching
+    blocks, masses renormalized.  Returns (plan, pair, cost matrix).
+    """
+    mu, nu = res.plan.source, res.plan.target
+    comp = np.array(sorted(component))
+    keep = np.isin(res.plan.rows, comp)
+    rows, cols = res.plan.rows[keep], res.plan.cols[keep]
+    mass = float(np.sum(mu.weights[comp]))
+    tgt = np.unique(cols)
+    sub_mu = DiscreteMeasure(mu.points[comp], mu.weights[comp] / mass)
+    sub_cols = np.searchsorted(tgt, cols)
+    sub_nu = DiscreteMeasure(
+        nu.points[tgt],
+        np.bincount(sub_cols, weights=res.plan.masses[keep]) / mass)
+    plan = TransportPlan(np.searchsorted(comp, rows), sub_cols,
+                         res.plan.masses[keep] / mass, sub_mu, sub_nu)
+    pair = PotentialPair(res.pair.f[comp], res.pair.g[tgt], sub_mu, sub_nu)
+    return plan, pair, res.cost_matrix[np.ix_(comp, tgt)]
+
+
+def _assert_restriction_optimal(res, component):
+    """The sliced pair is dual-optimal for the restricted problem, checked
+    against the sliced plan and against a fresh solve of that problem."""
+    plan, pair, mat = _restrict(res, component)
+    assert verify_duality(plan, pair, mat).optimal
+    sub = solve(plan.source, plan.target, CostSpec.explicit(mat))
+    assert sub.duality.primal_cost == pytest.approx(plan.primal_cost(mat),
+                                                    abs=1e-12)
+    assert verify_duality(sub.plan, pair, mat).optimal
+
+
+def _padded(rng, integer: bool):
+    """A random problem with zero-weight sources and targets; returns
+    (cost matrix, source weights, target weights) as integer ticks."""
+    sides = []
+    for _ in range(2):
+        k, zeros = int(rng.integers(2, 6)), int(rng.integers(1, 3))
+        ticks = np.concatenate([rng.integers(1, 4, k), np.zeros(zeros, int)])
+        sides.append(rng.permutation(ticks))
+    n, m = len(sides[0]), len(sides[1])
+    cost = rng.integers(0, 3, (n, m)) if integer \
+        else rng.integers(0, 1000, (n, m)) / 100
+    return cost, sides[0], sides[1]
+
+
+def _assert_tight_tree(basis, n, m, is_tight):
+    """``basis`` is a spanning tree of n + m - 1 tight arcs."""
+    assert len(basis) == n + m - 1
+    tree = component_labels(n + m, [(i, n + j) for i, j in basis])
+    assert len(set(tree.tolist())) == 1
+    assert all(is_tight(i, j) for i, j in basis)
 
 
 class TestDecompose:
@@ -67,29 +134,31 @@ class TestDecompose:
 
 
 class TestRestrictPartial:
+    """Restriction to a source component and its plan image."""
+
     def test_full_component_is_identity(self):
         rng = np.random.default_rng(21)
         mu = _measure(rng.uniform(0, 1, 5), rng.dirichlet(np.ones(5)))
         nu = _measure(rng.uniform(0, 1, 4), rng.dirichlet(np.ones(4)))
-        cost = CostSpec.sq_euclidean()
-        res = solve(mu, nu, cost)
-        prob = restrict_partial(mu, nu, res.plan, cost, range(5))
-        assert prob.mass == pytest.approx(1.0)
-        assert np.allclose(prob.mu.weights, mu.weights)
-        assert np.allclose(
-            np.sort(prob.nu.weights), np.sort(nu.weights), atol=1e-9)
+        res = solve(mu, nu, CostSpec.sq_euclidean())
+        plan, pair, mat = _restrict(res, range(5))
+        assert np.allclose(plan.source.weights, mu.weights)
+        assert np.allclose(plan.target.weights, nu.weights, atol=1e-9)
+        assert np.array_equal(plan.rows, res.plan.rows)
+        assert np.array_equal(plan.cols, res.plan.cols)
+        assert np.array_equal(pair.f, res.pair.f)
+        assert np.array_equal(mat, res.cost_matrix)
 
     def test_target_mass_arithmetic(self):
         mu = two_interval_instance(10, mass_left=0.3)
         nu = two_interval_instance(10, mass_left=0.5)
-        cost = CostSpec.sq_euclidean()
-        res = solve(mu, nu, cost)
+        res = solve(mu, nu, CostSpec.sq_euclidean())
         comp = list(range(10))
-        prob = restrict_partial(mu, nu, res.plan, cost, comp)
-        assert prob.mass == pytest.approx(0.3)
-        # induced target mass before renormalization equals mu(X_1)
-        raw = prob.nu.weights * prob.mass
-        assert raw.sum() == pytest.approx(0.3)
+        # the plan's image of X_1 carries mu(X_1) before renormalizing
+        image = res.plan.masses[np.isin(res.plan.rows, comp)]
+        assert image.sum() == pytest.approx(0.3)
+        plan, _, _ = _restrict(res, comp)
+        assert plan.target.weights.sum() == pytest.approx(1.0)
 
     def test_restricted_pair_stays_dual_optimal(self):
         rng = np.random.default_rng(22)
@@ -103,58 +172,73 @@ class TestRestrictPartial:
         ws2 = [rng.uniform(0.5, 1.5, 4) for _ in range(3)]
         nu = _measure(np.concatenate(pts2),
                       np.concatenate(ws2) / np.concatenate(ws2).sum())
-        cost = CostSpec.sq_euclidean()
-        res = solve(mu, nu, cost)
+        res = solve(mu, nu, CostSpec.sq_euclidean())
         for comp in ([0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]):
-            prob = restrict_partial(mu, nu, res.plan, cost, comp)
-            f = res.pair.f[list(prob.source_indices)]
-            g = res.pair.g[list(prob.target_indices)]
-            # restricted pair is feasible and tight on the restricted
-            # plan's support, hence dual-optimal after re-anchoring
-            sub_res = solve(prob.mu, prob.nu, prob.cost)
-            mat = prob.cost.matrix(prob.mu, prob.nu)
-            shift = sub_res.duality.primal_cost - (
-                prob.mu.weights @ f + prob.nu.weights @ g)
-            pair = PotentialPair(f + shift, g, prob.mu, prob.nu)
-            rep = verify_duality(sub_res.plan, pair, mat)
-            assert rep.optimal
-
-    def test_zero_mass_component_rejected(self):
-        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([1.0, 0.0]))
-        nu = _measure([0.5])
-        cost = CostSpec.sq_euclidean()
-        res = solve(mu, nu, cost)
-        with pytest.raises(ZeroMassComponent):
-            restrict_partial(mu, nu, res.plan, cost, [1])
+            _assert_restriction_optimal(res, comp)
 
 
 class TestRestrictFullMass:
-    def test_identity_without_zero_mass(self):
-        rng = np.random.default_rng(23)
-        mu = _measure(rng.uniform(0, 1, 4), rng.dirichlet(np.ones(4)))
-        nu = _measure(rng.uniform(0, 1, 4), rng.dirichlet(np.ones(4)))
-        cost = CostSpec.sq_euclidean()
-        m2, n2, _ = restrict_full_mass(mu, nu, cost, range(4), range(4))
-        assert np.allclose(m2.weights, mu.weights)
-        assert np.allclose(n2.points, nu.points)
+    """Zero-weight points: the simplex runs on the positive-weight
+    problem, and the dropped points get their potentials by c-transform."""
 
     def test_padded_zero_weight_points_dropped(self):
-        mu = DiscreteMeasure(np.array([[0.0], [1.0], [9.0]]),
-                             np.array([0.5, 0.5, 0.0]))
-        nu = DiscreteMeasure(np.array([[0.2], [1.2], [8.0]]),
-                             np.array([0.5, 0.5, 0.0]))
-        cost = CostSpec.sq_euclidean()
-        m2, n2, c2 = restrict_full_mass(mu, nu, cost, [0, 1], [0, 1])
-        res_full = solve(mu, nu, cost)
-        res_red = solve(m2, n2, c2)
-        assert res_full.duality.primal_cost == pytest.approx(
-            res_red.duality.primal_cost)
+        rng = np.random.default_rng(23)
+        for trial in range(40):
+            cost, a, b = _padded(rng, integer=trial % 2 == 0)
+            n, m = cost.shape
+            mu = _measure(np.arange(n), a / a.sum())
+            nu = _measure(np.arange(m), b / b.sum())
+            res = solve(mu, nu, CostSpec.explicit(cost))
+            rows, cols = np.flatnonzero(a), np.flatnonzero(b)
+            sub = solve(_measure(rows, mu.weights[rows]),
+                        _measure(cols, nu.weights[cols]),
+                        CostSpec.explicit(cost[np.ix_(rows, cols)]))
+            assert res.iterations == sub.iterations
+            assert res.plan.entries == [(rows[i], cols[j], x)
+                                        for i, j, x in sub.plan.entries]
+            f, g = res.pair.f, res.pair.g
+            # equal up to the anchor shift: the padded problem anchors at
+            # point 0 whatever its weight
+            shift = f[rows[0]] - sub.pair.f[0]
+            assert np.allclose(f[rows], sub.pair.f + shift, atol=1e-12)
+            assert np.allclose(g[cols], sub.pair.g - shift, atol=1e-12)
+            assert np.allclose(
+                g[b == 0], (cost[rows][:, b == 0] - f[rows, None]).min(axis=0),
+                atol=1e-12)
+            assert np.allclose(f[a == 0],
+                               (cost[a == 0] - g[None, :]).min(axis=1),
+                               atol=1e-12)
+            mask = subdifferential_of(res.pair, cost).mask
+            _assert_tight_tree(res.basis, n, m, lambda i, j: mask[i, j])
 
-    def test_mass_loss_detected(self):
-        mu = _measure([0.0, 1.0], [0.6, 0.4])
-        nu = _measure([0.0, 1.0], [0.5, 0.5])
-        with pytest.raises(MassLoss):
-            restrict_full_mass(mu, nu, CostSpec.sq_euclidean(), [0], [0, 1])
+    def test_padded_zero_weight_points_dropped_exact(self):
+        rng = np.random.default_rng(25)
+        for trial in range(40):
+            cost, a, b = _padded(rng, integer=trial % 2 == 0)
+            rat = [[Fraction(str(c)) for c in row] for row in cost.tolist()]
+            sa = [Fraction(int(x), int(a.sum())) for x in a]
+            sb = [Fraction(int(x), int(b.sum())) for x in b]
+            masses, f, g, pivots = solve_exact(rat, sa, sb)
+            rows, cols = np.flatnonzero(a), np.flatnonzero(b)
+            sub_masses, sub_f, sub_g, sub_pivots = solve_exact(
+                [[rat[i][j] for j in cols] for i in rows],
+                [sa[i] for i in rows], [sb[j] for j in cols])
+            assert pivots == sub_pivots
+            assert masses == {(rows[i], cols[j]): x
+                              for (i, j), x in sub_masses.items()}
+            # exact mode has no anchor shift
+            assert [f[i] for i in rows] == sub_f
+            assert [g[j] for j in cols] == sub_g
+            for j in np.flatnonzero(b == 0):
+                assert g[j] == min(rat[i][j] - f[i] for i in rows)
+            for i in np.flatnonzero(a == 0):
+                assert f[i] == min(rat[i][j] - g[j] for j in range(len(b)))
+            _, cf, cg, basis, _ = _solve_core(
+                np.array(rat, dtype=object), sa, sb,
+                enter_tol=Fraction(0), max_iter=10 ** 4)
+            assert (cf.tolist(), cg.tolist()) == (f, g)
+            _assert_tight_tree(basis, *cost.shape,
+                               lambda i, j: f[i] + g[j] == rat[i][j])
 
     def test_extension_reproduces_f_on_kept_points(self):
         mu = DiscreteMeasure(np.array([[0.0], [1.0], [9.0]]),
@@ -162,16 +246,16 @@ class TestRestrictFullMass:
         nu = DiscreteMeasure(np.array([[0.2], [1.2], [8.0]]),
                              np.array([0.5, 0.5, 0.0]))
         cost = CostSpec.sq_euclidean()
-        m2, n2, c2 = restrict_full_mass(mu, nu, cost, [0, 1], [0, 1])
-        res = solve(m2, n2, c2)
-        mat_full = cost.matrix(mu, nu)
-        f_ext, g_ext = extend_potential(res.pair.f, [0, 1], 3, mat_full)
-        assert np.allclose(f_ext[[0, 1]], res.pair.f, atol=1e-9)
-        # extension is dual-feasible for the full problem
-        pair = PotentialPair(f_ext, g_ext, mu, nu)
-        res_full = solve(mu, nu, cost)
-        rep = verify_duality(res_full.plan, pair, mat_full)
-        assert rep.optimal
+        res = solve(mu, nu, cost)
+        red = solve(DiscreteMeasure(mu.points[:2], mu.weights[:2]),
+                    DiscreteMeasure(nu.points[:2], nu.weights[:2]), cost)
+        assert np.allclose(res.pair.f[:2], red.pair.f, atol=1e-9)
+        assert res.duality.primal_cost == pytest.approx(
+            red.duality.primal_cost)
+        mat = res.cost_matrix
+        assert res.pair.g[2] == pytest.approx(
+            np.min(mat[:2, 2] - res.pair.f[:2]))
+        assert res.pair.f[2] == pytest.approx(np.min(mat[2] - res.pair.g))
 
 
 class TestDecomposePotential:
@@ -188,19 +272,8 @@ class TestDecomposePotential:
     def test_two_components_each_optimal(self):
         mu = two_interval_instance(10, mass_left=0.3)
         nu = two_interval_instance(10, mass_left=0.5)
-        cost = CostSpec.sq_euclidean()
-        res = solve(mu, nu, cost)
+        res = solve(mu, nu, CostSpec.sq_euclidean())
         dec = ComponentDecomposition.build(mu, nu, "epsilon_graph", 0.5)
         assert len(dec.source_components) == 2
         for grp in dec.source_components:
-            prob = restrict_partial(mu, nu, res.plan, cost, grp)
-            f = res.pair.f[list(grp)]
-            g = res.pair.g[list(prob.target_indices)]
-            mat = prob.cost.matrix(prob.mu, prob.nu)
-            sub_res = solve(prob.mu, prob.nu, prob.cost)
-            shift = sub_res.duality.primal_cost - (
-                prob.mu.weights @ f + prob.nu.weights @ g)
-            rep = verify_duality(sub_res.plan,
-                                 PotentialPair(f + shift, g, prob.mu,
-                                               prob.nu), mat)
-            assert rep.optimal
+            _assert_restriction_optimal(res, grp)

@@ -5,6 +5,7 @@ import pytest
 
 from otuniq.core import CostProfile, CostSpec, DiscreteMeasure
 from otuniq.errors import (
+    DimensionMismatch,
     NotAGrid,
     OTUniqError,
     ProfileNotMonotone,
@@ -285,6 +286,24 @@ class TestGradientIdentity:
         rep = gradient_identity_check(res, CostSpec.sq_euclidean(),
                                       interior=mask)
         assert all(e[0] == 3 for e in rep.entries)
+
+    def test_mask_on_boundary_or_of_wrong_length_rejected(self):
+        mu = DiscreteMeasure(np.linspace(0, 1, 5)[:, None], np.full(5, 0.2))
+        res = solve(mu, mu, CostSpec.sq_euclidean())
+        cost = CostSpec.sq_euclidean()
+        with pytest.raises(OTUniqError, match="marks point 0, which lies on "
+                                               "the grid boundary"):
+            gradient_identity_check(res, cost, interior=np.ones(5, bool))
+        edge = np.zeros(5, dtype=bool)
+        edge[[2, 4]] = True
+        with pytest.raises(OTUniqError, match="marks point 4,"):
+            gradient_identity_check(res, cost, interior=edge)
+        with pytest.raises(DimensionMismatch,
+                           match=r"4 entries for 5 grid points \(first bad "
+                                 r"index 4\)"):
+            gradient_identity_check(res, cost, interior=np.zeros(4, bool))
+        with pytest.raises(DimensionMismatch, match="first bad index 5"):
+            gradient_identity_check(res, cost, interior=np.zeros(6, bool))
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_2d_matches_per_entry_recomputation(self, masked):

@@ -248,6 +248,26 @@ class TestCertify:
         cert = certify(mu, nu, cost, dec)
         assert any("degeneracy-margin" in fl for fl in cert.flags)
 
+    def test_zero_weight_points_follow_the_witness_shift(self):
+        # a zero-weight target tight with the shifted block would pin the
+        # shift at 0 if its g stayed fixed; the face lets f_1 move in [0, 1]
+        mu = _measure([0.0, 1.0], np.array([2, 1]) / 3, labels=[0, 1])
+        nu = _measure(np.arange(5), np.array([2, 0, 0, 2, 2]) / 6,
+                      labels=list(range(5)))
+        cost = CostSpec.explicit([[1, 2, 0, 1, 0], [1, 0, 2, 2, 2]])
+        dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
+        cert = certify(mu, nu, cost, dec)
+        res = cert.solve_result
+        assert cert.verdict == "non_unique"
+        assert not dual_face_oracle(res.plan, res.pair, res.cost_matrix).unique
+        mat = res.cost_matrix
+        for pair in cert.witness:
+            assert verify_duality(res.plan, pair, mat).optimal
+            assert np.array_equal(pair.g[[1, 2]],
+                                  (mat[:, [1, 2]] - pair.f[:, None]).min(0))
+        f0, f1 = (pair.f for pair in cert.witness)
+        assert f1[0] - f0[0] != f1[1] - f0[1]
+
 
 @st.composite
 def _labelled_instances(draw):
