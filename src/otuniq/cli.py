@@ -155,8 +155,9 @@ def cmd_certify(args) -> int:
         continuum = any("continuum" in fl or "asserted" in fl
                         for fl in cert.flags)
         structural = {"unique": True, "non_unique": False}.get(cert.verdict)
-        if structural is not None and not continuum and \
-                (face.unique != structural or tight["unique"] != structural):
+        differs = structural is not None and \
+            (face.unique != structural or tight["unique"] != structural)
+        if differs and not continuum:
             disagreement = True
             body["oracles"]["disagreement"] = {
                 "structural": cert.verdict,
@@ -165,8 +166,7 @@ def cmd_certify(args) -> int:
                 "note": "bug-report dump: oracles and certificate differ "
                         "on an unflagged instance",
             }
-        elif structural is not None and continuum and \
-                (face.unique != structural or tight["unique"] != structural):
+        elif differs:
             body["oracles"]["note"] = (
                 "finite-scale oracle verdict differs from the structural "
                 "verdict on a continuum-flagged certificate; the oracles "

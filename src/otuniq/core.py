@@ -117,21 +117,11 @@ class DiscreteMeasure:
         return self.points.shape[1]
 
     def anchor_index(self) -> int:
-        """Index of the lexicographically smallest point (shift anchor)."""
+        """Index of the lexicographically smallest point of positive
+        weight (shift anchor); a zero-weight point sends no mass, so
+        nothing would tie the potentials to it."""
         order = np.lexsort(self.points.T[::-1])
-        return int(order[0])
-
-    @classmethod
-    def from_lists(
-        cls,
-        points: Sequence[Sequence[float]] | Sequence[float],
-        weights: Sequence[float],
-        labels: Optional[Sequence[int]] = None,
-    ) -> "DiscreteMeasure":
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        return cls(pts, np.asarray(weights, dtype=float), labels)
+        return int(order[np.argmax(self.weights[order] > 0)])
 
 
 def _check_distinct(pts: np.ndarray) -> None:
@@ -358,11 +348,6 @@ class TransportPlan:
         return [(int(i), int(j), float(v))
                 for i, j, v in zip(self.rows, self.cols, self.masses)]
 
-    def to_matrix(self) -> np.ndarray:
-        x = np.zeros((self.source.n, self.target.n))
-        x[self.rows, self.cols] = self.masses
-        return x
-
     def primal_cost(self, cost_matrix: np.ndarray) -> float:
         return float(np.sum(cost_matrix[self.rows, self.cols] * self.masses))
 
@@ -466,6 +451,33 @@ def subdifferential_of(pair: PotentialPair, cost_matrix: np.ndarray,
     mask = _tight_mask(pair, cost_matrix, tol)
     pairs = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(mask)))
     return Subdifferential(tight_pairs=pairs, mask=mask)
+
+
+def tight_components(plan: TransportPlan, pair: PotentialPair,
+                     cost_matrix: np.ndarray, source_index: np.ndarray,
+                     target_index: np.ndarray,
+                     tol: Tolerances = DEFAULT_TOLERANCES):
+    """Strongly connected components of the tight residual graph.
+
+    Nodes are the source groups 0..S-1 (``source_index[i]`` is the group
+    of source point i) followed by the target groups S..S+T-1.  Each
+    tight pair (i, j) of positive-weight points gives an arc from the
+    group of i to the group of j, each arc of the optimal ``plan`` one
+    back.  A tight pair carries mass in some optimal plan iff it lies on
+    a cycle of this graph (strict complementarity, Goldman-Tucker), so
+    two groups share a component iff optimal plans glue their potentials
+    together.  Returns (labels, ti, tj): ``component_labels(...,
+    strong=True)`` of the graph, and the tight pairs.
+    """
+    mask = _tight_mask(pair, cost_matrix, tol)
+    mask &= np.outer(plan.source.weights > 0, plan.target.weights > 0)
+    ti, tj = np.nonzero(mask)
+    ns = int(np.max(source_index)) + 1
+    tails = np.r_[source_index[ti], ns + target_index[plan.cols]]
+    heads = np.r_[ns + target_index[tj], source_index[plan.rows]]
+    labels = component_labels(ns + int(np.max(target_index)) + 1,
+                              np.c_[tails, heads], strong=True)
+    return labels, ti, tj
 
 
 @dataclass(frozen=True)

@@ -75,12 +75,6 @@ class ComponentDecomposition:
         return cls(tuple(tuple(g) for g in src), tuple(tuple(g) for g in tgt),
                    method, epsilon)
 
-    @classmethod
-    def trivial(cls, mu: DiscreteMeasure, nu: DiscreteMeasure
-                ) -> "ComponentDecomposition":
-        return cls((tuple(range(mu.n)),), (tuple(range(nu.n)),),
-                   "explicit_labels", None)
-
     def component_masses(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
         ms = [float(np.sum(mu.weights[list(g)]))
               for g in self.source_components]

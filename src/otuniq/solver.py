@@ -15,7 +15,8 @@ elsewhere:
   optimal face by two shortest-path runs on the difference-constraint
   graph of the plan's support;
 * ``tight_graph_connectivity_oracle`` applies the classical
-  transportation-LP criterion on the tight-edge graph.
+  transportation-LP criterion on the tight-edge graph; it shares
+  ``core.tight_components`` with ``certify``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from .core import (
     PotentialPair,
     Tolerances,
     TransportPlan,
-    _tight_mask,
-    component_labels,
+    tight_components,
     verify_duality,
 )
 from .errors import (
@@ -270,9 +270,9 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     """Solve the finite transportation problem to optimality.
 
     The pair is c-concave (see ``_solve_core``) and normalized to f = 0
-    at the lexicographically smallest source point.  Plan arcs of mass
-    at most tau_mass times the total mass are rounding residue of the
-    pivots and are dropped.  Deterministic for a fixed input ordering.
+    at ``mu.anchor_index()``.  Plan arcs of mass at most tau_mass times
+    the total mass are rounding residue of the pivots and are dropped.
+    Deterministic for a fixed input ordering.
     """
     if abs(float(mu.weights.sum()) - float(nu.weights.sum())) > tol.mass:
         raise Unbalanced("source and target masses differ")
@@ -338,14 +338,13 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
 
     The face is pinned by complementary slackness: f_i + g_j <= c_ij
     everywhere, with equality on the support of the optimal ``plan``.
-    With f fixed to 0 at the lexicographically smallest source point of
-    positive weight (the anchor), that is a system of difference
-    constraints on the node values f_i and -g_j, so max f_i =
-    dist(anchor -> x_i) and min f_i = -dist(x_i -> anchor) on the
-    digraph with arcs y_j -> x_i of weight c_ij and x_i -> y_j of weight
-    -c_ij on the support.  The arcs are reweighted by ``pair``, which
-    must be optimal for the plan: every weight becomes a slack >= 0, and
-    two Dijkstra runs from the anchor, on the graph and on its
+    With f fixed to 0 at the source's ``anchor_index()``, that is a
+    system of difference constraints on the node values f_i and -g_j,
+    so max f_i = dist(anchor -> x_i) and min f_i = -dist(x_i -> anchor)
+    on the digraph with arcs y_j -> x_i of weight c_ij and x_i -> y_j of
+    weight -c_ij on the support.  The arcs are reweighted by ``pair``,
+    which must be optimal for the plan: every weight becomes a slack
+    >= 0, and two Dijkstra runs from the anchor, on the graph and on its
     transpose, give all bounds.  The bounds depend only on the support
     and the costs, not on which optimal pair is passed.  Coordinates a
     path cannot reach (zero-weight points) are unbounded; they are
@@ -355,10 +354,7 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
         raise InfeasibleOptimum("the pair is not optimal for the plan")
     mat = np.asarray(cost_matrix, dtype=float)
     n, m = mat.shape
-    # a zero-weight anchor sends no mass, so nothing would tie the rest
-    # of the face to it
-    order = np.lexsort(plan.source.points.T[::-1])
-    anchor = int(order[np.argmax(plan.source.weights[order] > 0)])
+    anchor = plan.source.anchor_index()
     f = pair.f
     slack = np.maximum(mat - f[:, None] - pair.g[None, :], 0.0)
     # nodes: sources 0..n-1, targets n..n+m-1; zero weights must stay
@@ -389,24 +385,18 @@ def tight_graph_connectivity_oracle(result: SolveResult, cost: CostSpec,
                                     ) -> dict:
     """Classical dual-uniqueness criterion on the tight-edge graph.
 
-    A tight edge is usable when some feasible transport supported on the
-    tight set puts positive mass on it; equivalently, when the edge lies
-    on a cycle of the residual graph of the optimal plan restricted to
-    tight edges.  Potentials are unique up to one constant iff the
-    usable-edge bipartite graph connects all positive-weight points.
+    ``tight_components`` on single points: a tight edge is usable when
+    some optimal plan puts mass on it, i.e. when its ends share a
+    component.  Potentials are unique up to one constant iff one
+    component holds every positive-weight point.
     """
     mu, nu = result.plan.source, result.plan.target
     mat = result.cost_matrix if result.cost_matrix is not None \
         else cost.matrix(mu, nu)
-    n, m = mu.n, nu.n
-    ti, tj = np.nonzero(_tight_mask(result.pair, mat, tol))
-    carried = np.isin(ti * m + tj, result.plan.rows * m + result.plan.cols)
-    # digraph on n + m nodes: i -> n+j for every tight edge, the reverse
-    # arc only where the plan carries mass
-    tails, heads = np.r_[ti, n + tj[carried]], np.r_[n + tj, ti[carried]]
-    comp = component_labels(n + m, np.c_[tails, heads], strong=True)
-    keep = carried | (comp[ti] == comp[n + tj])
-    blocks = component_labels(n + m, np.c_[ti[keep], n + tj[keep]])
+    labels, ti, tj = tight_components(result.plan, result.pair, mat,
+                                      np.arange(mu.n), np.arange(nu.n), tol)
+    usable = labels[ti] == labels[mu.n + tj]
     live = np.concatenate([mu.weights, nu.weights]) > 0
-    return {"unique": len(set(blocks[live])) <= 1,
-            "usable_edges": list(zip(ti[keep].tolist(), tj[keep].tolist()))}
+    return {"unique": len(set(labels[live])) <= 1,
+            "usable_edges": list(zip(ti[usable].tolist(),
+                                     tj[usable].tolist()))}

@@ -1,8 +1,8 @@
 """Structural uniqueness machinery for Kantorovich potentials.
 
-Degeneracy tests on component masses and on the solved plan's component
-flow graph, the certification pipeline, and the explicit f_{a, b}
-ambiguity witness family for separated self-coupled instances.
+Degeneracy tests on component masses and on component flow graphs, the
+certification pipeline on the tight residual graph, and the explicit
+f_{a, b} ambiguity witness family for separated self-coupled instances.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .core import (
     Tolerances,
     TransportPlan,
     component_labels,
+    tight_components,
     verify_duality,
 )
 from .decompose import ComponentDecomposition
@@ -36,6 +37,29 @@ from .solver import SolveResult, dual_face_oracle, solve
 
 SUBSET_CAP = 26          # |I| + |J| bound for subset enumeration
 MARGIN_FACTOR = 10.0     # knife-edge warning threshold, times tau_mass
+
+
+def _degeneracy(labels, source_masses, target_masses) -> dict:
+    """Blocks of the positive-mass components, by node label.
+
+    ``labels`` runs over the source components, then the target
+    components.  Each block lists its source and target component
+    indices, zero-mass components left out; blocks come in label order.
+    Degenerate iff there are two or more blocks; (I, J) is the first.
+    """
+    ns = len(source_masses)
+    blocks: dict[int, dict] = {}
+    for v, mass in enumerate(tuple(source_masses) + tuple(target_masses)):
+        if mass > 0:
+            side, k = ("sources", v) if v < ns else ("targets", v - ns)
+            blocks.setdefault(labels[v], {"sources": [], "targets": []})[
+                side].append(k)
+    blocks = [blocks[k] for k in sorted(blocks)]
+    if len(blocks) <= 1:
+        return {"status": "nondegenerate", "blocks": blocks}
+    first = blocks[0]
+    return {"status": "degenerate", "I": tuple(first["sources"]),
+            "J": tuple(first["targets"]), "blocks": blocks}
 
 
 @dataclass(frozen=True)
@@ -75,23 +99,8 @@ class ComponentFlowGraph:
                    tuple(source_masses), tuple(target_masses))
 
     def connected_blocks(self) -> list[dict]:
-        """Connected components over positive-mass nodes.
-
-        Each block lists its source and target component indices.
-        Zero-mass components are left out entirely.  Blocks are ordered
-        by their smallest source component; a block with no source comes
-        after all others, ordered by its smallest target component.
-        """
-        ns = self.n_source
-        labels = component_labels(ns + self.n_target,
-                                  [(i, ns + j) for i, j, _ in self.edges])
-        blocks: dict[int, dict] = {}
-        for v, mass in enumerate(self.source_masses + self.target_masses):
-            if mass > 0:
-                side, k = ("sources", v) if v < ns else ("targets", v - ns)
-                blocks.setdefault(labels[v], {"sources": [], "targets": []})[
-                    side].append(k)
-        return [blocks[k] for k in sorted(blocks)]
+        """Connected components over positive-mass nodes."""
+        return plan_degeneracy_check(self)["blocks"]
 
 
 def marginal_degeneracy_check(component_masses_mu: Sequence[float],
@@ -139,17 +148,11 @@ def marginal_degeneracy_check(component_masses_mu: Sequence[float],
 
 
 def plan_degeneracy_check(graph: ComponentFlowGraph) -> dict:
-    """Degeneracy via flow-graph connectivity.
-
-    The plan is degenerate iff its component flow graph is disconnected;
-    the returned (I', J') is the first block's node sets.
-    """
-    blocks = graph.connected_blocks()
-    if len(blocks) <= 1:
-        return {"status": "nondegenerate", "blocks": blocks}
-    first = blocks[0]
-    return {"status": "degenerate", "I": tuple(first["sources"]),
-            "J": tuple(first["targets"]), "blocks": blocks}
+    """Degenerate iff the plan's component flow graph is disconnected."""
+    ns = graph.n_source
+    labels = component_labels(ns + graph.n_target,
+                              [(i, ns + j) for i, j, _ in graph.edges])
+    return _degeneracy(labels, graph.source_masses, graph.target_masses)
 
 
 @dataclass(frozen=True)
@@ -164,41 +167,37 @@ class UniquenessCertificate:
     solve_result: Optional[SolveResult] = None
 
 
-def _block_witness(result: SolveResult, blocks, decomposition, mat, tol):
-    """Two distinct optimal pairs from a disconnected flow graph.
+def _block_witness(result: SolveResult, src_block, tgt_block, left, tol):
+    """Two distinct optimal pairs from two or more tight-residual blocks.
 
-    One flow-graph block's sources are shifted by +s and its targets by
-    -s; the block is mass balanced, so the dual value is unchanged, and
-    s is chosen inside the cross-block slack between positive-weight
-    points.  Zero-weight points then take their c-transform values, as
-    in ``solve``.  Returns None when no positive shift is available in
-    either direction.
+    ``src_block``/``tgt_block`` give each point's block, and ``left``
+    the blocks that some tight arc leaves.  The blocks form a DAG, so
+    not every block is left; the first such block's sources are shifted
+    up by s and its targets down by s.  It is mass balanced, so the dual
+    value is unchanged, and s is half the least slack from its
+    positive-weight sources to the other positive-weight targets.
+    Zero-weight points then take their c-transform values, as in
+    ``solve``.  Returns None when no source block qualifies or the
+    shifted pair fails verification.
     """
-    pair = result.pair
-    block = blocks[0]
-    in_s = np.isin(decomposition.source_index, block["sources"])
-    in_t = np.isin(decomposition.target_index, block["targets"])
+    pair, mat = result.pair, result.cost_matrix
     pos_s, pos_t = pair.source.weights > 0, pair.target.weights > 0
-    slack = mat - pair.f[:, None] - pair.g[None, :]
-    up = slack[np.ix_(in_s & pos_s, ~in_t & pos_t)]
-    down = slack[np.ix_(~in_s & pos_s, in_t & pos_t)]
-    s_plus = float(np.min(up)) if up.size else np.inf
-    s_minus = float(np.min(down)) if down.size else np.inf
-    tau = tol.tight(float(np.max(mat)))
-    for s in (min(s_plus, 1.0) / 2.0, -min(s_minus, 1.0) / 2.0):
-        if abs(s) <= tau:
-            continue
-        f2 = pair.f.copy()
-        g2 = pair.g.copy()
-        f2[in_s] += s
-        g2[in_t] -= s
-        g2[~pos_t] = (mat[np.ix_(pos_s, ~pos_t)]
-                      - f2[pos_s, None]).min(axis=0)
-        f2[~pos_s] = (mat[~pos_s] - g2[None, :]).min(axis=1)
-        cand = PotentialPair(f2, g2, pair.source, pair.target)
-        rep = verify_duality(result.plan, cand, mat, tol)
-        if rep.optimal:
-            return pair, cand, s
+    block = min(set(src_block[pos_s].tolist()) - set(left.tolist()),
+                default=None)
+    if block is None:
+        return None
+    in_s, in_t = src_block == block, tgt_block == block
+    slack = (mat - pair.f[:, None] - pair.g[None, :])[
+        np.ix_(in_s & pos_s, ~in_t & pos_t)]
+    s = float(np.min(slack, initial=1.0)) / 2.0
+    f2, g2 = pair.f.copy(), pair.g.copy()
+    f2[in_s] += s
+    g2[in_t] -= s
+    g2[~pos_t] = (mat[np.ix_(pos_s, ~pos_t)] - f2[pos_s, None]).min(axis=0)
+    f2[~pos_s] = (mat[~pos_s] - g2[None, :]).min(axis=1)
+    cand = PotentialPair(f2, g2, pair.source, pair.target)
+    if verify_duality(result.plan, cand, mat, tol).optimal:
+        return pair, cand
     return None
 
 
@@ -207,27 +206,25 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
             tol: Tolerances = DEFAULT_TOLERANCES) -> UniquenessCertificate:
     """Structural uniqueness certificate for the dual optimizers.
 
-    Pipeline: solve, build the component flow graph of the plan, and
-    test it for degeneracy.  The potentials are unique on each
-    positive-mass component: its support is one component by
-    construction, and uniqueness on a connected support is the continuum
-    theorem the finite check stands in for, so components of two or
-    more points carry a flag saying so.  Components of source mass at
-    most tau_mass are reported as ``zero_mass``.  The per-component
-    constants are glued exactly where the plan moves mass between
-    components, so the verdict is unique iff the flow graph is
-    connected; a multi-point target component fed by two or more source
+    Pipeline: solve, then split the components into the blocks of the
+    tight residual graph (``tight_components``).  The potentials are
+    unique on each positive-mass component: its support is one component
+    by construction, and uniqueness on a connected support is the
+    continuum theorem the finite check stands in for, so components of
+    two or more points carry a flag saying so.  Components of source
+    mass at most tau_mass are reported as ``zero_mass``.  The
+    per-component constants are glued within each block, so the verdict
+    is unique iff there is one block, whichever optimal plan the solver
+    returned; a multi-point target component glued to two or more source
     components glues them only through the continuity of the target
-    potential, which a flag records.  A disconnected graph yields a
-    verified shift witness and verdict non_unique.
+    potential, which a flag records.  Two or more blocks yield a verified
+    shift witness and verdict non_unique.
     """
     result = solve(mu, nu, cost, tol)
-    mat = result.cost_matrix
-    graph = ComponentFlowGraph.build(result.plan, decomposition)
+    ms, mt = decomposition.component_masses(mu, nu)
     flags: list[str] = []
     try:
-        marginal = marginal_degeneracy_check(
-            list(graph.source_masses), list(graph.target_masses), tol)
+        marginal = marginal_degeneracy_check(ms, mt, tol)
         if marginal["min_gap"] < MARGIN_FACTOR * tol.mass \
                 and marginal["status"] == "nondegenerate":
             flags.append(
@@ -237,8 +234,11 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     except TooManyComponents:
         marginal = None
         flags.append("marginal degeneracy check skipped: component cap")
-    degeneracy = plan_degeneracy_check(graph)
-    live = [mass > DEFAULT_TOLERANCES.mass for mass in graph.source_masses]
+    labels, ti, tj = tight_components(
+        result.plan, result.pair, result.cost_matrix,
+        decomposition.source_index, decomposition.target_index, tol)
+    degeneracy = _degeneracy(labels, ms, mt)
+    live = [mass > DEFAULT_TOLERANCES.mass for mass in ms]
     comp_verdicts = [(k, "unique" if ok else "zero_mass")
                      for k, ok in enumerate(live)]
     if any(ok and len(grp) > 1
@@ -246,11 +246,14 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
         flags.append("single-component subproblem treated as unique; "
                      "connectedness of the continuum support is asserted, "
                      "not certified")
-    feeders: dict[int, set] = {}
-    for i, j, _ in graph.edges:
-        feeders.setdefault(j, set()).add(i)
-    if any(len(decomposition.target_components[j]) > 1 and len(srcs) > 1
-           for j, srcs in feeders.items()):
+    src_block = labels[decomposition.source_index]
+    tgt_block = labels[len(ms) + decomposition.target_index]
+    glued = src_block[ti] == tgt_block[tj]
+    links = np.unique(np.c_[decomposition.source_index[ti[glued]],
+                            decomposition.target_index[tj[glued]]], axis=0)
+    feeders = np.bincount(links[:, 1], minlength=len(mt))
+    if any(len(grp) > 1 and k > 1
+           for grp, k in zip(decomposition.target_components, feeders)):
         flags.append(
             "continuum links used: connected multi-point target components "
             "are asserted to glue their feeders"
@@ -259,14 +262,13 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     witness = None
     verdict = "unique" if freedom == 0 else "inconclusive"
     if freedom > 0:
-        built = _block_witness(result, degeneracy["blocks"], decomposition,
-                               mat, tol)
-        if built is not None:
-            witness = (built[0], built[1])
+        witness = _block_witness(result, src_block, tgt_block,
+                                 src_block[ti[~glued]], tol)
+        if witness is not None:
             verdict = "non_unique"
         else:
-            flags.append("disconnected flow graph but no feasible shift; "
-                         "witness construction failed")
+            flags.append("several tight-residual blocks but no verified "
+                         "shift; witness construction failed")
     return UniquenessCertificate(
         verdict=verdict, degeneracy=degeneracy, marginal_degeneracy=marginal,
         freedom_dim=max(freedom, 0), witness=witness, flags=tuple(flags),

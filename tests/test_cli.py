@@ -167,6 +167,21 @@ class TestCertifyReport:
         assert rep["oracles"]["dual_face"]["unique"]
         assert rep["oracles"]["dual_face"]["max_spread"] == 0.0
 
+    def test_all_ones_is_unique(self, tmp_path, capsys):
+        # every coupling is optimal; the basic plan the simplex returns
+        # splits into blocks, the tight residual graph does not
+        block = {"points": [[0.0], [1.0], [2.0]], "weights": [1 / 3] * 3,
+                 "labels": [0, 1, 2]}
+        path = _write(tmp_path, {
+            "schema": "1", "source": block, "target": block,
+            "cost": {"kind": "explicit_matrix", "values": [[1.0] * 3] * 3},
+        })
+        assert main(["certify", path, "--labels"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["certificate"]["verdict"] == "unique"
+        assert rep["oracles"]["dual_face"]["unique"]
+        assert rep["oracles"]["tight_graph"]["unique"]
+
     def test_report_is_strict_json(self, tmp_path, capsys):
         # one source component: no proper subset, so min_gap is infinite
         path = _write(tmp_path, {

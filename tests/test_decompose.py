@@ -197,11 +197,10 @@ class TestRestrictFullMass:
             assert res.plan.entries == [(rows[i], cols[j], x)
                                         for i, j, x in sub.plan.entries]
             f, g = res.pair.f, res.pair.g
-            # equal up to the anchor shift: the padded problem anchors at
-            # point 0 whatever its weight
-            shift = f[rows[0]] - sub.pair.f[0]
-            assert np.allclose(f[rows], sub.pair.f + shift, atol=1e-12)
-            assert np.allclose(g[cols], sub.pair.g - shift, atol=1e-12)
+            # no shift: both problems anchor at the first positive-weight
+            # point
+            assert np.allclose(f[rows], sub.pair.f, atol=1e-12)
+            assert np.allclose(g[cols], sub.pair.g, atol=1e-12)
             assert np.allclose(
                 g[b == 0], (cost[rows][:, b == 0] - f[rows, None]).min(axis=0),
                 atol=1e-12)

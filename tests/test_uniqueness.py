@@ -295,16 +295,50 @@ class TestVerdictSoundness:
         res = cert.solve_result
         face = dual_face_oracle(res.plan, res.pair, res.cost_matrix)
         tight = tight_graph_connectivity_oracle(res, cost)["unique"]
-        if cert.verdict == "unique":
-            assert face.unique and tight
-        elif cert.verdict == "non_unique":
-            assert not face.unique and not tight
-            for pair in cert.witness:
-                assert verify_duality(res.plan, pair, res.cost_matrix).optimal
-        else:
-            # inconclusive is allowed: a disconnected flow graph whose
-            # shift witness failed
-            assert cert.verdict == "inconclusive"
+        assert face.unique == tight
+        # one point per component asserts nothing about a continuum, so
+        # the certificate is unflagged and must match the oracles
+        assert cert.flags == ()
+        assert cert.verdict == ("unique" if tight else "non_unique")
+        for pair in cert.witness or ():
+            assert verify_duality(res.plan, pair, res.cost_matrix).optimal
+
+
+def _permuted(mu, nu, cost, rs, rt):
+    """The same problem with the sources in order rs, targets in rt."""
+    return (DiscreteMeasure(mu.points[rs], mu.weights[rs], mu.labels[rs]),
+            DiscreteMeasure(nu.points[rt], nu.weights[rt], nu.labels[rt]),
+            CostSpec.explicit(cost.values[np.ix_(rs, rt)]))
+
+
+class TestPlanIndependence:
+    """Reordering the points changes which optimal plan the simplex
+    returns, never the verdict or the freedom dimension."""
+
+    def _check(self, mu, nu, cost, rng, rounds=4):
+        def summary(mu, nu, cost):
+            dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
+            cert = certify(mu, nu, cost, dec)
+            return cert.verdict, cert.freedom_dim
+
+        want = summary(mu, nu, cost)
+        for _ in range(rounds):
+            rs, rt = rng.permutation(mu.n), rng.permutation(nu.n)
+            assert summary(*_permuted(mu, nu, cost, rs, rt)) == want
+        return want
+
+    @given(_labelled_instances(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_labelled_instances(self, instance, seed):
+        self._check(*instance, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_all_ones(self, k):
+        # every coupling is optimal and both oracles say unique
+        mu = _measure(np.arange(k), np.full(k, 1 / k), list(range(k)))
+        cost = CostSpec.explicit(np.ones((k, k)))
+        rng = np.random.default_rng(k)
+        assert self._check(mu, mu, cost, rng, rounds=8) == ("unique", 0)
 
 
 class TestAmbiguityWitness:
