@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import NEG_INF, Tolerances, c_transform
+from .core import NEG_INF, Tolerances, c_transform, tight_components
 from .decompose import ComponentDecomposition
 from .documents import (
     ProblemDocument,
@@ -36,7 +36,7 @@ from .solver import (
     tight_graph_connectivity_oracle,
 )
 from .uniqueness import (
-    ComponentFlowGraph,
+    _degeneracy,
     ambiguity_witness,
     certify,
     marginal_degeneracy_check,
@@ -88,10 +88,10 @@ def _decomposition(doc: ProblemDocument, args) -> ComponentDecomposition:
 def cmd_solve(args) -> int:
     doc = _load(args.problem, args.exact)
     if doc.exact:
-        cost_rows = doc.cost.exact_matrix(doc.mu, doc.nu)
+        cost = doc.cost.exact_matrix(doc.mu, doc.nu)
         masses, f, g, iterations = solve_exact(
-            cost_rows, doc.exact_weights[0], doc.exact_weights[1])
-        primal = sum(cost_rows[i][j] * v for (i, j), v in masses.items())
+            cost, doc.exact_weights[0], doc.exact_weights[1])
+        primal = sum(cost[i, j] * v for (i, j), v in masses.items())
         body = {"solve": {
             "mode": "exact",
             "primal_cost": primal,
@@ -182,19 +182,22 @@ def cmd_certify(args) -> int:
 
 
 def _exact_section(doc: ProblemDocument, dec: ComponentDecomposition) -> dict:
-    """Exact-rational degeneracy analysis next to the float certificate."""
-    cost_rows = doc.cost.exact_matrix(doc.mu, doc.nu)
-    masses, _f, _g, _it = solve_exact(cost_rows, doc.exact_weights[0],
-                                      doc.exact_weights[1])
-    ms = [sum(doc.exact_weights[0][i] for i in grp)
-          for grp in dec.source_components]
-    mt = [sum(doc.exact_weights[1][j] for j in grp)
-          for grp in dec.target_components]
-    graph = ComponentFlowGraph.from_arcs(
-        [int(dec.source_index[i]) for i, _ in masses],
-        [int(dec.target_index[j]) for _, j in masses],
-        list(masses.values()), ms, mt)
-    blocks = len(graph.connected_blocks())
+    """Exact-rational degeneracy analysis next to the float certificate.
+
+    The blocks are ``certify``'s, on the ``solve_exact`` solution with
+    tightness ``slack == 0`` in Fractions.
+    """
+    a, b = doc.exact_weights
+    cost = doc.cost.exact_matrix(doc.mu, doc.nu)
+    masses, f, g, _it = solve_exact(cost, a, b)
+    tight = (cost - np.add.outer(f, g) == 0) \
+        & np.outer(np.array(a) > 0, np.array(b) > 0)
+    rows, cols = np.array(list(masses), dtype=int).T
+    labels, _, _ = tight_components(rows, cols, tight, dec.source_index,
+                                    dec.target_index)
+    ms = [sum(a[i] for i in grp) for grp in dec.source_components]
+    mt = [sum(b[j] for j in grp) for grp in dec.target_components]
+    blocks = len(_degeneracy(labels, ms, mt)["blocks"])
     hit = marginal_degeneracy_check(ms, mt, Tolerances(mass=0))
     return {
         "plan_blocks": blocks,

@@ -283,27 +283,30 @@ class CostSpec:
             raise OTUniqError("cost evaluation produced invalid entries")
         return _as_readonly(np.maximum(mat, 0.0))
 
-    def exact_matrix(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> list:
-        """Rational cost matrix for the exact mode (limited kinds)."""
+    def exact_matrix(self, mu: DiscreteMeasure,
+                     nu: DiscreteMeasure) -> np.ndarray:
+        """Rational cost matrix for the exact mode (limited kinds).
+
+        An (n, m) object array of Fractions; each coordinate or explicit
+        entry is rounded to the nearest fraction of denominator at most
+        10**12 once.
+        """
         if self.kind == "explicit_matrix":
-            return [[Fraction(v).limit_denominator(10**12) for v in row]
-                    for row in self.values]
+            return _fractions(self.matrix(mu, nu))
         if self.kind == "lp_norm_power" and (self.q, self.p) in ((2.0, 2.0), (1.0, 1.0)):
-            rows = []
-            for x in mu.points:
-                fx = [Fraction(c).limit_denominator(10**12) for c in x]
-                row = []
-                for y in nu.points:
-                    fy = [Fraction(c).limit_denominator(10**12) for c in y]
-                    if self.q == 2.0:
-                        row.append(sum((a - b) ** 2 for a, b in zip(fx, fy)))
-                    else:
-                        row.append(sum(abs(a - b) for a, b in zip(fx, fy)))
-                rows.append(row)
-            return rows
+            d = _fractions(mu.points)[:, None, :] \
+                - _fractions(nu.points)[None, :, :]
+            return (d * d).sum(axis=2) if self.q == 2.0 \
+                else abs(d).sum(axis=2)
         raise OTUniqError(
             "exact mode supports explicit matrices, squared Euclidean, and l1 costs"
         )
+
+
+def _fractions(a: np.ndarray) -> np.ndarray:
+    """Object array of the nearest Fractions of denominator <= 10**12."""
+    return np.array([Fraction(v).limit_denominator(10**12) for v in a.flat],
+                    dtype=object).reshape(a.shape)
 
 
 def _lp_norm(diff: np.ndarray, q: float) -> np.ndarray:
@@ -453,28 +456,28 @@ def subdifferential_of(pair: PotentialPair, cost_matrix: np.ndarray,
     return Subdifferential(tight_pairs=pairs, mask=mask)
 
 
-def tight_components(plan: TransportPlan, pair: PotentialPair,
-                     cost_matrix: np.ndarray, source_index: np.ndarray,
-                     target_index: np.ndarray,
-                     tol: Tolerances = DEFAULT_TOLERANCES):
+def tight_components(rows: np.ndarray, cols: np.ndarray, tight: np.ndarray,
+                     source_index: np.ndarray, target_index: np.ndarray):
     """Strongly connected components of the tight residual graph.
 
     Nodes are the source groups 0..S-1 (``source_index[i]`` is the group
     of source point i) followed by the target groups S..S+T-1.  Each
-    tight pair (i, j) of positive-weight points gives an arc from the
-    group of i to the group of j, each arc of the optimal ``plan`` one
-    back.  A tight pair carries mass in some optimal plan iff it lies on
-    a cycle of this graph (strict complementarity, Goldman-Tucker), so
-    two groups share a component iff optimal plans glue their potentials
-    together.  Returns (labels, ti, tj): ``component_labels(...,
-    strong=True)`` of the graph, and the tight pairs.
+    pair (i, j) of the boolean (n, m) mask ``tight`` gives an arc from
+    the group of i to the group of j, each arc (``rows[k]``,
+    ``cols[k]``) of an optimal plan one back.  The caller decides
+    tightness, so any scalar type works: within a tolerance in float
+    mode, ``slack == 0`` on Fractions; the mask should hold only pairs
+    of positive-weight points.  A tight pair carries mass in some
+    optimal plan iff it lies on a cycle of this graph (strict
+    complementarity, Goldman-Tucker), so two groups share a component
+    iff optimal plans glue their potentials together.  Returns
+    (labels, ti, tj): ``component_labels(..., strong=True)`` of the
+    graph, and the tight pairs.
     """
-    mask = _tight_mask(pair, cost_matrix, tol)
-    mask &= np.outer(plan.source.weights > 0, plan.target.weights > 0)
-    ti, tj = np.nonzero(mask)
+    ti, tj = np.nonzero(tight)
     ns = int(np.max(source_index)) + 1
-    tails = np.r_[source_index[ti], ns + target_index[plan.cols]]
-    heads = np.r_[ns + target_index[tj], source_index[plan.rows]]
+    tails = np.r_[source_index[ti], ns + target_index[cols]]
+    heads = np.r_[ns + target_index[tj], source_index[rows]]
     labels = component_labels(ns + int(np.max(target_index)) + 1,
                               np.c_[tails, heads], strong=True)
     return labels, ti, tj

@@ -16,7 +16,9 @@ elsewhere:
   graph of the plan's support;
 * ``tight_graph_connectivity_oracle`` applies the classical
   transportation-LP criterion on the tight-edge graph; it shares
-  ``core.tight_components`` with ``certify``.
+  ``core.tight_components`` with ``certify`` and with the exact
+  section of ``otuniq certify --exact``, which passes the pairs whose
+  Fraction slack on the ``solve_exact`` solution is zero.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .core import (
     PotentialPair,
     Tolerances,
     TransportPlan,
+    _tight_mask,
     tight_components,
     verify_duality,
 )
@@ -393,8 +396,10 @@ def tight_graph_connectivity_oracle(result: SolveResult, cost: CostSpec,
     mu, nu = result.plan.source, result.plan.target
     mat = result.cost_matrix if result.cost_matrix is not None \
         else cost.matrix(mu, nu)
-    labels, ti, tj = tight_components(result.plan, result.pair, mat,
-                                      np.arange(mu.n), np.arange(nu.n), tol)
+    tight = _tight_mask(result.pair, mat, tol) \
+        & np.outer(mu.weights > 0, nu.weights > 0)
+    labels, ti, tj = tight_components(result.plan.rows, result.plan.cols,
+                                      tight, np.arange(mu.n), np.arange(nu.n))
     usable = labels[ti] == labels[mu.n + tj]
     live = np.concatenate([mu.weights, nu.weights]) > 0
     return {"unique": len(set(labels[live])) <= 1,

@@ -21,6 +21,7 @@ from .core import (
     PotentialPair,
     Tolerances,
     TransportPlan,
+    _tight_mask,
     component_labels,
     tight_components,
     verify_duality,
@@ -75,32 +76,16 @@ class ComponentFlowGraph:
     @classmethod
     def build(cls, plan: TransportPlan,
               decomposition: ComponentDecomposition) -> "ComponentFlowGraph":
+        """Sum the plan's arcs per (source, target) component pair."""
         ms, mt = decomposition.component_masses(plan.source, plan.target)
-        return cls.from_arcs(decomposition.source_index[plan.rows].tolist(),
-                             decomposition.target_index[plan.cols].tolist(),
-                             plan.masses.tolist(), ms, mt)
-
-    @classmethod
-    def from_arcs(cls, source_components: Sequence[int],
-                  target_components: Sequence[int], masses: Sequence,
-                  source_masses: Sequence, target_masses: Sequence
-                  ) -> "ComponentFlowGraph":
-        """Sum plan arcs per (source, target) component pair.
-
-        Arc k runs from source component ``source_components[k]`` to
-        target component ``target_components[k]`` with mass
-        ``masses[k]``; any scalar type works, Fractions stay exact.
-        """
         acc: dict = {}
-        for key, v in zip(zip(source_components, target_components), masses):
-            acc[key] = acc[key] + v if key in acc else v
-        return cls(len(source_masses), len(target_masses),
+        for key, v in zip(zip(decomposition.source_index[plan.rows].tolist(),
+                              decomposition.target_index[plan.cols].tolist()),
+                          plan.masses.tolist()):
+            acc[key] = acc.get(key, 0.0) + v
+        return cls(len(ms), len(mt),
                    tuple((i, j, acc[(i, j)]) for i, j in sorted(acc)),
-                   tuple(source_masses), tuple(target_masses))
-
-    def connected_blocks(self) -> list[dict]:
-        """Connected components over positive-mass nodes."""
-        return plan_degeneracy_check(self)["blocks"]
+                   tuple(ms), tuple(mt))
 
 
 def marginal_degeneracy_check(component_masses_mu: Sequence[float],
@@ -234,9 +219,11 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     except TooManyComponents:
         marginal = None
         flags.append("marginal degeneracy check skipped: component cap")
+    tight = _tight_mask(result.pair, result.cost_matrix, tol) \
+        & np.outer(mu.weights > 0, nu.weights > 0)
     labels, ti, tj = tight_components(
-        result.plan, result.pair, result.cost_matrix,
-        decomposition.source_index, decomposition.target_index, tol)
+        result.plan.rows, result.plan.cols, tight,
+        decomposition.source_index, decomposition.target_index)
     degeneracy = _degeneracy(labels, ms, mt)
     live = [mass > DEFAULT_TOLERANCES.mass for mass in ms]
     comp_verdicts = [(k, "unique" if ok else "zero_mass")

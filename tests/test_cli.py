@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, report shape, determinism."""
 
 import json
+import os
+import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from otuniq.cli import main
 from otuniq.core import CostSpec, DiscreteMeasure, PotentialPair, verify_duality
@@ -256,6 +260,26 @@ class TestOraclesWithoutSizeCap:
             2 * wit["delta"], abs=1e-6 * 3)
 
 
+@st.composite
+def _rational_labelled_documents(draw):
+    """Exact documents of at most 6 x 6 points, one label each, integer
+    costs 0-2 and weights 0-3 over their sum as rationals."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def side(k):
+        w = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)
+                 .filter(any))
+        return {"points": [[i] for i in range(k)],
+                "weights": [str(Fraction(v, sum(w))) for v in w],
+                "labels": list(range(k))}
+
+    source, target = side(n), side(m)
+    cost = draw(st.lists(st.lists(st.integers(0, 2), min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    return {"schema": "1", "source": source, "target": target,
+            "cost": {"kind": "explicit_matrix", "values": cost}}
+
+
 class TestExactSection:
     def test_zero_mass_component_is_not_a_block(self, tmp_path, capsys):
         path = _write(tmp_path, {
@@ -271,6 +295,37 @@ class TestExactSection:
         assert len(rep["certificate"]["degeneracy"]["blocks"]) == 1
         assert rep["exact"]["plan_blocks"] == 1
         assert rep["exact"]["plan_degenerate"] is False
+
+    def test_all_ones_is_one_block(self, tmp_path, capsys):
+        # every coupling is optimal, so the exact blocks are those of
+        # the tight residual graph, not of the one basic plan returned
+        block = {"points": [[0], [1], [2]], "weights": ["1/3"] * 3,
+                 "labels": [0, 1, 2]}
+        path = _write(tmp_path, {
+            "schema": "1", "source": block, "target": block,
+            "cost": {"kind": "explicit_matrix", "values": [[1] * 3] * 3},
+        })
+        assert main(["certify", path, "--exact", "--labels"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["exact"]["plan_blocks"] == 1
+        assert rep["exact"]["plan_degenerate"] is False
+
+    @given(_rational_labelled_documents())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_blocks_match_float_certificate(self, doc):
+        # the float certificate and the exact section find their blocks
+        # on separate solves, within tau and by slack == 0
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "p.json"), os.path.join(tmp, "r")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            main(["certify", path, "--exact", "--labels", "--oracle", "off",
+                  "--out", out])
+            with open(out) as fh:
+                rep = json.load(fh)
+        blocks = rep["exact"]["plan_blocks"]
+        assert blocks == len(rep["certificate"]["degeneracy"]["blocks"])
+        assert rep["exact"]["plan_degenerate"] == (blocks > 1)
 
     def test_component_cap_is_solver_error(self, tmp_path, capsys):
         # 14 + 13 components exceed SUBSET_CAP; the subset search would

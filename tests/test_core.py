@@ -1,5 +1,7 @@
 """c-transform calculus and duality verification."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -361,3 +363,51 @@ class TestCostKernelEdges:
         cost = CostSpec.profile_of_distance(CostProfile(coeffs=[-1.0]))
         with pytest.raises(OTUniqError, match="invalid entries"):
             cost.matrix(mu, mu)
+
+
+class TestExactMatrix:
+    """Exact cost matrices against a per-entry Fraction reference."""
+
+    def _reference(self, cost, mu, nu):
+        def frac(v):
+            return Fraction(v).limit_denominator(10**12)
+
+        if cost.kind == "explicit_matrix":
+            return [[frac(v) for v in row] for row in cost.values]
+        power = 2 if cost.q == 2.0 else 1
+        return [[sum(abs(frac(a) - frac(b)) ** power for a, b in zip(x, y))
+                 for y in nu.points] for x in mu.points]
+
+    @pytest.mark.parametrize("q", [2.0, 1.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rational_clouds(self, q, dim):
+        rng = np.random.default_rng(dim)
+        mu = DiscreteMeasure(rng.integers(-50, 50, (9, dim)) / 7,
+                             np.full(9, 1 / 9))
+        nu = DiscreteMeasure(rng.integers(-50, 50, (6, dim)) / 12,
+                             np.full(6, 1 / 6))
+        cost = CostSpec.lp_norm_power(q, q)
+        mat = cost.exact_matrix(mu, nu)
+        assert mat.shape == (9, 6) and mat.dtype == object
+        assert mat.tolist() == self._reference(cost, mu, nu)
+        assert all(type(v) is Fraction for v in mat.flat)
+
+    def test_explicit_matrix(self):
+        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        nu = DiscreteMeasure(np.array([[0.0], [1.0], [2.0]]),
+                             np.full(3, 1 / 3))
+        cost = CostSpec.explicit([[0.0, 1 / 3, 2.5], [0.1, 7.0, 1 / 7]])
+        mat = cost.exact_matrix(mu, nu)
+        assert mat.tolist() == self._reference(cost, mu, nu)
+        assert mat[0, 1] == Fraction(1, 3) and mat[1, 2] == Fraction(1, 7)
+
+    def test_explicit_matrix_shape_checked(self):
+        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        cost = CostSpec.explicit([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
+        with pytest.raises(DimensionMismatch):
+            cost.exact_matrix(mu, mu)
+
+    def test_other_kinds_rejected(self):
+        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        with pytest.raises(OTUniqError, match="exact mode supports"):
+            CostSpec.lp_norm_power(3.0, 1.0).exact_matrix(mu, mu)

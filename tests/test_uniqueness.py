@@ -132,20 +132,20 @@ class TestContactLinks:
         nu = _measure([0.5], [1.0], labels=[0])
         graph = self._graph(mu, nu)
         assert [(i, j) for i, j, _ in graph.edges] == [(0, 0), (1, 0)]
-        assert graph.connected_blocks() == [{"sources": [0, 1],
-                                             "targets": [0]}]
+        assert plan_degeneracy_check(graph)["blocks"] == [
+            {"sources": [0, 1], "targets": [0]}]
 
     def test_matched_diagonal_no_cross_links(self):
         mu = _measure([0.0, 10.0], [0.5, 0.5], labels=[0, 1])
         nu = _measure([0.1, 10.1], [0.5, 0.5], labels=[0, 1])
         graph = self._graph(mu, nu)
         assert [(i, j) for i, j, _ in graph.edges] == [(0, 0), (1, 1)]
-        assert len(graph.connected_blocks()) == 2
+        assert len(plan_degeneracy_check(graph)["blocks"]) == 2
 
     def test_semi_discrete_links_iff_off_quarter(self):
         for b, expect_connected in ((0.3, True), (0.5, False)):
             mu, nu, _ = _semi_discrete(b)
-            blocks = self._graph(mu, nu).connected_blocks()
+            blocks = plan_degeneracy_check(self._graph(mu, nu))["blocks"]
             assert (len(blocks) == 1) == expect_connected
 
 
