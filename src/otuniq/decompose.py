@@ -18,6 +18,28 @@ from .core import DiscreteMeasure, _as_readonly, component_labels
 from .errors import BadEpsilon, OTUniqError
 
 
+# entries of the pairwise-difference temporary per row block
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _epsilon_edges(pts: np.ndarray, epsilon: float) -> np.ndarray:
+    """Pairs i < j with ``|pts[i] - pts[j]| <= epsilon``, row by row.
+
+    The norm test runs over the upper triangle in blocks of rows, so the
+    difference temporary holds at most about ``_BLOCK_ENTRIES`` floats.
+    Returns a (k, 2) array in row-major order.
+    """
+    n, d = pts.shape
+    rows = max(1, _BLOCK_ENTRIES // max(1, n * d))
+    parts = []
+    for r in range(0, n, rows):
+        near = np.linalg.norm(pts[r:r + rows, None, :] - pts[None, r:, :],
+                              axis=2) <= epsilon
+        i, j = np.nonzero(np.triu(near, k=1))
+        parts.append(np.column_stack([r + i, r + j]))
+    return np.concatenate(parts)
+
+
 def decompose(measure: DiscreteMeasure,
               method: Literal["explicit_labels", "epsilon_graph"],
               epsilon: Optional[float] = None) -> list[list[int]]:
@@ -28,12 +50,9 @@ def decompose(measure: DiscreteMeasure,
             raise OTUniqError("measure carries no labels")
         keys = [int(lab) for lab in measure.labels]
     elif method == "epsilon_graph":
-        if epsilon is None or epsilon <= 0:
+        if epsilon is None or not epsilon > 0:
             raise BadEpsilon("epsilon must be positive")
-        pts = measure.points
-        edges = [(i, i + 1 + int(off)) for i in range(measure.n)
-                 for off in np.nonzero(np.linalg.norm(pts[i + 1:] - pts[i],
-                                                      axis=1) <= epsilon)[0]]
+        edges = _epsilon_edges(measure.points, epsilon)
         keys = component_labels(measure.n, edges).tolist()
     else:
         raise OTUniqError(f"unknown decomposition method {method!r}")

@@ -1,15 +1,16 @@
 """Transportation simplex and independent dual-uniqueness oracles.
 
 The simplex is an incremental network simplex on the dense bipartite
-graph: a northwest-corner start, a basis tree kept as parent, depth and
-adjacency arrays, cycles found by a lowest-common-ancestor walk, dual
-updates confined to the re-hung subtree, block-search pricing, and the
-strongly-feasible-tree leaving rule against cycling.  It runs on the
-positive-weight points alone; zero-weight points get their potentials
-by c-transform and join the basis tree by tight arcs.  It is generic
-over the scalar type, so the same code runs in float mode and in exact
-Fraction mode.  Two oracles cross-validate certificates produced
-elsewhere:
+graph: a northwest-corner start, a basis tree kept as parent and flow
+arrays beside a preorder array and subtree sizes (so every subtree is
+a slice), cycles found by a lowest-common-ancestor walk, the re-hung
+subtree moved as one block with its duals shifted in one array
+operation, block-search pricing, and the strongly-feasible-tree
+leaving rule against cycling.  It runs on the positive-weight points
+alone; zero-weight points get their potentials by c-transform and join
+the basis tree by tight arcs.  It is generic over the scalar type, so
+the same code runs in float mode and in exact Fraction mode.  Two
+oracles cross-validate certificates produced elsewhere:
 
 * ``dual_face_oracle`` bounds each normalized dual coordinate over the
   optimal face by two shortest-path runs on the difference-constraint
@@ -81,21 +82,24 @@ class DualFaceReport:
     tolerance: float
 
 
-def _price(cost, u, v, start: int, rows: int, enter_tol):
+def _price(cost, p, start: int, rows: int, enter_tol):
     """Block search for an entering arc, starting at row ``start``.
 
-    Blocks of ``rows`` rows are scanned in turn, wrapping around; the
-    most negative reduced cost of the first block holding one below
-    ``-enter_tol`` wins.  Returns (i, j, reduced cost, next start row),
-    or None when no arc prices out.  The same expression serves float
-    arrays and object arrays of Fractions, which numpy evaluates entry
-    by entry with Fraction arithmetic.
+    ``p`` holds the node duals: u on the sources, -v on the targets, so
+    the reduced cost ``c - u - v`` reads ``cost - p[rows] + p[targets]``,
+    the same value in IEEE arithmetic.  Blocks of ``rows`` rows are
+    scanned in turn, wrapping around; the most negative reduced cost of
+    the first block holding one below ``-enter_tol`` wins.  Returns (i,
+    j, reduced cost, next start row), or None when no arc prices out.
+    The same expression serves float arrays and object arrays of
+    Fractions, which numpy evaluates entry by entry with Fraction
+    arithmetic.
     """
     n, m = cost.shape
     r, scanned = start, 0
     while scanned < n:
         r1 = min(r + rows, n)
-        block = cost[r:r1] - u[r:r1, None] - v[None, :]
+        block = cost[r:r1] - p[r:r1, None] + p[None, n:]
         k = int(block.argmin())
         rc = block.flat[k]
         if rc < -enter_tol:
@@ -111,42 +115,44 @@ def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
     ``cost`` is an n x m ndarray, float or object-holding Fractions;
     ``a``/``b`` are supply and demand lists of the matching scalar type.
     Nodes are sources 0..n-1 and targets n..n+m-1.  The basis is a tree
-    rooted at source 0, stored as ``parent``, ``depth`` and undirected
-    adjacency sets; ``flow[x]`` is the mass on the arc joining x to its
-    parent.  It starts as the northwest-corner tree.  Each pivot finds
-    the entering arc's cycle by walking up to the lowest common
-    ancestor, re-hangs the subtree cut off by the leaving arc from the
-    entering arc, and shifts only that subtree's duals.  The leaving arc
-    follows the strongly-feasible-tree rule (Cunningham 1976): the last
-    blocking arc met when walking the cycle from its apex in the
-    entering arc's direction, which rules out cycling on the positive
-    weights ``_solve_core`` passes; ``max_iter`` is a last guard.
-    Returns (masses dict, u, v, basis, iterations).
+    rooted at source 0, stored as ``parent``, ``flow`` (the mass on the
+    arc joining x to its parent), a preorder ``order`` of the nodes,
+    each node's index ``pos`` in it and its subtree ``size``, so every
+    subtree is the slice ``order[pos[x]:pos[x] + size[x]]`` (Ahuja,
+    Magnanti and Orlin, Network Flows, section 11.3).  It starts as the
+    northwest-corner tree.  Each pivot finds the entering arc's cycle by
+    walking up to the lowest common ancestor, always from the endpoint
+    with the smaller subtree (an ancestor's is strictly larger), moves
+    the subtree cut off by the leaving arc under the entering arc as one
+    block of ``order``, and shifts only that subtree's duals.  The
+    leaving arc follows the strongly-feasible-tree rule (Cunningham
+    1976): the last blocking arc met when walking the cycle from its
+    apex in the entering arc's direction, which rules out cycling on the
+    positive weights ``_solve_core`` passes; ``max_iter`` is a last
+    guard.  Returns (masses dict, u, v, basis, iterations).
     """
     n, m = cost.shape
     zero = a[0] * 0
-    u = np.full(n, zero, dtype=cost.dtype)
-    v = np.full(m, zero, dtype=cost.dtype)
+    p = np.full(n + m, zero, dtype=cost.dtype)     # u, then -v
     parent = [-1] * (n + m)
-    depth = [0] * (n + m)
     flow = [zero] * (n + m)
-    adj = [set() for _ in range(n + m)]
     # northwest corner: a staircase path from source 0; each arc adds one
     # new node, hung from the node it shares with the previous arc, and
-    # fixes that node's dual
+    # fixes that node's dual.  The previous node is that parent or a leaf
+    # sibling, so creation order is a preorder.
+    created = [0]
     ra, rb = list(a), list(b)
     i = j = 0
     new = n
     while True:
         t = ra[i] if ra[i] < rb[j] else rb[j]
-        old = i if new >= n else n + j
-        parent[new], depth[new], flow[new] = old, depth[old] + 1, t
-        adj[new].add(old)
-        adj[old].add(new)
+        parent[new] = i if new >= n else n + j
+        flow[new] = t
+        created.append(new)
         if new >= n:
-            v[j] = cost[i, j] - u[i]
+            p[new] = -(cost[i, j] - p[i])
         else:
-            u[i] = cost[i, j] - v[j]
+            p[i] = cost[i, j] + p[n + j]
         ra[i] -= t
         rb[j] -= t
         if i == n - 1 and j == m - 1:
@@ -157,12 +163,19 @@ def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
         else:
             j += 1
             new = n + j
+    order = np.array(created)
+    nodes = np.arange(n + m)
+    pos = np.empty(n + m, dtype=int)
+    pos[order] = nodes
+    size = [1] * (n + m)
+    for x in reversed(created[1:]):
+        size[parent[x]] += size[x]
     side = math.isqrt(n * m - 1) + 1          # ceil(sqrt(n m)) arcs
     rows = -(-side // m)
     start = 0
     iterations = 0
     while True:
-        entering = _price(cost, u, v, start, rows, enter_tol)
+        entering = _price(cost, p, start, rows, enter_tol)
         if entering is None:
             break
         if iterations >= max_iter:
@@ -172,15 +185,15 @@ def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
         # cycle: the tree paths from i and from target j up to their
         # lowest common ancestor; a pred arc loses mass when it is a
         # source's on the i side or a target's on the j side
-        p, q = i, n + j
+        x, y = i, n + j
         up_i, up_j = [], []
-        while p != q:
-            if depth[p] > depth[q]:
-                up_i.append(p)
-                p = parent[p]
+        while x != y:
+            if size[x] < size[y]:
+                up_i.append(x)
+                x = parent[x]
             else:
-                up_j.append(q)
-                q = parent[q]
+                up_j.append(y)
+                y = parent[y]
         theta = min([flow[x] for x in up_i if x < n]
                     + [flow[x] for x in up_j if x >= n])
         # last blocking arc from the apex: the j side nearest the apex,
@@ -188,51 +201,65 @@ def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
         for k in range(len(up_j) - 1, -1, -1):
             x = up_j[k]
             if x >= n and flow[x] == theta:
-                path, e_in, e_out = up_j[:k + 1], n + j, i
+                path, above, grow = up_j[:k + 1], up_j[k + 1:], up_i
+                e_in, e_out = n + j, i
                 break
         else:
             for k, x in enumerate(up_i):
                 if x < n and flow[x] == theta:
-                    path, e_in, e_out = up_i[:k + 1], i, n + j
+                    path, above, grow = up_i[:k + 1], up_i[k + 1:], up_j
+                    e_in, e_out = i, n + j
                     break
         if theta != zero:
             for x in up_i:
                 flow[x] += -theta if x < n else theta
             for x in up_j:
                 flow[x] += -theta if x >= n else theta
-        # re-hang the cut-off subtree from the entering arc, reversing
-        # the path from its endpoint e_in up to the leaving arc
+        # the subtree T cut off by the leaving arc, re-rooted at e_in:
+        # its preorder is each stem node's old block minus the block of
+        # the stem node below it, two slices per stem arc
         leaving = path[-1]
-        cut = parent[leaving]
-        adj[leaving].discard(cut)
-        adj[cut].discard(leaving)
-        adj[e_in].add(e_out)
-        adj[e_out].add(e_in)
+        cut = size[leaving]                       # |T|
+        first = pos[path].tolist()
+        lo = first[-1]
+        segments = [order[first[0]:first[0] + size[e_in]]]
+        for k in range(1, len(path)):
+            segments.append(order[first[k]:first[k - 1]])
+            segments.append(order[first[k - 1] + size[path[k - 1]]:
+                                  first[k] + size[path[k]]])
+        sub = np.concatenate(segments)
+        # sizes: on the stem, suffix sums of the segment lengths; below
+        # the apex, the cycle loses |T| above the leaving arc and gains
+        # it from e_out up
+        stem = [cut] + [cut - size[x] for x in path[:-1]]
+        for x, s in zip(path, stem):
+            size[x] = s
+        for x in above:
+            size[x] -= cut
+        for x in grow:
+            size[x] += cut
+        # move T as one block to just after e_out
+        dst = int(pos[e_out])
+        if dst < lo:
+            order[dst + 1 + cut:lo + cut] = order[dst + 1:lo]
+            order[dst + 1:dst + 1 + cut] = sub
+            lo, hi = dst + 1, lo + cut
+        else:
+            order[lo:dst + 1 - cut] = order[lo + cut:dst + 1]
+            order[dst + 1 - cut:dst + 1] = sub
+            hi = dst + 1
+        pos[order[lo:hi]] = nodes[lo:hi]
+        # re-hang: reverse the stem from e_in up to the leaving arc
         prev, prev_flow = e_out, theta
         for x in path:
             parent[x], prev = prev, x
             flow[x], prev_flow = prev_flow, flow[x]
         # the subtree's duals move by rc so the entering arc becomes tight
-        depth[e_in] = depth[e_out] + 1
-        stack, src, tgt = [e_in], [], []
-        while stack:
-            x = stack.pop()
-            if x < n:
-                src.append(x)
-            else:
-                tgt.append(x - n)
-            below = depth[x] + 1
-            for y in adj[x]:
-                if y != parent[x]:
-                    depth[y] = below
-                    stack.append(y)
-        shift = rc if e_in < n else -rc
-        u[src] += shift
-        v[tgt] -= shift
+        p[sub] += rc if e_in < n else -rc
     basis = [(x, parent[x] - n) if x < n else (parent[x], x - n)
              for x in range(1, n + m)]
     masses = dict(zip(basis, flow[1:]))
-    return masses, u, v, basis, iterations
+    return masses, p[:n], -p[n:], basis, iterations
 
 
 def _solve_core(cost, a, b, *, enter_tol, max_iter: int):
@@ -303,8 +330,10 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
             f"simplex terminated non-optimal: gap={report.gap:.3e}, "
             f"feasible={report.feasible}, support_tight={report.support_tight}"
         )
-    log.debug("solve: n=%d m=%d pivots=%d %.4f s", mu.n, nu.n, iterations,
-              time.perf_counter() - t0)
+    elapsed = time.perf_counter() - t0
+    log.debug("solve: n=%d m=%d pivots=%d %.4f s %.1f us/pivot", mu.n, nu.n,
+              iterations, elapsed, 1e6 * elapsed / iterations if iterations
+              else 0.0)
     return SolveResult(plan=plan, pair=pair, basis=tuple(sorted(basis)),
                        iterations=iterations, duality=report,
                        cost_matrix=mat)
@@ -328,8 +357,10 @@ def solve_exact(cost_rows: Sequence[Sequence[Fraction]],
     n, m = cost.shape
     masses, f, g, _, iterations = _solve_core(
         cost, a, b, enter_tol=Fraction(0), max_iter=200 * (n + m) * max(n, m))
-    log.debug("solve_exact: n=%d m=%d pivots=%d %.4f s", n, m, iterations,
-              time.perf_counter() - t0)
+    elapsed = time.perf_counter() - t0
+    log.debug("solve_exact: n=%d m=%d pivots=%d %.4f s %.1f us/pivot", n, m,
+              iterations, elapsed, 1e6 * elapsed / iterations if iterations
+              else 0.0)
     return ({k: val for k, val in masses.items() if val > 0}, f.tolist(),
             g.tolist(), iterations)
 

@@ -124,6 +124,11 @@ class TestExitCodes:
         assert main(["witness", path]) == 3
         capsys.readouterr()
 
+    def test_nan_epsilon_is_solver_error(self, tmp_path, capsys):
+        path = _two_interval(tmp_path)
+        assert main(["certify", path, "--epsilon", "nan"]) == 3
+        assert "BadEpsilon" in capsys.readouterr().err
+
     def test_certify_unique_exit_zero(self, tmp_path, capsys):
         path = _two_interval(tmp_path, mass_left=0.4, target_mass_left=0.5)
         assert main(["certify", path]) == 0

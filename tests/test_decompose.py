@@ -92,6 +92,17 @@ def _assert_tight_tree(basis, n, m, is_tight):
     assert all(is_tight(i, j) for i, j in basis)
 
 
+def _epsilon_reference(pts, epsilon):
+    """The epsilon-graph partition by one norm test per row."""
+    n = len(pts)
+    edges = [(i, i + 1 + int(off)) for i in range(n)
+             for off in np.nonzero(np.linalg.norm(pts[i + 1:] - pts[i],
+                                                  axis=1) <= epsilon)[0]]
+    keys = component_labels(n, edges).tolist()
+    return [[i for i in range(n) if keys[i] == k]
+            for k in range(max(keys) + 1)]
+
+
 class TestDecompose:
     def test_chain_hops(self):
         m = _measure([0.1, 0.5, 2.2, 2.9])
@@ -112,6 +123,34 @@ class TestDecompose:
         m = _measure([0.0, 1.0])
         with pytest.raises(BadEpsilon):
             decompose(m, "epsilon_graph", 0.0)
+
+    def test_nan_epsilon_rejected(self):
+        m = _measure([0.0, 1.0])
+        with pytest.raises(BadEpsilon):
+            decompose(m, "epsilon_graph", float("nan"))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 9])
+    def test_matches_per_row_reference(self, d):
+        # lattice sites 1.25 apart in 1-d; in more dimensions lattice walks
+        # with steps of length exactly 1.25 (axis steps, and 0.75/1.0
+        # steps in two axes), so many pairs sit on the boundary
+        rng = np.random.default_rng(40 + d)
+        pts = {tuple(x) for x in rng.choice(900, (600 if d == 1 else 40, d),
+                                            replace=False) * 1.25}
+        while len(pts) < 600:
+            step = np.zeros(d)
+            k = rng.choice(d, size=2, replace=False)
+            if rng.random() < 0.5:
+                step[k[0]] = 1.25
+            else:
+                step[k] = (0.75, 1.0)
+            base = sorted(pts)[int(rng.integers(len(pts)))]
+            pts.add(tuple(base + step * rng.choice([-1.0, 1.0])))
+        pts = np.array(sorted(pts))[rng.permutation(600)]
+        m = DiscreteMeasure(pts, np.full(600, 1 / 600))
+        for eps in (np.nextafter(1.25, 0.0), 1.25, 1.8, 2.5):
+            assert decompose(m, "epsilon_graph", eps) \
+                == _epsilon_reference(m.points, eps)
 
     def test_missing_labels(self):
         m = _measure([0.0, 1.0])

@@ -1,6 +1,8 @@
 """Transportation simplex and the two dual-uniqueness oracles."""
 
+import hashlib
 import logging
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +20,7 @@ from otuniq.core import (
 from otuniq.decompose import ComponentDecomposition
 from otuniq.errors import InfeasibleOptimum, Unbalanced
 from otuniq.solver import (
+    _solve_core,
     dual_face_oracle,
     solve,
     solve_exact,
@@ -102,9 +105,21 @@ class TestSolve:
         nu = DiscreteMeasure(rng.uniform(0, 1, (5, 2)), np.full(5, 1 / 5))
         with caplog.at_level(logging.DEBUG, logger="otuniq"):
             res = solve(mu, nu, CostSpec.sq_euclidean())
-        assert any(r.getMessage().startswith(
-            f"solve: n=7 m=5 pivots={res.iterations} ")
-            for r in caplog.records)
+            corner = res.cost_matrix[:3, :3].tolist()
+            exact_pivots = solve_exact(corner, [Fraction(1, 3)] * 3,
+                                       [Fraction(1, 3)] * 3)[3]
+        lines = [r.getMessage() for r in caplog.records]
+        assert res.iterations > 0 and exact_pivots > 0
+        for head, pivots in (("solve: n=7 m=5 ", res.iterations),
+                             ("solve_exact: n=3 m=3 ", exact_pivots)):
+            pattern = re.escape(head) + r"pivots=(\d+) ([0-9.]+) s " \
+                r"([0-9.]+) us/pivot"
+            hit = next(h for h in map(re.compile(pattern).fullmatch, lines)
+                       if h)
+            assert int(hit[1]) == pivots
+            # seconds and us/pivot agree up to their printed rounding
+            assert abs(float(hit[3]) * pivots * 1e-6 - float(hit[2])) \
+                <= 5e-5 + pivots * 5e-8
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
@@ -117,6 +132,100 @@ class TestSolve:
         r2 = solve(mu, nu, cost)
         assert np.array_equal(r1.pair.f, r2.pair.f)
         assert r1.plan.entries == r2.plan.entries
+
+
+def _pinned_instances():
+    """The float instances whose pivot sequence is pinned: uniform 2-d,
+    a clustered ladder-like pair, all-ones and a zero-weight-padded
+    one.  Yields (name, mu, nu, cost)."""
+    rng = np.random.default_rng(1001)
+    yield ("uniform 2-d n=60",
+           DiscreteMeasure(rng.uniform(0, 1, (60, 2)), np.full(60, 1 / 60)),
+           DiscreteMeasure(rng.uniform(0, 1, (60, 2)), np.full(60, 1 / 60)),
+           CostSpec.sq_euclidean())
+    rng = np.random.default_rng(1002)
+    lattice = np.stack(np.meshgrid(np.arange(5.0), np.arange(2.0)),
+                       axis=-1).reshape(-1, 2) * 0.5
+    sides = []
+    for _ in range(2):
+        pts = np.concatenate([10.0 * k * np.array([1.0, 0.0]) + lattice
+                              + rng.uniform(-0.1, 0.1, lattice.shape)
+                              for k in range(4)])
+        ticks = rng.uniform(0.8, 1.2, 40) \
+            * rng.uniform(0.8, 1.2, 4).repeat(10)
+        w = np.round(ticks / ticks.sum() * 2.0 ** 20) / 2.0 ** 20
+        w[-1] = 1.0 - w[:-1].sum()
+        sides.append(DiscreteMeasure(pts, w))
+    yield ("clustered n=40", *sides, CostSpec.sq_euclidean())
+    ones = DiscreteMeasure(np.arange(8.0)[:, None], np.full(8, 1 / 8))
+    yield "all-ones 8x8", ones, ones, CostSpec.explicit(np.ones((8, 8)))
+    rng = np.random.default_rng(1003)
+    a = np.array([3, 0, 1, 2, 0, 4, 1, 0, 2, 3]) / 16
+    b = np.array([0, 2, 5, 1, 0, 3, 4, 1]) / 16
+    yield ("zero-weight padded 10x8",
+           DiscreteMeasure(rng.uniform(0, 1, (10, 2)), a),
+           DiscreteMeasure(rng.uniform(0, 1, (8, 2)), b),
+           CostSpec.sq_euclidean())
+
+
+def _digest(basis, masses, f, g) -> str:
+    """SHA-256 of the exact values: floats by ``float.hex``, Fractions
+    as ``p/q``."""
+    def text(x):
+        return x.hex() if isinstance(x, float) else str(x)
+    parts = [repr(sorted(basis))]
+    parts += [f"{i},{j}:{text(x)}" for (i, j), x in sorted(masses.items())]
+    parts += [text(x) for x in list(f) + list(g)]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def _pinned_exact_instance():
+    """10 x 10 integer costs 0..4 with rational weights, many ties."""
+    rng = np.random.default_rng(1004)
+    cost = [[Fraction(int(c)) for c in row]
+            for row in rng.integers(0, 5, (10, 10))]
+    a = [Fraction(t, 30) for t in (1, 2, 3, 4, 5, 1, 2, 3, 4, 5)]
+    b = [Fraction(1, 10)] * 10
+    return cost, a, b
+
+
+class TestPivotSequencePinned:
+    """Pivot count, basis, plan and pair of fixed instances, pinned bit for
+    bit: a change to how the simplex stores its basis tree must leave
+    every pivot where it was.  Values recorded from the tree kept as
+    parent, depth and adjacency sets."""
+
+    PINNED = {
+        "uniform 2-d n=60": (485, "234e0b912f7814a11c69af3f7ea9cb0f"
+                                  "3939a348722d4698967288013bca8e82"),
+        "clustered n=40": (99, "38b2571a4a1a3911bbc56b9c85f3329e"
+                               "0becedc7d1aec6beba7298bf388559da"),
+        "all-ones 8x8": (0, "16dbca16f55fd3a404ffe7d87472f3b3"
+                            "21086c84e7bd4315b020dd5a480685e3"),
+        "zero-weight padded 10x8": (7, "ed96e4458247e649b8c31d14f7908338"
+                                       "b59e9edece0149caea342ccd759205b5"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_float(self, name):
+        mu, nu, cost = next((mu, nu, cost) for key, mu, nu, cost
+                            in _pinned_instances() if key == name)
+        res = solve(mu, nu, cost)
+        masses = {(int(i), int(j)): float(x) for i, j, x in res.plan.entries}
+        assert (res.iterations, _digest(res.basis, masses,
+                                        res.pair.f.tolist(),
+                                        res.pair.g.tolist())) \
+            == self.PINNED[name]
+
+    def test_exact(self):
+        cost, a, b = _pinned_exact_instance()
+        masses, f, g, iterations = solve_exact(cost, a, b)
+        basis = _solve_core(np.array(cost, dtype=object), a, b,
+                            enter_tol=Fraction(0), max_iter=10 ** 6)[3]
+        assert iterations == 37
+        assert _digest(basis, masses, f, g) \
+            == ("329d5f43ed2d9cc5b2ff1e5a3009bd91"
+                "c50b85a2260654578ee21fbebacd3467")
 
 
 def _highs_optimum(cost: np.ndarray, a, b) -> float:
