@@ -9,7 +9,6 @@ from .core import (
     DiscreteMeasure,
     PotentialPair,
     Subdifferential,
-    Tolerances,
     TransportPlan,
     c_transform,
     double_transform_residual,

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import NEG_INF, Tolerances, c_transform, tight_components
+from .core import NEG_INF, c_transform, tight_components
 from .decompose import ComponentDecomposition
 from .documents import (
     ProblemDocument,
@@ -144,7 +144,7 @@ def cmd_certify(args) -> int:
     disagreement = False
     if args.oracle == "on":
         face = dual_face_oracle(result.plan, result.pair, result.cost_matrix)
-        tight = tight_graph_connectivity_oracle(result, doc.cost)
+        tight = tight_graph_connectivity_oracle(result)
         body["oracles"] = {
             "dual_face": {"unique": face.unique,
                           "max_spread": face.max_spread,
@@ -198,7 +198,7 @@ def _exact_section(doc: ProblemDocument, dec: ComponentDecomposition) -> dict:
     ms = [sum(a[i] for i in grp) for grp in dec.source_components]
     mt = [sum(b[j] for j in grp) for grp in dec.target_components]
     blocks = len(_degeneracy(labels, ms, mt)["blocks"])
-    hit = marginal_degeneracy_check(ms, mt, Tolerances(mass=0))
+    hit = marginal_degeneracy_check(ms, mt)
     return {
         "plan_blocks": blocks,
         "plan_degenerate": blocks > 1,

@@ -25,32 +25,12 @@ from .errors import (
 
 NEG_INF = float("-inf")
 
-#: default tolerances; all certificates report which bound they used
+#: the fixed tolerance policy; every check reads these constants
 TAU_MASS = 1e-9          # relative, on weights summing to one
 TAU_GEOM = 1e-12         # per-coordinate point distinctness
 TAU_TIGHT_SCALE = 1e-7   # scaled by (1 + max |c|)
 TAU_GAP = 1e-7           # relative duality gap
 TAU_FACE_SCALE = 1e-6    # scaled by (1 + max |c|)
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Tolerance bundle threaded through verification routines."""
-
-    mass: float = TAU_MASS
-    geom: float = TAU_GEOM
-    tight_scale: float = TAU_TIGHT_SCALE
-    gap: float = TAU_GAP
-    face_scale: float = TAU_FACE_SCALE
-
-    def tight(self, cost_scale: float) -> float:
-        return self.tight_scale * (1.0 + cost_scale)
-
-    def face(self, cost_scale: float) -> float:
-        return self.face_scale * (1.0 + cost_scale)
-
-
-DEFAULT_TOLERANCES = Tolerances()
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -433,10 +413,9 @@ def double_transform_residual(f: np.ndarray, cost_matrix: np.ndarray) -> float:
     return float(np.max(diff))
 
 
-def _tight_mask(pair: PotentialPair, cost_matrix: np.ndarray,
-                tol: Tolerances) -> np.ndarray:
+def _tight_mask(pair: PotentialPair, cost_matrix: np.ndarray) -> np.ndarray:
     """Boolean (n, m) mask of the tight pairs of a dual-feasible pair."""
-    tau = tol.tight(float(np.max(cost_matrix)))
+    tau = TAU_TIGHT_SCALE * (1.0 + float(np.max(cost_matrix)))
     with np.errstate(invalid="ignore"):
         slack = cost_matrix - pair.f[:, None] - pair.g[None, :]
     slack = np.where(np.isnan(slack), np.inf, slack)
@@ -448,10 +427,10 @@ def _tight_mask(pair: PotentialPair, cost_matrix: np.ndarray,
     return np.abs(slack) <= tau
 
 
-def subdifferential_of(pair: PotentialPair, cost_matrix: np.ndarray,
-                       tol: Tolerances = DEFAULT_TOLERANCES) -> Subdifferential:
+def subdifferential_of(pair: PotentialPair,
+                       cost_matrix: np.ndarray) -> Subdifferential:
     """All tight pairs of a dual-feasible potential pair."""
-    mask = _tight_mask(pair, cost_matrix, tol)
+    mask = _tight_mask(pair, cost_matrix)
     pairs = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(mask)))
     return Subdifferential(tight_pairs=pairs, mask=mask)
 
@@ -495,8 +474,7 @@ class DualityReport:
 
 
 def verify_duality(plan: TransportPlan, pair: PotentialPair,
-                   cost_matrix: np.ndarray,
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> DualityReport:
+                   cost_matrix: np.ndarray) -> DualityReport:
     """Primal/dual cross-check: gap, feasibility, support tightness."""
     cost_matrix = np.asarray(cost_matrix, dtype=float)
     if cost_matrix.shape != (plan.source.n, plan.target.n):
@@ -506,9 +484,9 @@ def verify_duality(plan: TransportPlan, pair: PotentialPair,
     primal = plan.primal_cost(cost_matrix)
     dual = pair.dual_value
     gap = primal - dual
-    tau_gap = tol.gap * (1.0 + abs(primal))
+    tau_gap = TAU_GAP * (1.0 + abs(primal))
     try:
-        mask = _tight_mask(pair, cost_matrix, tol)
+        mask = _tight_mask(pair, cost_matrix)
         feasible = True
         support_tight = bool(np.all(mask[plan.rows, plan.cols]))
     except InfeasiblePair:

@@ -28,14 +28,21 @@ SCHEMA_VERSION = "1"
 def _number(value, location: str, exact: bool):
     if isinstance(value, bool):
         raise ProblemFormatError(location, "expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return Fraction(value) if exact else float(value)
     if isinstance(value, str) and exact:
         try:
-            return Fraction(value)
+            value = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ProblemFormatError(location, f"bad rational {value!r}")
-    raise ProblemFormatError(location, f"expected a number, got {value!r}")
+    elif not isinstance(value, (int, float)):
+        raise ProblemFormatError(location, f"expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ProblemFormatError(location, f"expected a finite number, "
+                                           f"got {value!r}")
+    return Fraction(value) if exact else x
 
 
 def _number_list(values, location: str, exact: bool) -> list:
@@ -114,10 +121,15 @@ def _parse_cost(block, location: str, exact: bool):
         if kind == "explicit_matrix":
             if "values" not in block or not isinstance(block["values"], list):
                 raise ProblemFormatError(f"{location}/values", "missing")
-            rows = [[float(_number(v, f"{location}/values/{r}", exact))
-                     for v in row]
-                    for r, row in enumerate(block["values"])]
-            return CostSpec.explicit(np.array(rows))
+            rows = block["values"]
+            for r, row in enumerate(rows):
+                if not isinstance(row, list) or len(row) != len(rows[0]):
+                    raise ProblemFormatError(
+                        f"{location}/values/{r}",
+                        "expected a list as long as row 0")
+            return CostSpec.explicit(np.array(
+                [[float(_number(v, f"{location}/values/{r}", exact))
+                  for v in row] for r, row in enumerate(rows)]))
     except ProblemFormatError:
         raise
     except OTUniqError as exc:
@@ -141,7 +153,7 @@ def parse_problem(text: str, exact: bool = False) -> ProblemDocument:
     """Parse and validate a schema-v1 problem document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # also an integer past Python's digit cap
         raise ProblemFormatError("/", f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ProblemFormatError("/", "top level must be an object")
@@ -158,6 +170,10 @@ def parse_problem(text: str, exact: bool = False) -> ProblemDocument:
     mu, mu_w = _parse_measure(doc["source"], "/source", exact)
     nu, nu_w = _parse_measure(doc["target"], "/target", exact)
     cost = _parse_cost(doc["cost"], "/cost", exact)
+    if cost.kind == "explicit_matrix" and cost.values.shape != (mu.n, nu.n):
+        raise ProblemFormatError(
+            "/cost/values",
+            f"cost is {cost.values.shape}, measures are {(mu.n, nu.n)}")
     epsilon = None
     if "epsilon" in options and options["epsilon"] is not None:
         epsilon = float(_number(options["epsilon"], "/options/epsilon", False))

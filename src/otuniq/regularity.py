@@ -14,13 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOLERANCES,
-    CostProfile,
-    CostSpec,
-    DiscreteMeasure,
-    Tolerances,
-)
+from .core import CostProfile, CostSpec, DiscreteMeasure
 from .errors import (
     DimensionMismatch,
     NotAGrid,
@@ -118,8 +112,7 @@ class EscapeDiagnostic:
 
 def escape_diagnostic(mu: DiscreteMeasure,
                       nu_family: Sequence[DiscreteMeasure],
-                      cost: CostSpec, radii: Optional[Sequence[float]] = None,
-                      tol: Tolerances = DEFAULT_TOLERANCES
+                      cost: CostSpec, radii: Optional[Sequence[float]] = None
                       ) -> EscapeDiagnostic:
     """Flag source points whose partners escape under truncation growth.
 
@@ -135,7 +128,7 @@ def escape_diagnostic(mu: DiscreteMeasure,
     radii = np.asarray(radii, dtype=float)
     dist = np.zeros((len(nu_family), mu.n))
     for k, nu in enumerate(nu_family):
-        plan = solve(mu, nu, cost, tol).plan
+        plan = solve(mu, nu, cost).plan
         np.maximum.at(dist[k], plan.rows, np.linalg.norm(
             mu.points[plan.rows] - nu.points[plan.cols], axis=1))
     tiny = 1e-12 * (1.0 + float(np.max(dist)))

@@ -29,19 +29,19 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .core import (
-    DEFAULT_TOLERANCES,
+    TAU_FACE_SCALE,
+    TAU_MASS,
     CostSpec,
     DiscreteMeasure,
     DualityReport,
     PotentialPair,
-    Tolerances,
     TransportPlan,
     _tight_mask,
     tight_components,
@@ -66,8 +66,7 @@ class SolveResult:
     iterations: int
     duality: DualityReport
     # the n x m cost matrix solved on, for callers that need it again
-    cost_matrix: Optional[np.ndarray] = field(default=None, repr=False,
-                                              compare=False)
+    cost_matrix: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -295,8 +294,8 @@ def _solve_core(cost, a, b, *, enter_tol, max_iter: int):
     return masses, f, g, basis, iterations
 
 
-def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
-          tol: Tolerances = DEFAULT_TOLERANCES) -> SolveResult:
+def solve(mu: DiscreteMeasure, nu: DiscreteMeasure,
+          cost: CostSpec) -> SolveResult:
     """Solve the finite transportation problem to optimality.
 
     The pair is c-concave (see ``_solve_core``) and normalized to f = 0
@@ -304,7 +303,7 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     the total mass are rounding residue of the pivots and are dropped.
     Deterministic for a fixed input ordering.
     """
-    if abs(float(mu.weights.sum()) - float(nu.weights.sum())) > tol.mass:
+    if abs(float(mu.weights.sum()) - float(nu.weights.sum())) > TAU_MASS:
         raise Unbalanced("source and target masses differ")
     t0 = time.perf_counter()
     mat = cost.matrix(mu, nu)
@@ -317,14 +316,14 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     )
     shift = f[mu.anchor_index()]
     f, g = f - shift, g + shift
-    floor = tol.mass * float(mu.weights.sum())
+    floor = TAU_MASS * float(mu.weights.sum())
     arcs = sorted(arc for arc, x in masses.items() if x > floor)
     plan = TransportPlan(np.array([i for i, _ in arcs], dtype=int),
                          np.array([j for _, j in arcs], dtype=int),
                          np.array([masses[arc] for arc in arcs], dtype=float),
                          mu, nu)
     pair = PotentialPair(f, g, mu, nu)
-    report = verify_duality(plan, pair, mat, tol)
+    report = verify_duality(plan, pair, mat)
     if not report.optimal:
         raise SolverError(
             f"simplex terminated non-optimal: gap={report.gap:.3e}, "
@@ -366,8 +365,7 @@ def solve_exact(cost_rows: Sequence[Sequence[Fraction]],
 
 
 def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
-                     cost_matrix: np.ndarray,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> DualFaceReport:
+                     cost_matrix: np.ndarray) -> DualFaceReport:
     """Exact per-coordinate bounds of the dual-optimal face.
 
     The face is pinned by complementary slackness: f_i + g_j <= c_ij
@@ -384,7 +382,7 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
     path cannot reach (zero-weight points) are unbounded; they are
     reported as +-inf and excluded from the spread.
     """
-    if not verify_duality(plan, pair, cost_matrix, tol).optimal:
+    if not verify_duality(plan, pair, cost_matrix).optimal:
         raise InfeasibleOptimum("the pair is not optimal for the plan")
     mat = np.asarray(cost_matrix, dtype=float)
     n, m = mat.shape
@@ -405,7 +403,7 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
                     indices=anchor)[:n]
     f_max = f - f[anchor] + d_out
     f_min = f - f[anchor] - d_in
-    tau = tol.face(float(np.max(mat)))
+    tau = TAU_FACE_SCALE * (1.0 + float(np.max(mat)))
     live = plan.source.weights > 0
     spreads = f_max[live] - f_min[live]
     max_spread = float(np.max(spreads)) if spreads.size else 0.0
@@ -414,9 +412,7 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
                           max_spread=max_spread, tolerance=tau)
 
 
-def tight_graph_connectivity_oracle(result: SolveResult, cost: CostSpec,
-                                    tol: Tolerances = DEFAULT_TOLERANCES
-                                    ) -> dict:
+def tight_graph_connectivity_oracle(result: SolveResult) -> dict:
     """Classical dual-uniqueness criterion on the tight-edge graph.
 
     ``tight_components`` on single points: a tight edge is usable when
@@ -425,9 +421,7 @@ def tight_graph_connectivity_oracle(result: SolveResult, cost: CostSpec,
     component holds every positive-weight point.
     """
     mu, nu = result.plan.source, result.plan.target
-    mat = result.cost_matrix if result.cost_matrix is not None \
-        else cost.matrix(mu, nu)
-    tight = _tight_mask(result.pair, mat, tol) \
+    tight = _tight_mask(result.pair, result.cost_matrix) \
         & np.outer(mu.weights > 0, nu.weights > 0)
     labels, ti, tj = tight_components(result.plan.rows, result.plan.cols,
                                       tight, np.arange(mu.n), np.arange(nu.n))

@@ -10,16 +10,17 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCES,
+    TAU_MASS,
+    TAU_TIGHT_SCALE,
     CostSpec,
     DiscreteMeasure,
     PotentialPair,
-    Tolerances,
     TransportPlan,
     _tight_mask,
     component_labels,
@@ -89,17 +90,16 @@ class ComponentFlowGraph:
 
 
 def marginal_degeneracy_check(component_masses_mu: Sequence[float],
-                              component_masses_nu: Sequence[float],
-                              tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
+                              component_masses_nu: Sequence[float]) -> dict:
     """Subset-sum collision test on component masses.
 
     Nondegenerate iff no nonempty proper subset of source-component
     masses matches a nonempty proper subset of target-component masses
     within tau_mass.  Also reports the minimal gap over all subset pairs
-    for knife-edge warnings.  Any exact scalar type works too: with
-    Fraction masses and tau_mass = 0 the test is exact.  The reported
-    (I, J) is the first colliding source subset by size, then
-    lexicographically, with the least target subset of equal sum.
+    for knife-edge warnings.  When every mass is a Fraction, tau_mass is
+    0 and the test is exact.  The reported (I, J) is the first colliding
+    source subset by size, then lexicographically, with the least target
+    subset of equal sum.
     """
     ms = list(component_masses_mu)
     mt = list(component_masses_nu)
@@ -107,6 +107,9 @@ def marginal_degeneracy_check(component_masses_mu: Sequence[float],
         raise TooManyComponents(
             f"{len(ms)} + {len(mt)} components exceed the cap {SUBSET_CAP}"
         )
+    if len(ms) < 2 or len(mt) < 2:      # a side with no proper subset
+        return {"status": "nondegenerate", "min_gap": float("inf")}
+    tau = 0 if all(isinstance(x, Fraction) for x in ms + mt) else TAU_MASS
     nu_sums = []
     for r in range(1, len(mt)):
         for combo in itertools.combinations(range(len(mt)), r):
@@ -124,7 +127,7 @@ def marginal_degeneracy_check(component_masses_mu: Sequence[float],
                     gap = abs(keys[k] - s)
                     if gap < best_gap:
                         best_gap = gap
-                        if gap <= tol.mass:
+                        if gap <= tau:
                             hit = (combo, nu_sums[k][1])
     if hit is not None:
         return {"status": "colliding", "I": hit[0], "J": hit[1],
@@ -152,7 +155,7 @@ class UniquenessCertificate:
     solve_result: Optional[SolveResult] = None
 
 
-def _block_witness(result: SolveResult, src_block, tgt_block, left, tol):
+def _block_witness(result: SolveResult, src_block, tgt_block, left):
     """Two distinct optimal pairs from two or more tight-residual blocks.
 
     ``src_block``/``tgt_block`` give each point's block, and ``left``
@@ -181,14 +184,13 @@ def _block_witness(result: SolveResult, src_block, tgt_block, left, tol):
     g2[~pos_t] = (mat[np.ix_(pos_s, ~pos_t)] - f2[pos_s, None]).min(axis=0)
     f2[~pos_s] = (mat[~pos_s] - g2[None, :]).min(axis=1)
     cand = PotentialPair(f2, g2, pair.source, pair.target)
-    if verify_duality(result.plan, cand, mat, tol).optimal:
+    if verify_duality(result.plan, cand, mat).optimal:
         return pair, cand
     return None
 
 
 def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
-            decomposition: ComponentDecomposition,
-            tol: Tolerances = DEFAULT_TOLERANCES) -> UniquenessCertificate:
+            decomposition: ComponentDecomposition) -> UniquenessCertificate:
     """Structural uniqueness certificate for the dual optimizers.
 
     Pipeline: solve, then split the components into the blocks of the
@@ -205,12 +207,12 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     potential, which a flag records.  Two or more blocks yield a verified
     shift witness and verdict non_unique.
     """
-    result = solve(mu, nu, cost, tol)
+    result = solve(mu, nu, cost)
     ms, mt = decomposition.component_masses(mu, nu)
     flags: list[str] = []
     try:
-        marginal = marginal_degeneracy_check(ms, mt, tol)
-        if marginal["min_gap"] < MARGIN_FACTOR * tol.mass \
+        marginal = marginal_degeneracy_check(ms, mt)
+        if marginal["min_gap"] < MARGIN_FACTOR * TAU_MASS \
                 and marginal["status"] == "nondegenerate":
             flags.append(
                 f"degeneracy-margin: minimal subset-sum gap "
@@ -219,13 +221,13 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     except TooManyComponents:
         marginal = None
         flags.append("marginal degeneracy check skipped: component cap")
-    tight = _tight_mask(result.pair, result.cost_matrix, tol) \
+    tight = _tight_mask(result.pair, result.cost_matrix) \
         & np.outer(mu.weights > 0, nu.weights > 0)
     labels, ti, tj = tight_components(
         result.plan.rows, result.plan.cols, tight,
         decomposition.source_index, decomposition.target_index)
     degeneracy = _degeneracy(labels, ms, mt)
-    live = [mass > DEFAULT_TOLERANCES.mass for mass in ms]
+    live = [mass > TAU_MASS for mass in ms]
     comp_verdicts = [(k, "unique" if ok else "zero_mass")
                      for k, ok in enumerate(live)]
     if any(ok and len(grp) > 1
@@ -250,7 +252,7 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     verdict = "unique" if freedom == 0 else "inconclusive"
     if freedom > 0:
         witness = _block_witness(result, src_block, tgt_block,
-                                 src_block[ti[~glued]], tol)
+                                 src_block[ti[~glued]])
         if witness is not None:
             verdict = "non_unique"
         else:
@@ -272,8 +274,7 @@ class AmbiguityWitness:
 
 def ambiguity_witness(mu: DiscreteMeasure, cost: CostSpec,
                       decomposition: ComponentDecomposition,
-                      n_samples: int = 9, tol: Tolerances = DEFAULT_TOLERANCES
-                      ) -> AmbiguityWitness:
+                      n_samples: int = 9) -> AmbiguityWitness:
     """The f_{a, b} family on a separated self-coupled instance.
 
     Requires nu = mu, a symmetric cost vanishing on the diagonal, and
@@ -292,7 +293,8 @@ def ambiguity_witness(mu: DiscreteMeasure, cost: CostSpec,
     mat = np.asarray(cost.matrix(mu, mu), dtype=float)
     if not np.allclose(mat, mat.T, atol=1e-12 * (1.0 + float(np.max(mat)))):
         raise NotSymmetric("cost matrix is not symmetric")
-    if float(np.max(np.abs(np.diag(mat)))) > tol.tight(float(np.max(mat))):
+    if float(np.max(np.abs(np.diag(mat)))) \
+            > TAU_TIGHT_SCALE * (1.0 + float(np.max(mat))):
         raise NotSelfCoupled("cost does not vanish on the diagonal")
     grp1, grp2 = decomposition.source_components[:2]
     delta = float(np.min(mat[np.ix_(list(grp1), list(grp2))]))
@@ -304,7 +306,7 @@ def ambiguity_witness(mu: DiscreteMeasure, cost: CostSpec,
         f = np.zeros(mu.n)
         f[list(grp2)] = b
         pair = PotentialPair(f, -f, mu, mu)
-        rep = verify_duality(plan, pair, mat, tol)
+        rep = verify_duality(plan, pair, mat)
         if not rep.optimal:
             raise OTUniqError(
                 f"f_(0, {b}) failed verification, gap {rep.gap:.3e}"
@@ -312,7 +314,7 @@ def ambiguity_witness(mu: DiscreteMeasure, cost: CostSpec,
         samples.append((0.0, float(b)))
         pairs.append(pair)
     zero = np.zeros(mu.n)
-    face = dual_face_oracle(plan, PotentialPair(zero, zero, mu, mu), mat, tol)
+    face = dual_face_oracle(plan, PotentialPair(zero, zero, mu, mu), mat)
     spread = float(np.max(face.f_max[list(grp2)] - face.f_min[list(grp2)]))
     return AmbiguityWitness(delta=delta, samples=tuple(samples),
                             pairs=tuple(pairs), oracle_spread=spread)

@@ -146,7 +146,7 @@ class TestCriterion4ThreeWayAgreement:
             dec = ComponentDecomposition.build(mu, nu, "epsilon_graph", eps)
             cert = certify(mu, nu, cost, dec)
             face = dual_face_oracle(res.plan, res.pair, res.cost_matrix)
-            tight = tight_graph_connectivity_oracle(res, cost)
+            tight = tight_graph_connectivity_oracle(res)
             structural = cert.verdict == "unique"
             if face.unique == structural == tight["unique"] \
                     and structural == expect:

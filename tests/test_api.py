@@ -1,5 +1,10 @@
 """The public names of the package, pinned so that a change shows in
-review."""
+review, and the README's library example, run as written."""
+
+import contextlib
+import io
+import pathlib
+import re
 
 import otuniq
 
@@ -14,7 +19,6 @@ PUBLIC = [
     "PotentialPair",
     "SolveResult",
     "Subdifferential",
-    "Tolerances",
     "TransportPlan",
     "UniquenessCertificate",
     "ambiguity_witness",
@@ -45,3 +49,13 @@ PUBLIC = [
 
 def test_public_names():
     assert sorted(otuniq.__all__) == PUBLIC
+
+
+def test_readme_library_example():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    section = readme.read_text().split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue() == "non_unique 1\n"

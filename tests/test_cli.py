@@ -129,6 +129,43 @@ class TestExitCodes:
         assert main(["certify", path, "--epsilon", "nan"]) == 3
         assert "BadEpsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("path, patch", [
+        ("/source/weights/0", {"source": {"points": [[0.0], [1.0]],
+                                          "weights": [float("nan"), 0.5]}}),
+        ("/source/weights/1", {"source": {"points": [[0.0], [1.0]],
+                                          "weights": [0.5, float("inf")]}}),
+        ("/source/weights/1", {"source": {"points": [[0.0], [1.0]],
+                                          "weights": [0.5, 10 ** 400]}}),
+        ("/cost/values/1", {"cost": {"kind": "explicit_matrix",
+                                     "values": [[0, 1], [1]]}}),
+        ("/cost/values", {"cost": {"kind": "explicit_matrix",
+                                   "values": [[0, 1, 2], [1, 0, 2]]}}),
+        ("/cost/q", {"cost": {"kind": "lp_norm_power", "q": float("nan"),
+                              "p": 2}}),
+        ("/options/epsilon", {"options": {"epsilon": float("nan")}}),
+    ], ids=["nan_weight", "inf_weight", "huge_weight", "ragged_matrix",
+            "matrix_shape", "nan_q", "nan_epsilon"])
+    def test_bad_document_names_its_path(self, tmp_path, capsys, exact,
+                                         path, patch):
+        doc = {
+            "schema": "1",
+            "source": {"points": [[0.0], [1.0]], "weights": [0.5, 0.5]},
+            "target": {"points": [[0.0], [1.0]], "weights": [0.5, 0.5]},
+            "cost": {"kind": "explicit_matrix",
+                     "values": [[0.0, 2.0], [3.0, 1.0]]},
+        }
+        problem = _write(tmp_path, {**doc, **patch})
+        assert main(["solve", problem] + ["--exact"] * exact) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
+
+    def test_overlong_integer_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text('{"schema": "1", "source": {"points": [[0]], '
+                        '"weights": [1%s]}}' % ("0" * 5000))
+        assert main(["solve", str(path)]) == 2
+        assert "error: /: invalid JSON" in capsys.readouterr().err
+
     def test_certify_unique_exit_zero(self, tmp_path, capsys):
         path = _two_interval(tmp_path, mass_left=0.4, target_mass_left=0.5)
         assert main(["certify", path]) == 0
@@ -331,6 +368,27 @@ class TestExactSection:
         blocks = rep["exact"]["plan_blocks"]
         assert blocks == len(rep["certificate"]["degeneracy"]["blocks"])
         assert rep["exact"]["plan_degenerate"] == (blocks > 1)
+
+    def test_marginal_collision_has_zero_tolerance(self, tmp_path, capsys):
+        # source component masses 1/2 +- 1e-12 match the targets' 1/2
+        # within tau_mass in floats, but not in Fractions
+        path = _write(tmp_path, {
+            "schema": "1",
+            "source": {"points": [[0], [1]],
+                       "weights": ["500000000001/1000000000000",
+                                   "499999999999/1000000000000"],
+                       "labels": [0, 1]},
+            "target": {"points": [[0], [1]], "weights": ["1/2", "1/2"],
+                       "labels": [0, 1]},
+            "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
+        })
+        assert main(["certify", path, "--exact", "--labels"]) == 10
+        rep = json.loads(capsys.readouterr().out)
+        marginal = rep["certificate"]["marginal_degeneracy"]
+        assert marginal["status"] == "colliding"
+        assert 0 < marginal["min_gap"] < 1e-11
+        assert rep["exact"]["marginal_collision"] is None
+        assert rep["exact"]["plan_blocks"] == 1
 
     def test_component_cap_is_solver_error(self, tmp_path, capsys):
         # 14 + 13 components exceed SUBSET_CAP; the subset search would

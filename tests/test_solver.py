@@ -512,7 +512,7 @@ class TestTightGraphOracle:
         nu = DiscreteMeasure(np.arange(4.0)[:, None], np.full(4, 0.25))
         cost = CostSpec.sq_euclidean()
         res = solve(mu, nu, cost)
-        out = tight_graph_connectivity_oracle(res, cost)
+        out = tight_graph_connectivity_oracle(res)
         assert out["unique"]
 
     def test_separated_identical_clusters_not_unique(self):
@@ -521,7 +521,7 @@ class TestTightGraphOracle:
         mu = DiscreteMeasure(pts, np.full(6, 1 / 6))
         cost = CostSpec.sq_euclidean()
         res = solve(mu, mu, cost)
-        out = tight_graph_connectivity_oracle(res, cost)
+        out = tight_graph_connectivity_oracle(res)
         assert not out["unique"]
 
     @pytest.mark.parametrize("seed", range(10))
@@ -530,7 +530,7 @@ class TestTightGraphOracle:
         kind = "unique" if seed % 2 == 0 else "non_unique"
         mu, nu, cost, _, _ = random_instance(rng, kind, max_points=16)
         res, face = _solved_face(mu, nu, cost)
-        tight = tight_graph_connectivity_oracle(res, cost)
+        tight = tight_graph_connectivity_oracle(res)
         assert face.unique == tight["unique"]
 
     def test_normalization_invariance(self):
@@ -540,8 +540,9 @@ class TestTightGraphOracle:
         shifted = res.__class__(
             plan=res.plan,
             pair=PotentialPair(res.pair.f + 2.5, res.pair.g - 2.5, mu, nu),
-            basis=res.basis, iterations=res.iterations, duality=res.duality)
-        a = tight_graph_connectivity_oracle(res, cost)
-        b = tight_graph_connectivity_oracle(shifted, cost)
+            basis=res.basis, iterations=res.iterations, duality=res.duality,
+            cost_matrix=res.cost_matrix)
+        a = tight_graph_connectivity_oracle(res)
+        b = tight_graph_connectivity_oracle(shifted)
         assert a["unique"] == b["unique"]
         assert a["usable_edges"] == b["usable_edges"]

@@ -1,5 +1,8 @@
 """Degeneracy tests, component flow graphs, certificates, witnesses."""
 
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +57,28 @@ class TestMarginalDegeneracy:
     def test_single_components_vacuous(self):
         out = marginal_degeneracy_check([1.0], [1.0])
         assert out["status"] == "nondegenerate"
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_one_component_side_returns_at_once(self, swap):
+        # one side has no proper subset to match, so the other side's
+        # 2^25 subsets need no enumeration
+        ms, mt = [1 / 25] * 25, [1.0]
+        if swap:
+            ms, mt = mt, ms
+        t0 = time.perf_counter()
+        out = marginal_degeneracy_check(ms, mt)
+        assert time.perf_counter() - t0 < 1.0
+        assert out == {"status": "nondegenerate", "min_gap": float("inf")}
+
+    def test_fraction_masses_compare_exactly(self):
+        ms = [Fraction(500000000001, 10**12), Fraction(499999999999, 10**12)]
+        mt = [Fraction(1, 2), Fraction(1, 2)]
+        out = marginal_degeneracy_check(ms, mt)
+        assert out["status"] == "nondegenerate"
+        assert out["min_gap"] == Fraction(1, 10**12)
+        floats = marginal_degeneracy_check([float(x) for x in ms],
+                                           [0.5, 0.5])
+        assert floats["status"] == "colliding"
 
     def test_component_cap(self):
         with pytest.raises(TooManyComponents):
@@ -294,7 +319,7 @@ class TestVerdictSoundness:
         cert = certify(mu, nu, cost, dec)
         res = cert.solve_result
         face = dual_face_oracle(res.plan, res.pair, res.cost_matrix)
-        tight = tight_graph_connectivity_oracle(res, cost)["unique"]
+        tight = tight_graph_connectivity_oracle(res)["unique"]
         assert face.unique == tight
         # one point per component asserts nothing about a continuum, so
         # the certificate is unflagged and must match the oracles
