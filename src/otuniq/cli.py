@@ -49,8 +49,6 @@ EXIT_NON_UNIQUE = 10
 EXIT_INCONCLUSIVE = 11
 EXIT_DISAGREEMENT = 20
 
-log = logging.getLogger("otuniq")
-
 
 def _setup_logging() -> None:
     level = os.environ.get("OTUNIQ_LOG", "warning").upper()
@@ -72,11 +70,9 @@ def _load(path: str, exact: bool) -> ProblemDocument:
 
 
 def _decomposition(doc: ProblemDocument, args) -> ComponentDecomposition:
-    if getattr(args, "labels", False):
+    if args.labels:
         return ComponentDecomposition.build(doc.mu, doc.nu, "explicit_labels")
-    epsilon = getattr(args, "epsilon", None)
-    if epsilon is None:
-        epsilon = doc.epsilon
+    epsilon = doc.epsilon if args.epsilon is None else args.epsilon
     if epsilon is None:
         raise ProblemFormatError(
             "/options/epsilon",
@@ -88,13 +84,12 @@ def _decomposition(doc: ProblemDocument, args) -> ComponentDecomposition:
 def cmd_solve(args) -> int:
     doc = _load(args.problem, args.exact)
     if doc.exact:
-        cost = doc.cost.exact_matrix(doc.mu, doc.nu)
-        masses, f, g, iterations = solve_exact(
-            cost, doc.exact_weights[0], doc.exact_weights[1])
-        primal = sum(cost[i, j] * v for (i, j), v in masses.items())
+        cost, a, b = doc.exact_problem()
+        masses, f, g, iterations = solve_exact(cost, a, b)
         body = {"solve": {
             "mode": "exact",
-            "primal_cost": primal,
+            "primal_cost": sum(cost[i, j] * v
+                               for (i, j), v in masses.items()),
             "iterations": iterations,
             "plan": [[i, j, v] for (i, j), v in sorted(masses.items())],
             "f": list(f), "g": list(g),
@@ -141,7 +136,8 @@ def cmd_certify(args) -> int:
         }
     if doc.exact:
         body["exact"] = _exact_section(doc, dec)
-    disagreement = False
+    code = {"unique": EXIT_OK, "non_unique": EXIT_NON_UNIQUE}.get(
+        cert.verdict, EXIT_INCONCLUSIVE)
     if args.oracle == "on":
         face = dual_face_oracle(result.plan, result.pair, result.cost_matrix)
         tight = tight_graph_connectivity_oracle(result)
@@ -158,7 +154,7 @@ def cmd_certify(args) -> int:
         differs = structural is not None and \
             (face.unique != structural or tight["unique"] != structural)
         if differs and not continuum:
-            disagreement = True
+            code = EXIT_DISAGREEMENT
             body["oracles"]["disagreement"] = {
                 "structural": cert.verdict,
                 "dual_face": face.unique,
@@ -172,23 +168,13 @@ def cmd_certify(args) -> int:
                 "verdict on a continuum-flagged certificate; the oracles "
                 "see the discretized dual face only")
     _emit(render_report(body, doc.digest, args.seed), args.out)
-    if disagreement:
-        return EXIT_DISAGREEMENT
-    if cert.verdict == "unique":
-        return EXIT_OK
-    if cert.verdict == "non_unique":
-        return EXIT_NON_UNIQUE
-    return EXIT_INCONCLUSIVE
+    return code
 
 
 def _exact_section(doc: ProblemDocument, dec: ComponentDecomposition) -> dict:
-    """Exact-rational degeneracy analysis next to the float certificate.
-
-    The blocks are ``certify``'s, on the ``solve_exact`` solution with
-    tightness ``slack == 0`` in Fractions.
-    """
-    a, b = doc.exact_weights
-    cost = doc.cost.exact_matrix(doc.mu, doc.nu)
+    """``certify``'s blocks and marginal check on the exact solution of the
+    problem as written, with tightness ``slack == 0`` in Fractions."""
+    cost, a, b = doc.exact_problem()
     masses, f, g, _it = solve_exact(cost, a, b)
     tight = (cost - np.add.outer(f, g) == 0) \
         & np.outer(np.array(a) > 0, np.array(b) > 0)
@@ -223,29 +209,42 @@ def cmd_witness(args) -> int:
 
 def cmd_regularity(args) -> int:
     doc = _load(args.problem, False)
-    grid = doc.mu.points
-    anchor = np.array([float(v) for v in args.anchor.split(",")])
+    grid, dim = doc.mu.points, doc.mu.dim
+    anchor = _numbers(args, "anchor", dim)
     if args.partner is not None:
-        partner = np.array([float(v) for v in args.partner.split(",")])
-        region = dominated_region(anchor, partner, doc.cost, grid)
-        values = region.member
-    elif args.direction is not None:
-        u = np.array([float(v) for v in args.direction.split(",")])
-        radii = [float(v) for v in args.radii.split(",")]
-        region = asymptotic_region(anchor, u, doc.cost, radii, grid)
-        values = region.tail_frequency
+        values = dominated_region(anchor, _numbers(args, "partner", dim),
+                                  doc.cost, grid).member
     else:
-        raise ProblemFormatError("/", "need --partner or --direction")
+        values = asymptotic_region(
+            anchor, _numbers(args, "direction", dim), doc.cost,
+            _numbers(args, "radii"), grid).tail_frequency
     _emit(render_csv_grid(grid, values), args.out)
     return EXIT_OK
 
 
+def _numbers(args, name: str, count: Optional[int] = None) -> np.ndarray:
+    """Option --name as finite comma-separated numbers (``count`` of them)."""
+    text = getattr(args, name)
+    try:
+        vals = np.array([float(v) for v in text.split(",")])
+        ok = np.all(np.isfinite(vals)) and count in (None, len(vals))
+    except (AttributeError, ValueError):        # missing, or not a number
+        ok = False
+    if not ok:
+        raise ProblemFormatError(f"--{name}", f"expected {count or 'some'} "
+                                 f"comma-separated numbers, got {text!r}")
+    return vals
+
+
 def cmd_ctransform(args) -> int:
     doc = _load(args.problem, False)
-    with open(args.values) as fh:
-        raw = json.load(fh)
-    vals = np.array([NEG_INF if v in ("-inf", None) else float(v)
-                     for v in raw])
+    try:
+        with open(args.values) as fh:
+            vals = np.array([NEG_INF if v in ("-inf", None) else float(v)
+                             for v in json.load(fh)])
+    except (ValueError, TypeError) as exc:      # not JSON, or not numbers
+        raise ProblemFormatError("--values", f"expected a JSON list of "
+                                             f"numbers or '-inf': {exc}")
     mat = doc.cost.matrix(doc.mu, doc.nu)
     res = c_transform(vals, mat, args.direction)
     pts = doc.mu.points if args.direction == "to_source" else doc.nu.points
@@ -260,56 +259,52 @@ def build_parser() -> argparse.ArgumentParser:
                     "of finite optimal transport problems")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--seed": dict(type=int, help="seed recorded in the report"),
+        "--epsilon": dict(type=float,
+                          help="proximity-graph decomposition radius"),
+        "--labels": dict(action="store_true",
+                         help="use the measures' explicit component labels"),
+        "--exact": dict(action="store_true",
+                        help="exact-rational mode: numbers are read as "
+                             "written, decimals or 'p/q'"),
+    }
 
-    def common(p, oracle=False):
+    def command(name, func, help, *options):
+        """A subcommand reading the problem, --out and ``options``."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("problem", help="problem document path (JSON)")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed recorded in the report")
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="proximity-graph decomposition radius")
-        p.add_argument("--labels", action="store_true",
-                       help="use the measures' explicit component labels")
-        p.add_argument("--exact", action="store_true",
-                       help="exact-rational mode; numbers may be 'p/q'")
-        if oracle:
-            p.add_argument("--oracle", choices=("on", "off"), default="on",
-                           help="cross-check with the dual-face and "
-                                "tight-graph oracles")
+        for option in options:
+            p.add_argument(option, **shared[option])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve", help="solve and emit plan + potentials")
-    common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("certify", help="certify dual uniqueness")
-    common(p, oracle=True)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("witness", help="emit the f_{a,b} ambiguity family")
-    common(p)
+    command("solve", cmd_solve, "solve and emit plan + potentials",
+            "--seed", "--exact")
+    p = command("certify", cmd_certify, "certify dual uniqueness",
+                "--seed", "--epsilon", "--labels", "--exact")
+    p.add_argument("--oracle", choices=("on", "off"), default="on",
+                   help="cross-check with the dual-face and tight-graph "
+                        "oracles")
+    p = command("witness", cmd_witness, "emit the f_{a,b} ambiguity family",
+                "--seed", "--epsilon", "--labels")
     p.add_argument("--samples", type=int, default=9)
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("regularity",
-                       help="dominated-cost and asymptotic region grids")
-    common(p)
+    p = command("regularity", cmd_regularity,
+                "dominated-cost and asymptotic region grids")
     p.add_argument("--anchor", required=True,
                    help="comma-separated anchor coordinates x")
-    p.add_argument("--partner", default=None,
-                   help="partner y for the dominated region")
-    p.add_argument("--direction", default=None,
-                   help="unit direction u for the asymptotic region")
-    p.add_argument("--radii", default=None,
-                   help="comma-separated escape radii")
-    p.set_defaults(func=cmd_regularity)
-
-    p = sub.add_parser("ctransform", help="c-transform of tabulated values")
-    common(p)
+    region = p.add_mutually_exclusive_group(required=True)
+    region.add_argument("--partner", help="partner y for the dominated region")
+    region.add_argument("--direction",
+                        help="unit direction u for the asymptotic region")
+    p.add_argument("--radii", help="comma-separated escape radii")
+    p = command("ctransform", cmd_ctransform,
+                "c-transform of tabulated values")
     p.add_argument("--values", required=True,
                    help="JSON list of dual values ('-inf' allowed)")
     p.add_argument("--direction", choices=("to_source", "to_target"),
                    default="to_source")
-    p.set_defaults(func=cmd_ctransform)
     return parser
 
 
@@ -319,15 +314,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProblemFormatError as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (ProblemFormatError, OSError) as exc:    # OSError: a bad path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OTUniqError as exc:
-        log.error("%s", exc)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -8,7 +8,6 @@ lifting works on plain numpy arrays.  Potentials may take the value -inf
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -72,8 +71,8 @@ class DiscreteMeasure:
             raise DimensionMismatch(
                 f"{pts.shape[0]} points but {w.shape[0]} weights"
             )
-        if pts.shape[0] == 0:
-            raise OTUniqError("measure needs at least one point")
+        if pts.size == 0:
+            raise OTUniqError("measure needs a point with a coordinate")
         if np.any(w < 0):
             raise OTUniqError("weights must be nonnegative")
         total = w.sum()
@@ -263,30 +262,15 @@ class CostSpec:
             raise OTUniqError("cost evaluation produced invalid entries")
         return _as_readonly(np.maximum(mat, 0.0))
 
-    def exact_matrix(self, mu: DiscreteMeasure,
-                     nu: DiscreteMeasure) -> np.ndarray:
-        """Rational cost matrix for the exact mode (limited kinds).
-
-        An (n, m) object array of Fractions; each coordinate or explicit
-        entry is rounded to the nearest fraction of denominator at most
-        10**12 once.
-        """
-        if self.kind == "explicit_matrix":
-            return _fractions(self.matrix(mu, nu))
+    def exact_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Exact squared Euclidean or l1 cost matrix between (n, d) and
+        (m, d) object arrays of Fraction points, as an object array."""
         if self.kind == "lp_norm_power" and (self.q, self.p) in ((2.0, 2.0), (1.0, 1.0)):
-            d = _fractions(mu.points)[:, None, :] \
-                - _fractions(nu.points)[None, :, :]
+            d = x[:, None, :] - y[None, :, :]
             return (d * d).sum(axis=2) if self.q == 2.0 \
                 else abs(d).sum(axis=2)
-        raise OTUniqError(
-            "exact mode supports explicit matrices, squared Euclidean, and l1 costs"
-        )
-
-
-def _fractions(a: np.ndarray) -> np.ndarray:
-    """Object array of the nearest Fractions of denominator <= 10**12."""
-    return np.array([Fraction(v).limit_denominator(10**12) for v in a.flat],
-                    dtype=object).reshape(a.shape)
+        raise OTUniqError("exact mode supports explicit matrices, squared "
+                          "Euclidean, and l1 costs")
 
 
 def _lp_norm(diff: np.ndarray, q: float) -> np.ndarray:

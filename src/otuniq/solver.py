@@ -1,25 +1,15 @@
 """Transportation simplex and independent dual-uniqueness oracles.
 
-The simplex is an incremental network simplex on the dense bipartite
-graph: a northwest-corner start, a basis tree kept as parent and flow
-arrays beside a preorder array and subtree sizes (so every subtree is
-a slice), cycles found by a lowest-common-ancestor walk, the re-hung
-subtree moved as one block with its duals shifted in one array
-operation, block-search pricing, and the strongly-feasible-tree
-leaving rule against cycling.  It runs on the positive-weight points
-alone; zero-weight points get their potentials by c-transform and join
-the basis tree by tight arcs.  It is generic over the scalar type, so
-the same code runs in float mode and in exact Fraction mode.  Two
-oracles cross-validate certificates produced elsewhere:
+The simplex (``_transport_simplex``, run by ``_solve_core`` on the
+positive-weight points) is generic over the scalar type, so the same
+code runs in float mode and in exact Fraction mode.  Two oracles
+cross-validate certificates produced elsewhere:
 
-* ``dual_face_oracle`` bounds each normalized dual coordinate over the
-  optimal face by two shortest-path runs on the difference-constraint
-  graph of the plan's support;
-* ``tight_graph_connectivity_oracle`` applies the classical
-  transportation-LP criterion on the tight-edge graph; it shares
-  ``core.tight_components`` with ``certify`` and with the exact
-  section of ``otuniq certify --exact``, which passes the pairs whose
-  Fraction slack on the ``solve_exact`` solution is zero.
+* ``dual_face_oracle`` bounds each dual coordinate over the optimal
+  face by two shortest-path runs;
+* ``tight_graph_connectivity_oracle`` applies the classical criterion
+  on the tight-edge graph by ``core.tight_components``, the routine of
+  ``certify`` and of the exact section of ``otuniq certify --exact``.
 """
 
 from __future__ import annotations

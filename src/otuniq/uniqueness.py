@@ -8,7 +8,7 @@ f_{a, b} ambiguity witness family for separated self-coupled instances.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -89,17 +89,54 @@ class ComponentFlowGraph:
                    tuple(ms), tuple(mt))
 
 
+def _subset_sums(masses):
+    """(sum, subset) of each nonempty proper subset, by size, then
+    lexicographically."""
+    for r in range(1, len(masses)):
+        for combo in itertools.combinations(range(len(masses)), r):
+            yield sum(map(masses.__getitem__, combo)), combo
+
+
+def _target_neighbours(ms, mt):
+    """(s, I, lo, hi) for source subsets I in enumeration order: lo and
+    hi are the sorted (sum, J) target entries just below s and at or
+    above it, or None.  Only the smaller side's sums are kept; if those
+    are the source's, only each sum's first subset comes back."""
+    if len(ms) >= len(mt):
+        targets = sorted(_subset_sums(mt))
+        keys, padded = [t for t, _ in targets], [None] + targets + [None]
+        for s, combo in _subset_sums(ms):
+            pos = bisect_left(keys, s)
+            yield s, combo, padded[pos], padded[pos + 1]
+        return
+    first: dict = {}
+    for s, combo in _subset_sums(ms):
+        first.setdefault(s, combo)
+    keys = sorted(first)
+    # the greatest and the least target entries in [keys[q - 1], keys[q])
+    most, least = [None] * (len(keys) + 1), [None] * (len(keys) + 1)
+    for entry in _subset_sums(mt):
+        q = bisect_right(keys, entry[0])
+        most[q] = max(most[q] or entry, entry)
+        least[q] = min(least[q] or entry, entry)
+    below = list(itertools.accumulate(most, lambda x, y: y or x))
+    above = list(itertools.accumulate(least[::-1], lambda x, y: y or x))
+    for s, combo in first.items():
+        q = bisect_left(keys, s)
+        yield s, combo, below[q], above[len(keys) - 1 - q]
+
+
 def marginal_degeneracy_check(component_masses_mu: Sequence[float],
                               component_masses_nu: Sequence[float]) -> dict:
     """Subset-sum collision test on component masses.
 
     Nondegenerate iff no nonempty proper subset of source-component
-    masses matches a nonempty proper subset of target-component masses
-    within tau_mass.  Also reports the minimal gap over all subset pairs
-    for knife-edge warnings.  When every mass is a Fraction, tau_mass is
-    0 and the test is exact.  The reported (I, J) is the first colliding
-    source subset by size, then lexicographically, with the least target
-    subset of equal sum.
+    masses matches one of target-component masses within tau_mass, or
+    exactly when every mass is a Fraction.  Also reports the minimal gap
+    over all subset pairs, for knife-edge warnings.  (I, J) pairs the
+    first source subset, by size then lexicographically, that reaches it
+    with its nearest target subset.  Only the smaller side's subset sums
+    are held in memory.
     """
     ms = list(component_masses_mu)
     mt = list(component_masses_nu)
@@ -110,25 +147,15 @@ def marginal_degeneracy_check(component_masses_mu: Sequence[float],
     if len(ms) < 2 or len(mt) < 2:      # a side with no proper subset
         return {"status": "nondegenerate", "min_gap": float("inf")}
     tau = 0 if all(isinstance(x, Fraction) for x in ms + mt) else TAU_MASS
-    nu_sums = []
-    for r in range(1, len(mt)):
-        for combo in itertools.combinations(range(len(mt)), r):
-            nu_sums.append((sum(mt[j] for j in combo), combo))
-    nu_sums.sort()
-    keys = [s for s, _ in nu_sums]
     best_gap = float("inf")
     hit = None
-    for r in range(1, len(ms)):
-        for combo in itertools.combinations(range(len(ms)), r):
-            s = sum(ms[i] for i in combo)
-            pos = bisect_left(keys, s)
-            for k in (pos - 1, pos):
-                if 0 <= k < len(keys):
-                    gap = abs(keys[k] - s)
-                    if gap < best_gap:
-                        best_gap = gap
-                        if gap <= tau:
-                            hit = (combo, nu_sums[k][1])
+    for s, combo, lo, hi in _target_neighbours(ms, mt):
+        for t, other in filter(None, (lo, hi)):
+            gap = abs(t - s)
+            if gap < best_gap:
+                best_gap = gap
+                if gap <= tau:
+                    hit = (combo, other)
     if hit is not None:
         return {"status": "colliding", "I": hit[0], "J": hit[1],
                 "min_gap": best_gap}

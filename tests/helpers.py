@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from otuniq.core import CostSpec, DiscreteMeasure
+from otuniq.core import TAU_MASS, CostSpec, DiscreteMeasure
 
 
 def enumerate_vertices(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -269,3 +271,36 @@ def two_interval_instance(n_per_side: int = 20, mass_left: float = 0.5):
         np.full(n_per_side, mass_left / n_per_side),
         np.full(n_per_side, (1.0 - mass_left) / n_per_side)])
     return DiscreteMeasure(pts, w)
+
+
+def marginal_degeneracy_reference(ms, mt) -> dict:
+    """``marginal_degeneracy_check`` as it was with every proper target
+    subset sum in one sorted list: the reference for its (I, J) and
+    min_gap, memory 2^(target components)."""
+    ms, mt = list(ms), list(mt)
+    if len(ms) < 2 or len(mt) < 2:
+        return {"status": "nondegenerate", "min_gap": float("inf")}
+    tau = 0 if all(isinstance(x, Fraction) for x in ms + mt) else TAU_MASS
+    nu_sums = []
+    for r in range(1, len(mt)):
+        for combo in itertools.combinations(range(len(mt)), r):
+            nu_sums.append((sum(mt[j] for j in combo), combo))
+    nu_sums.sort()
+    keys = [s for s, _ in nu_sums]
+    best_gap = float("inf")
+    hit = None
+    for r in range(1, len(ms)):
+        for combo in itertools.combinations(range(len(ms)), r):
+            s = sum(ms[i] for i in combo)
+            pos = bisect_left(keys, s)
+            for k in (pos - 1, pos):
+                if 0 <= k < len(keys):
+                    gap = abs(keys[k] - s)
+                    if gap < best_gap:
+                        best_gap = gap
+                        if gap <= tau:
+                            hit = (combo, nu_sums[k][1])
+    if hit is not None:
+        return {"status": "colliding", "I": hit[0], "J": hit[1],
+                "min_gap": best_gap}
+    return {"status": "nondegenerate", "min_gap": best_gap}

@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, report shape, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import tempfile
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -144,8 +148,14 @@ class TestExitCodes:
         ("/cost/q", {"cost": {"kind": "lp_norm_power", "q": float("nan"),
                               "p": 2}}),
         ("/options/epsilon", {"options": {"epsilon": float("nan")}}),
+        ("/target/points", {"target": {"points": [[0.0, 0.0], [1.0, 0.0]],
+                                       "weights": [0.5, 0.5]},
+                            "cost": {"kind": "lp_norm_power"}}),
+        ("/source/points", {"source": {"points": [[], []],
+                                       "weights": [0.5, 0.5]}}),
     ], ids=["nan_weight", "inf_weight", "huge_weight", "ragged_matrix",
-            "matrix_shape", "nan_q", "nan_epsilon"])
+            "matrix_shape", "nan_q", "nan_epsilon", "target_dimension",
+            "no_coordinates"])
     def test_bad_document_names_its_path(self, tmp_path, capsys, exact,
                                          path, patch):
         doc = {
@@ -511,3 +521,258 @@ class TestCTransform:
         rows = out.read_text().strip().splitlines()[1:]
         got = [float(r.split(",")[1]) for r in rows]
         assert got == [2.0, 1.0]
+
+
+def _run(argv):
+    """Exit code and standard error of one in-process CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(
+            io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestExactAsWritten:
+    """Exact mode solves the problem as written: decimals are the
+    decimals written, and nothing is rounded through doubles."""
+
+    def test_decimal_weights_balance(self, tmp_path, capsys):
+        # 0.3 + 0.7 is 1 as decimals, not as the sum of two doubles
+        path = _write(tmp_path, {
+            "schema": "1",
+            "source": {"points": [[0], [1]], "weights": [0.3, 0.7]},
+            "target": {"points": [[0], [2]], "weights": [0.5, 0.5]},
+            "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
+        })
+        assert main(["solve", path]) == 0
+        capsys.readouterr()
+        assert main(["solve", path, "--exact"]) == 0
+        sol = json.loads(capsys.readouterr().out)["solve"]
+        assert sol["plan"] == [[0, 0, "3/10"], [1, 0, "1/5"],
+                               [1, 1, "1/2"]]
+        assert sol["primal_cost"] == "7/10"
+
+    def test_tiny_cost_keeps_two_blocks(self, tmp_path, capsys):
+        # the off-diagonal cost 1e-15 keeps the two blocks apart: the
+        # dual face has width 1e-15, far below tau_tight
+        side = {"points": [[0], [1]], "weights": ["1/2", "1/2"],
+                "labels": [0, 1]}
+        tiny = "1/1000000000000000"
+        path = _write(tmp_path, {
+            "schema": "1", "source": side, "target": side,
+            "cost": {"kind": "explicit_matrix",
+                     "values": [[0, tiny], [tiny, 0]]},
+        })
+        main(["certify", path, "--exact", "--labels"])
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["exact"]["plan_blocks"] == 2
+        assert rep["exact"]["plan_degenerate"] is True
+
+    def test_points_as_written(self, tmp_path, capsys):
+        x = "123456789/1000000007"
+        path = _write(tmp_path, {
+            "schema": "1",
+            "source": {"points": [[x], [1]], "weights": ["1/2", "1/2"]},
+            "target": {"points": [[0], [2]], "weights": ["1/2", "1/2"]},
+            "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
+        })
+        assert main(["solve", path, "--exact"]) == 0
+        sol = json.loads(capsys.readouterr().out)["solve"]
+        # the only other coupling, x -> 2 and 1 -> 0, costs more
+        want = (Fraction(x) ** 2 + 1) / 2
+        assert Fraction(sol["primal_cost"]) == want
+
+    @pytest.mark.parametrize("flag", [False, True])
+    @pytest.mark.parametrize("raw", ["1e100000000", '"1e100000000"',
+                                     '"-1e100000000"', '"1e-100000000"'])
+    def test_huge_exponent_refused_at_once(self, tmp_path, raw, flag):
+        # building the Fraction of 1e100000000 would stall the parser
+        text = json.dumps({
+            "schema": "1",
+            "source": {"points": [[0], [1]], "weights": ["RAW", 0.5]},
+            "target": {"points": [[0], [1]], "weights": [0.5, 0.5]},
+            "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
+            "options": {"exact": not flag},
+        }).replace('"RAW"', raw)
+        path = tmp_path / "problem.json"
+        path.write_text(text)
+        t0 = time.perf_counter()
+        code, err = _run(["solve", str(path)] + ["--exact"] * flag)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and "error: /source/weights/0: " in err
+
+    @pytest.mark.parametrize("argv, cost", [
+        (["regularity", "{}", "--anchor", "0", "--partner", "1"],
+         {"kind": "profile_of_distance", "coeffs": [0, 0, 1]}),
+        (["regularity", "{}", "--anchor", "0", "--partner", "1"],
+         {"kind": "lp_norm_power", "q": 3, "p": 1}),
+        (["witness", "{}", "--epsilon", "1.5"],
+         {"kind": "profile_of_distance", "table": {"r": [0, 1, 9],
+                                                   "h": [0, 1, 81]}}),
+        (["ctransform", "{}", "--values", "{}.values"],
+         {"kind": "profile_of_distance", "coeffs": [0, 0, 1]}),
+    ], ids=["regularity_profile", "regularity_l3", "witness_table",
+            "ctransform_profile"])
+    def test_exact_option_leaves_float_commands(self, tmp_path, argv, cost):
+        # only an exact solve needs an exact cost matrix
+        pts = [[0], [1], [5], [6]]
+        side = {"points": pts, "weights": ["1/4"] * 4}
+        path = _write(tmp_path, {"schema": "1", "source": side,
+                                 "target": side, "cost": cost,
+                                 "options": {"exact": True}})
+        (tmp_path / "problem.json.values").write_text("[0, 0, 0, 0]")
+        assert _run([a.format(path) for a in argv])[0] == 0
+
+
+class TestArguments:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{}", "--labels"],
+        ["solve", "{}", "--epsilon", "3"],
+        ["witness", "{}", "--exact"],
+        ["regularity", "{}", "--anchor", "0", "--partner", "1", "--labels"],
+        ["regularity", "{}", "--anchor", "0", "--partner", "1",
+         "--epsilon", "3"],
+        ["regularity", "{}", "--anchor", "0", "--partner", "1", "--exact"],
+        ["ctransform", "{}", "--values", "{}", "--labels"],
+        ["ctransform", "{}", "--values", "{}", "--epsilon", "3"],
+        ["ctransform", "{}", "--values", "{}", "--exact"],
+        ["regularity", "{}", "--anchor", "0", "--partner", "1",
+         "--seed", "1"],
+        ["ctransform", "{}", "--values", "{}", "--seed", "1"],
+    ], ids=["solve_labels", "solve_epsilon", "witness_exact",
+            "regularity_labels", "regularity_epsilon", "regularity_exact",
+            "ctransform_labels", "ctransform_epsilon", "ctransform_exact",
+            "regularity_seed", "ctransform_seed"])
+    def test_option_a_command_ignores_is_rejected(self, tmp_path, capsys,
+                                                  argv):
+        path = _two_by_two(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(path) for a in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["solve", "{}", "--out", "{}.d"],
+                                      ["solve", "{}.d"]],
+                             ids=["out_is_a_directory", "problem_is_one"])
+    def test_unusable_path_exits_two(self, tmp_path, argv):
+        path = _two_by_two(tmp_path)
+        (tmp_path / "problem.json.d").mkdir()
+        code, err = _run([a.format(path) for a in argv])
+        assert code == 2 and "problem.json.d" in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["regularity", "{}", "--anchor", "x,0", "--partner", "1,1"],
+         "--anchor"),
+        (["regularity", "{}", "--anchor", "0,0", "--partner", "1,1,1"],
+         "--partner"),
+        (["regularity", "{}", "--anchor", "0,0", "--direction", "1,0"],
+         "--radii"),
+        (["regularity", "{}", "--anchor", "0,0", "--direction", "1,0",
+          "--radii", "a"], "--radii"),
+        (["ctransform", "{}", "--values", "{}.txt"], "--values"),
+    ], ids=["anchor_not_a_number", "partner_wrong_dimension",
+            "radii_missing", "radii_not_a_number", "values_not_json"])
+    def test_bad_argument_is_named(self, tmp_path, argv, name):
+        pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        side = {"points": pts, "weights": [0.25] * 4}
+        path = _write(tmp_path, {"schema": "1", "source": side,
+                                 "target": side,
+                                 "cost": {"kind": "lp_norm_power",
+                                          "q": 2, "p": 2}})
+        (tmp_path / "problem.json.txt").write_text("0, 0, 0, 0")
+        code, err = _run([a.format(path) for a in argv])
+        assert code == 2
+        assert f"error: {name}: " in err
+
+
+_FUZZ_BASES = (
+    {"schema": "1",
+     "source": {"points": [[0.0], [1.0]], "weights": [0.5, 0.5],
+                "labels": [0, 1]},
+     "target": {"points": [[0.0], [1.0]], "weights": [0.5, 0.5],
+                "labels": [0, 1]},
+     "cost": {"kind": "explicit_matrix", "values": [[0.0, 2.0], [3.0, 1.0]]}},
+    {"schema": "1",
+     "source": {"points": [[0, 0], [1, 0], [5, 5]],
+                "weights": [0.25, 0.25, 0.5], "labels": [0, 0, 1]},
+     "target": {"points": [[0, 1], [5, 4]], "weights": [0.5, 0.5],
+                "labels": [0, 1]},
+     "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
+     "options": {"epsilon": 2.0}},
+    {"schema": "1",
+     "source": {"points": [0, 1, 2], "weights": ["1/3", "1/3", "1/3"],
+                "labels": [0, 1, 2]},
+     "target": {"points": [[0.5]], "weights": [1], "labels": [0]},
+     "cost": {"kind": "lp_norm_power", "q": 1, "p": 1},
+     "options": {"exact": True}},
+    {"schema": "1",
+     "source": {"points": [[0.0], [3.0]], "weights": [0.5, 0.5],
+                "labels": [0, 1]},
+     "target": {"points": [[1.0], [2.0]], "weights": [0.5, 0.5],
+                "labels": [0, 1]},
+     "cost": {"kind": "profile_of_distance",
+              "table": {"r": [0, 1, 4], "h": [0, 1, 16]}}},
+)
+
+# raw JSON text: literals json.dumps cannot write
+_RAW = ("NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e100000000",
+        "1e-100000000")
+_VALUES = ("1e100000000", "-1e100000000", -1, -0.5, 0, 0.3, "0.3", "1/3",
+           "-2/7", "1/0", "x", None, True, {}, [], [[]], [1, 2])
+
+
+def _nodes(node, path=()):
+    yield path, node
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from _nodes(value, path + (k,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid document with up to two changes: a number replaced by a
+    non-finite or out-of-range literal; any value replaced by a
+    negative, decimal, "p/q" or wrong-type value; or a list made one
+    shorter or one longer.  Returns the document's JSON text."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_BASES))))
+    raws = []
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["raw", "value", "shape"]))
+        nodes = [(p, v) for p, v in _nodes(doc) if p and (
+            kind == "value" or isinstance(v, list) == (kind == "shape"))]
+        path, old = draw(st.sampled_from(nodes))
+        if kind == "raw":
+            raws.append(draw(st.sampled_from(_RAW)))
+            new = f"RAW{len(raws) - 1}"
+        elif kind == "value":
+            new = copy.deepcopy(draw(st.sampled_from(_VALUES)))
+        else:
+            new = old[:-1] if old and draw(st.booleans()) \
+                else old + old[-1:]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = new
+    text = json.dumps(doc)
+    for k, raw in enumerate(raws):
+        text = text.replace(f'"RAW{k}"', raw)
+    return text
+
+
+class TestDocumentFuzzer:
+    @given(_mutated_documents(), st.booleans())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_exit_codes(self, text, exact):
+        # a bad document exits 2 with its JSON path, never 1
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "p.json")
+            with open(path, "w") as fh:
+                fh.write(text)
+            for argv in (["solve", path], ["certify", path, "--labels"]):
+                code, err = _run(argv + ["--exact"] * exact)
+                assert code in (0, 2, 3, 10, 11, 20), (argv, code)
+                if code == 2:
+                    assert err.startswith("error: /"), err

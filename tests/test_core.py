@@ -1,5 +1,6 @@
 """c-transform calculus and duality verification."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from otuniq.core import (
     subdifferential_of,
     verify_duality,
 )
+from otuniq.documents import parse_problem
 from otuniq.errors import (
     AllInfinite,
     DimensionMismatch,
@@ -368,46 +370,59 @@ class TestCostKernelEdges:
 class TestExactMatrix:
     """Exact cost matrices against a per-entry Fraction reference."""
 
-    def _reference(self, cost, mu, nu):
-        def frac(v):
-            return Fraction(v).limit_denominator(10**12)
-
-        if cost.kind == "explicit_matrix":
-            return [[frac(v) for v in row] for row in cost.values]
-        power = 2 if cost.q == 2.0 else 1
-        return [[sum(abs(frac(a) - frac(b)) ** power for a, b in zip(x, y))
-                 for y in nu.points] for x in mu.points]
+    @staticmethod
+    def _reference(q, x, y):
+        power = 2 if q == 2.0 else 1
+        return [[sum(abs(a - b) ** power for a, b in zip(p, r)) for r in y]
+                for p in x]
 
     @pytest.mark.parametrize("q", [2.0, 1.0])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_rational_clouds(self, q, dim):
         rng = np.random.default_rng(dim)
-        mu = DiscreteMeasure(rng.integers(-50, 50, (9, dim)) / 7,
-                             np.full(9, 1 / 9))
-        nu = DiscreteMeasure(rng.integers(-50, 50, (6, dim)) / 12,
-                             np.full(6, 1 / 6))
-        cost = CostSpec.lp_norm_power(q, q)
-        mat = cost.exact_matrix(mu, nu)
+        x = [[Fraction(int(v), 7) for v in row]
+             for row in rng.integers(-50, 50, (9, dim))]
+        y = [[Fraction(int(v), 12) for v in row]
+             for row in rng.integers(-50, 50, (6, dim))]
+        mat = CostSpec.lp_norm_power(q, q).exact_matrix(
+            np.array(x, dtype=object), np.array(y, dtype=object))
         assert mat.shape == (9, 6) and mat.dtype == object
-        assert mat.tolist() == self._reference(cost, mu, nu)
+        assert mat.tolist() == self._reference(q, x, y)
         assert all(type(v) is Fraction for v in mat.flat)
 
-    def test_explicit_matrix(self):
-        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        nu = DiscreteMeasure(np.array([[0.0], [1.0], [2.0]]),
-                             np.full(3, 1 / 3))
-        cost = CostSpec.explicit([[0.0, 1 / 3, 2.5], [0.1, 7.0, 1 / 7]])
-        mat = cost.exact_matrix(mu, nu)
-        assert mat.tolist() == self._reference(cost, mu, nu)
-        assert mat[0, 1] == Fraction(1, 3) and mat[1, 2] == Fraction(1, 7)
+    @pytest.mark.parametrize("q", [2.0, 1.0])
+    def test_points_are_not_rounded(self, q):
+        # each of these moves when rounded to a denominator <= 10**12
+        x = [[Fraction(123456789, 1000000007)], [Fraction(7, 2 ** 40)]]
+        y = [[Fraction(1, 10 ** 15)],
+             [Fraction(999999999990, 999999999989)]]
+        mat = CostSpec.lp_norm_power(q, q).exact_matrix(
+            np.array(x, dtype=object), np.array(y, dtype=object))
+        assert mat.tolist() == self._reference(q, x, y)
 
-    def test_explicit_matrix_shape_checked(self):
-        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        cost = CostSpec.explicit([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
-        with pytest.raises(DimensionMismatch):
-            cost.exact_matrix(mu, mu)
+    def test_explicit_matrix(self):
+        # an explicit matrix is the document's: read as written, in
+        # Fractions, decimals included
+        doc = parse_problem(json.dumps({
+            "schema": "1",
+            "source": {"points": [[0], [1]], "weights": [0.5, 0.5]},
+            "target": {"points": [[0], [1], [2]],
+                       "weights": ["1/3", "1/3", "1/3"]},
+            "cost": {"kind": "explicit_matrix",
+                     "values": [[0, "1/3", 2.5], [0.1, 7, "1/7"]]},
+        }), exact=True)
+        mat, a, b = doc.exact_problem()
+        assert mat.tolist() == [
+            [0, Fraction(1, 3), Fraction(5, 2)],
+            [Fraction(1, 10), 7, Fraction(1, 7)]]
+        assert all(type(v) is Fraction for v in mat.flat)
+        assert a == [Fraction(1, 2)] * 2 and b == [Fraction(1, 3)] * 3
+        assert doc.cost.values.tolist() == [[0.0, 1 / 3, 2.5],
+                                            [0.1, 7.0, 1 / 7]]
 
     def test_other_kinds_rejected(self):
-        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        with pytest.raises(OTUniqError, match="exact mode supports"):
-            CostSpec.lp_norm_power(3.0, 1.0).exact_matrix(mu, mu)
+        x = np.array([[Fraction(0)], [Fraction(1)]], dtype=object)
+        for cost in (CostSpec.lp_norm_power(3.0, 1.0),
+                     CostSpec.explicit([[0.0, 1.0], [1.0, 0.0]])):
+            with pytest.raises(OTUniqError, match="exact mode supports"):
+                cost.exact_matrix(x, x)

@@ -1,11 +1,12 @@
 """Degeneracy tests, component flow graphs, certificates, witnesses."""
 
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from otuniq.core import CostSpec, DiscreteMeasure, verify_duality
 from otuniq.decompose import ComponentDecomposition
@@ -28,7 +29,12 @@ from otuniq.uniqueness import (
     plan_degeneracy_check,
 )
 
-from helpers import direct_degeneracy, generic_instance, two_interval_instance
+from helpers import (
+    direct_degeneracy,
+    generic_instance,
+    marginal_degeneracy_reference,
+    two_interval_instance,
+)
 
 
 def _measure(coords, weights, labels=None):
@@ -41,6 +47,33 @@ def _semi_discrete(b: float):
     nu = _measure([-0.5, 3.5], [b, 1.0 - b], labels=[0, 1])
     dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
     return mu, nu, dec
+
+
+@st.composite
+def _mass_lists(draw):
+    """Component masses k/den on a small grid, so exact ties and
+    subset-sum collisions are common, as floats or as Fractions.  In
+    float mode one target mass may move by less than, about or more
+    than tau_mass, and its neighbour by as much the other way.  Either
+    side may have fewer components; the target side may copy source
+    subset sums."""
+    den = draw(st.sampled_from([3, 4, 7, 10]))
+    exact = draw(st.booleans())
+    ks = draw(st.lists(st.integers(0, 6), min_size=1, max_size=7))
+    kt = draw(st.lists(st.integers(0, 6), min_size=1, max_size=7))
+    if draw(st.booleans()):         # designed collision
+        cut = draw(st.integers(1, len(ks)))
+        kt = [sum(ks[:cut]), sum(ks[cut:])] + kt[:5]
+    ms = [Fraction(k, den) if exact else k / den for k in ks]
+    mt = [Fraction(k, den) if exact else k / den for k in kt]
+    if not exact:
+        j = draw(st.integers(0, len(mt) - 1))
+        shift = draw(st.sampled_from([0.0, 1e-16, 1e-12, 2.0 ** -34,
+                                      -3e-10, 1e-9, 2e-9, 1e-6]))
+        mt[j] += shift
+        if draw(st.booleans()):     # a sum as near below as above
+            mt[j - 1] -= shift
+    return ms, mt
 
 
 class TestMarginalDegeneracy:
@@ -83,6 +116,31 @@ class TestMarginalDegeneracy:
     def test_component_cap(self):
         with pytest.raises(TooManyComponents):
             marginal_degeneracy_check([1 / 14] * 14, [1 / 13] * 13)
+
+    @given(_mass_lists())
+    @example(([0.5, 0.5], [0.5 - 2.0 ** -34, 0.5 + 2.0 ** -34]))
+    @example(([0.5, 0.5], [0.5 - 2.0 ** -34, 0.5 + 2.0 ** -34, 0.0]))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_target_list_reference(self, masses):
+        # same status, (I, J) and min_gap as with every target subset
+        # sum in one list, whichever side is the smaller
+        ms, mt = masses
+        assert marginal_degeneracy_check(ms, mt) \
+            == marginal_degeneracy_reference(ms, mt)
+
+    def test_memory_follows_the_smaller_side(self):
+        # 2 + 18 components: a list of the 2^18 target subset sums
+        # takes tens of MB; the two source sums take bytes
+        ms, mt = [0.5, 0.5], [1 / 18] * 18
+        tracemalloc.start()
+        try:
+            out = marginal_degeneracy_check(ms, mt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert out["status"] == "colliding" and out["I"] == (0,)
+        assert out["J"] == tuple(range(9))
 
 
 class TestPlanDegeneracy:
