@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import NEG_INF, c_transform, tight_components
+from .core import NEG_INF, c_transform, scaled_integers, tight_components
 from .decompose import ComponentDecomposition
 from .documents import (
     ProblemDocument,
@@ -181,8 +181,10 @@ def _exact_section(doc: ProblemDocument, dec: ComponentDecomposition) -> dict:
     rows, cols = np.array(list(masses), dtype=int).T
     labels, _, _ = tight_components(rows, cols, tight, dec.source_index,
                                     dec.target_index)
-    ms = [sum(a[i] for i in grp) for grp in dec.source_components]
-    mt = [sum(b[j] for j in grp) for grp in dec.target_components]
+    # the component masses as the ints mass * L, one LCM for both sides
+    w, _ = scaled_integers(list(a) + list(b))
+    ms = [sum(w[i] for i in grp) for grp in dec.source_components]
+    mt = [sum(w[len(a) + j] for j in grp) for grp in dec.target_components]
     blocks = len(_degeneracy(labels, ms, mt)["blocks"])
     hit = marginal_degeneracy_check(ms, mt)
     return {

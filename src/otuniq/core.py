@@ -7,7 +7,9 @@ lifting works on plain numpy arrays.  Potentials may take the value -inf
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -30,6 +32,16 @@ TAU_GEOM = 1e-12         # per-coordinate point distinctness
 TAU_TIGHT_SCALE = 1e-7   # scaled by (1 + max |c|)
 TAU_GAP = 1e-7           # relative duality gap
 TAU_FACE_SCALE = 1e-6    # scaled by (1 + max |c|)
+
+
+def scaled_integers(values) -> tuple[list, int]:
+    """(k, L) with values[i] = k[i] / L exactly: L is the least common
+    multiple of the values' denominators, each k[i] a Python int."""
+    fr = [v if isinstance(v, (int, Fraction)) else Fraction(v)
+          for v in values]
+    scale = math.lcm(*(v.denominator for v in fr))
+    ints = [int(v.numerator) * (scale // int(v.denominator)) for v in fr]
+    return ints, scale
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -264,11 +276,20 @@ class CostSpec:
 
     def exact_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Exact squared Euclidean or l1 cost matrix between (n, d) and
-        (m, d) object arrays of Fraction points, as an object array."""
+        (m, d) object arrays of Fraction points, as an object array of
+        Fractions.  The sums run on the points times D, the least common
+        multiple of their coordinate denominators, in Python ints; each
+        entry is then one Fraction(v, D**2), or Fraction(v, D) for l1."""
         if self.kind == "lp_norm_power" and (self.q, self.p) in ((2.0, 2.0), (1.0, 1.0)):
-            d = x[:, None, :] - y[None, :, :]
-            return (d * d).sum(axis=2) if self.q == 2.0 \
-                else abs(d).sum(axis=2)
+            ints, scale = scaled_integers([*x.flat, *y.flat])
+            pts = np.array(ints, dtype=object)
+            d = pts[:x.size].reshape(x.shape)[:, None, :] \
+                - pts[x.size:].reshape(y.shape)[None, :, :]
+            power = int(self.p)                 # 2, or 1 for l1
+            vals = (abs(d) ** power).sum(axis=2)
+            den = scale ** power
+            return np.array([Fraction(v, den) for v in vals.flat],
+                            dtype=object).reshape(vals.shape)
         raise OTUniqError("exact mode supports explicit matrices, squared "
                           "Euclidean, and l1 costs")
 

@@ -82,7 +82,7 @@ def asymptotic_region(x, direction, cost: CostSpec, radii, grid
     x = np.asarray(x, dtype=float).ravel()
     u = np.asarray(direction, dtype=float).ravel()
     norm = float(np.linalg.norm(u))
-    if not np.isclose(norm, 1.0, atol=1e-9):
+    if not np.isclose(norm, 1.0, rtol=0.0, atol=1e-9):
         u = u / norm
     radii = np.sort(np.asarray(radii, dtype=float))
     if np.any(radii <= 0):

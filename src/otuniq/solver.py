@@ -2,8 +2,8 @@
 
 The simplex (``_transport_simplex``, run by ``_solve_core`` on the
 positive-weight points) is generic over the scalar type, so the same
-code runs in float mode and in exact Fraction mode.  Two oracles
-cross-validate certificates produced elsewhere:
+code runs in float mode and, on scaled Python ints, in exact mode.  Two
+oracles cross-validate certificates produced elsewhere:
 
 * ``dual_face_oracle`` bounds each dual coordinate over the optimal
   face by two shortest-path runs;
@@ -34,6 +34,7 @@ from .core import (
     PotentialPair,
     TransportPlan,
     _tight_mask,
+    scaled_integers,
     tight_components,
     verify_duality,
 )
@@ -81,8 +82,7 @@ def _price(cost, p, start: int, rows: int, enter_tol):
     the first block holding one below ``-enter_tol`` wins.  Returns (i,
     j, reduced cost, next start row), or None when no arc prices out.
     The same expression serves float arrays and object arrays of
-    Fractions, which numpy evaluates entry by entry with Fraction
-    arithmetic.
+    Python ints or Fractions, which numpy evaluates entry by entry.
     """
     n, m = cost.shape
     r, scanned = start, 0
@@ -101,7 +101,7 @@ def _price(cost, p, start: int, rows: int, enter_tol):
 def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
     """Network simplex on the complete bipartite graph.
 
-    ``cost`` is an n x m ndarray, float or object-holding Fractions;
+    ``cost`` is an n x m ndarray, float or object-holding ints or Fractions;
     ``a``/``b`` are supply and demand lists of the matching scalar type.
     Nodes are sources 0..n-1 and targets n..n+m-1.  The basis is a tree
     rooted at source 0, stored as ``parent``, ``flow`` (the mass on the
@@ -333,25 +333,32 @@ def solve_exact(cost_rows: Sequence[Sequence[Fraction]],
                 demands: Sequence[Fraction]):
     """Exact-rational transportation solve on raw data.
 
-    Returns (masses dict, f list, g list, iterations) with every value a
-    Fraction; no tolerance enters anywhere, and f is not anchored.
+    The simplex runs on Python ints: the weights times L, the least
+    common multiple of their denominators, and the costs times K, that
+    of theirs.  The transportation matrix is totally unimodular, so the
+    masses and duals stay integers, and positive scaling keeps the order
+    and ties of flows and reduced costs: every pivot is the one the
+    simplex makes on the Fractions.  Returns (masses dict, f list, g
+    list, iterations) with every value a Fraction, mass / L and dual / K;
+    no tolerance enters anywhere, and f is not anchored.
     """
-    a = [Fraction(x) for x in supplies]
-    b = [Fraction(x) for x in demands]
+    n, m = len(supplies), len(demands)
+    w, mass_scale = scaled_integers(list(supplies) + list(demands))
+    a, b = w[:n], w[n:]
     if sum(a) != sum(b):
         raise Unbalanced("exact supplies and demands differ")
     t0 = time.perf_counter()
-    cost = np.array([[Fraction(c) for c in row] for row in cost_rows],
-                    dtype=object)
-    n, m = cost.shape
+    flat, cost_scale = scaled_integers([c for row in cost_rows for c in row])
+    cost = np.array(flat, dtype=object).reshape(n, m)
     masses, f, g, _, iterations = _solve_core(
-        cost, a, b, enter_tol=Fraction(0), max_iter=200 * (n + m) * max(n, m))
+        cost, a, b, enter_tol=0, max_iter=200 * (n + m) * max(n, m))
     elapsed = time.perf_counter() - t0
     log.debug("solve_exact: n=%d m=%d pivots=%d %.4f s %.1f us/pivot", n, m,
               iterations, elapsed, 1e6 * elapsed / iterations if iterations
               else 0.0)
-    return ({k: val for k, val in masses.items() if val > 0}, f.tolist(),
-            g.tolist(), iterations)
+    return ({k: Fraction(x, mass_scale) for k, x in masses.items() if x > 0},
+            [Fraction(u, cost_scale) for u in f.tolist()],
+            [Fraction(v, cost_scale) for v in g.tolist()], iterations)
 
 
 def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,

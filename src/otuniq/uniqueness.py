@@ -132,11 +132,11 @@ def marginal_degeneracy_check(component_masses_mu: Sequence[float],
 
     Nondegenerate iff no nonempty proper subset of source-component
     masses matches one of target-component masses within tau_mass, or
-    exactly when every mass is a Fraction.  Also reports the minimal gap
-    over all subset pairs, for knife-edge warnings.  (I, J) pairs the
-    first source subset, by size then lexicographically, that reaches it
-    with its nearest target subset.  Only the smaller side's subset sums
-    are held in memory.
+    exactly when every mass is a Fraction or an int (an int gap is 0 or
+    at least 1).  Also reports the minimal gap over all subset pairs,
+    for knife-edge warnings.  (I, J) pairs the first source subset, by
+    size then lexicographically, that reaches it with its nearest target
+    subset.  Only the smaller side's subset sums are held in memory.
     """
     ms = list(component_masses_mu)
     mt = list(component_masses_nu)
@@ -318,7 +318,8 @@ def ambiguity_witness(mu: DiscreteMeasure, cost: CostSpec,
             f"{len(decomposition.source_components)}"
         )
     mat = np.asarray(cost.matrix(mu, mu), dtype=float)
-    if not np.allclose(mat, mat.T, atol=1e-12 * (1.0 + float(np.max(mat)))):
+    if not np.allclose(mat, mat.T, rtol=0.0,
+                       atol=1e-12 * (1.0 + float(np.max(mat)))):
         raise NotSymmetric("cost matrix is not symmetric")
     if float(np.max(np.abs(np.diag(mat)))) \
             > TAU_TIGHT_SCALE * (1.0 + float(np.max(mat))):

@@ -1,6 +1,7 @@
 """c-transform calculus and duality verification."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -376,14 +377,31 @@ class TestExactMatrix:
         return [[sum(abs(a - b) ** power for a, b in zip(p, r)) for r in y]
                 for p in x]
 
-    @pytest.mark.parametrize("q", [2.0, 1.0])
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_rational_clouds(self, q, dim):
+    @staticmethod
+    def _cloud(dim):
+        """9 and 6 points over denominators 7 and 12 in ``dim``
+        dimensions, or for "primes" 2-d points whose coordinate
+        denominators are 30 distinct primes, their LCM above 2**64."""
+        if dim == "primes":
+            rng = np.random.default_rng(4)
+            dens = iter(p for p in range(1009, 1400)
+                        if all(p % k for k in range(2, 38)))
+            pts = [[Fraction(int(rng.integers(-5000, 5000)), next(dens))
+                    for _ in range(2)] for _ in range(15)]
+            return pts[:9], pts[9:]
         rng = np.random.default_rng(dim)
-        x = [[Fraction(int(v), 7) for v in row]
-             for row in rng.integers(-50, 50, (9, dim))]
-        y = [[Fraction(int(v), 12) for v in row]
-             for row in rng.integers(-50, 50, (6, dim))]
+        return ([[Fraction(int(v), 7) for v in row]
+                 for row in rng.integers(-50, 50, (9, dim))],
+                [[Fraction(int(v), 12) for v in row]
+                 for row in rng.integers(-50, 50, (6, dim))])
+
+    @pytest.mark.parametrize("q", [2.0, 1.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3, "primes"])
+    def test_rational_clouds(self, q, dim):
+        x, y = self._cloud(dim)
+        if dim == "primes":
+            assert math.lcm(*(v.denominator for p in x + y for v in p)) \
+                > 2 ** 64
         mat = CostSpec.lp_norm_power(q, q).exact_matrix(
             np.array(x, dtype=object), np.array(y, dtype=object))
         assert mat.shape == (9, 6) and mat.dtype == object

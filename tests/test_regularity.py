@@ -118,11 +118,15 @@ class TestAsymptoticRegion:
     def test_direction_normalized(self):
         grid = _grid_1d(-2, 2, 81)
         radii = np.geomspace(10, 1e4, 8)
-        a = asymptotic_region([0.0], [2.0], CostSpec.sq_euclidean(), radii,
-                              grid)
         b = asymptotic_region([0.0], [1.0], CostSpec.sq_euclidean(), radii,
                               grid)
-        assert np.array_equal(a.tail_member, b.tail_member)
+        # 1.000005 is off unit length by 5e-6: inside numpy's default
+        # rtol of 1e-5, far outside the 1e-9 the check is written with
+        for u in (2.0, 1.000005):
+            a = asymptotic_region([0.0], [u], CostSpec.sq_euclidean(), radii,
+                                  grid)
+            assert a.direction.tolist() == [1.0]
+            assert np.array_equal(a.tail_member, b.tail_member)
 
     def test_tail_frequency_between_zero_and_one(self):
         grid = _grid_2d(-3, 3, 21)

@@ -2,6 +2,7 @@
 
 import hashlib
 import logging
+import math
 import re
 from fractions import Fraction
 
@@ -353,6 +354,78 @@ class TestExactMode:
     def test_exact_unbalanced(self):
         with pytest.raises(Unbalanced):
             solve_exact([[Fraction(1)]], [Fraction(1)], [Fraction(1, 2)])
+
+
+#: distinct primes; any 7 of them multiply to more than 2**64
+PRIMES = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061, 1063,
+          1069, 1087, 1091, 1093, 1097, 1103, 1109, 1117, 1123, 1129, 1151)
+
+
+def _rational_instance(seed: int):
+    """A derandomized rational n x m instance; by ``seed % 4`` it has
+    small denominators, zero-weight rows and columns, tied costs and
+    weights, or costs and weights over distinct primes.  Returns (cost
+    rows, a, b) in Fractions."""
+    rng = np.random.default_rng(700 + seed)
+    flavor = seed % 4
+    low = 4 if flavor == 3 else 2       # enough primes for a large LCM
+    n, m = int(rng.integers(low, 9)), int(rng.integers(low, 9))
+    if flavor == 3:
+        dens = rng.permutation(PRIMES)
+        cost = [[Fraction(int(rng.integers(0, 60)), int(dens[(i * m + j)
+                                                             % len(dens)]))
+                 for j in range(m)] for i in range(n)]
+    else:
+        top = 3 if flavor == 2 else 40
+        den = 1 if flavor == 2 else int(rng.integers(1, 13))
+        cost = [[Fraction(int(rng.integers(0, top)), den) for _ in range(m)]
+                for _ in range(n)]
+        if flavor == 2 and n > 2:       # a repeated row ties whole columns
+            cost[1] = list(cost[0])
+
+    def weights(k):
+        if flavor == 2:
+            w = [Fraction(int(rng.choice([1, 2, 2, 4])))
+                 for _ in range(k)]
+        elif flavor == 3:
+            w = [Fraction(int(rng.integers(1, 50)), int(d))
+                 for d in rng.permutation(PRIMES)[:k]]
+        else:
+            w = [Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 9)))
+                 for _ in range(k)]
+        if flavor == 1:                 # zero weights, one kept positive
+            keep = int(rng.integers(k))
+            others = [z for z in range(k) if z != keep]
+            for z in rng.choice(others, size=max(1, k // 2), replace=False):
+                w[int(z)] = Fraction(0)
+        total = sum(w)
+        return [x / total for x in w]
+
+    return cost, weights(n), weights(m)
+
+
+class TestSolveExactDifferential:
+    """``solve_exact`` runs on integers scaled by one LCM per side; it must
+    return what ``_solve_core`` gives on the Fraction array itself: the
+    same pivot count, masses and duals."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_fraction_core(self, seed):
+        cost, a, b = _rational_instance(seed)
+        masses, f, g, iterations = solve_exact(cost, a, b)
+        ref_masses, ref_f, ref_g, _, ref_iterations = _solve_core(
+            np.array(cost, dtype=object), a, b, enter_tol=Fraction(0),
+            max_iter=10 ** 6)
+        assert iterations == ref_iterations
+        assert masses == {k: x for k, x in ref_masses.items() if x > 0}
+        assert f == ref_f.tolist() and g == ref_g.tolist()
+        assert all(type(v) is Fraction
+                   for v in list(masses.values()) + f + g)
+        if seed % 4 == 1:
+            assert 0 in a and 0 in b
+        if seed % 4 == 3:
+            for values in ([c for row in cost for c in row], a + b):
+                assert math.lcm(*(v.denominator for v in values)) > 2 ** 64
 
 
 def _identity_face(mu, cost, f=None):

@@ -455,10 +455,13 @@ class TestAmbiguityWitness:
 
     def test_asymmetric_cost_rejected(self):
         mu = _measure([0.0, 1.0], [0.5, 0.5], labels=[0, 1])
-        cost = CostSpec.explicit([[0.0, 1.0], [2.0, 0.0]])
         dec = ComponentDecomposition.build(mu, mu, "explicit_labels")
-        with pytest.raises(NotSymmetric):
-            ambiguity_witness(mu, cost, dec)
+        # the second is asymmetric by 9e-6 relative, far above the
+        # absolute 1e-12 (1 + max c) the check allows
+        for values in ([[0.0, 1.0], [2.0, 0.0]],
+                       [[0.0, 1.000009], [1.0, 0.0]]):
+            with pytest.raises(NotSymmetric):
+                ambiguity_witness(mu, CostSpec.explicit(values), dec)
 
     def test_nonzero_diagonal_rejected(self):
         mu = _measure([0.0, 1.0], [0.5, 0.5], labels=[0, 1])
