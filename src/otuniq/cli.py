@@ -27,7 +27,7 @@ from .documents import (
     render_csv_grid,
     render_report,
 )
-from .errors import OTUniqError, ProblemFormatError
+from .errors import OTUniqError, ProblemFormatError, TooManyComponents
 from .regularity import asymptotic_region, dominated_region
 from .solver import (
     dual_face_oracle,
@@ -84,12 +84,12 @@ def _decomposition(doc: ProblemDocument, args) -> ComponentDecomposition:
 def cmd_solve(args) -> int:
     doc = _load(args.problem, args.exact)
     if doc.exact:
-        cost, a, b = doc.exact_problem()
-        masses, f, g, iterations = solve_exact(cost, a, b)
+        cost, scale, a, b = doc.scaled_exact_problem()
+        masses, f, g, iterations = solve_exact(cost, a, b, cost_scale=scale)
         body = {"solve": {
             "mode": "exact",
             "primal_cost": sum(cost[i, j] * v
-                               for (i, j), v in masses.items()),
+                               for (i, j), v in masses.items()) / scale,
             "iterations": iterations,
             "plan": [[i, j, v] for (i, j), v in sorted(masses.items())],
             "f": list(f), "g": list(g),
@@ -173,10 +173,13 @@ def cmd_certify(args) -> int:
 
 def _exact_section(doc: ProblemDocument, dec: ComponentDecomposition) -> dict:
     """``certify``'s blocks and marginal check on the exact solution of the
-    problem as written, with tightness ``slack == 0`` in Fractions."""
-    cost, a, b = doc.exact_problem()
-    masses, f, g, _it = solve_exact(cost, a, b)
-    tight = (cost - np.add.outer(f, g) == 0) \
+    problem as written, with tightness ``slack == 0`` on the costs and
+    duals times K, Python ints."""
+    cost, scale, a, b = doc.scaled_exact_problem()
+    masses, f, g, _it = solve_exact(cost, a, b, cost_scale=scale)
+    kf, kg = (np.array([v.numerator * (scale // v.denominator) for v in h],
+                       dtype=object) for h in (f, g))
+    tight = (cost == np.add.outer(kf, kg)) \
         & np.outer(np.array(a) > 0, np.array(b) > 0)
     rows, cols = np.array(list(masses), dtype=int).T
     labels, _, _ = tight_components(rows, cols, tight, dec.source_index,
@@ -186,13 +189,17 @@ def _exact_section(doc: ProblemDocument, dec: ComponentDecomposition) -> dict:
     ms = [sum(w[i] for i in grp) for grp in dec.source_components]
     mt = [sum(w[len(a) + j] for j in grp) for grp in dec.target_components]
     blocks = len(_degeneracy(labels, ms, mt)["blocks"])
-    hit = marginal_degeneracy_check(ms, mt)
-    return {
-        "plan_blocks": blocks,
-        "plan_degenerate": blocks > 1,
-        "marginal_collision": [list(hit["I"]), list(hit["J"])]
-        if hit["status"] == "colliding" else None,
-    }
+    section = {"plan_blocks": blocks, "plan_degenerate": blocks > 1,
+               "marginal_collision": None}
+    try:
+        hit = marginal_degeneracy_check(ms, mt)
+    except TooManyComponents:
+        section["flags"] = ["marginal degeneracy check skipped: "
+                            "component cap"]
+        return section
+    if hit["status"] == "colliding":
+        section["marginal_collision"] = [list(hit["I"]), list(hit["J"])]
+    return section
 
 
 def cmd_witness(args) -> int:
@@ -310,10 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None     # built on first use
+
+
 def main(argv=None) -> int:
+    global _parser
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ProblemFormatError, OSError) as exc:    # OSError: a bad path

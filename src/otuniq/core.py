@@ -277,19 +277,24 @@ class CostSpec:
     def exact_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Exact squared Euclidean or l1 cost matrix between (n, d) and
         (m, d) object arrays of Fraction points, as an object array of
-        Fractions.  The sums run on the points times D, the least common
-        multiple of their coordinate denominators, in Python ints; each
-        entry is then one Fraction(v, D**2), or Fraction(v, D) for l1."""
+        Fractions: ``scaled_exact_matrix`` over its scale."""
+        ints, scale = self.scaled_exact_matrix(x, y)
+        return np.array([Fraction(v, scale) for v in ints.flat],
+                        dtype=object).reshape(ints.shape)
+
+    def scaled_exact_matrix(self, x: np.ndarray,
+                            y: np.ndarray) -> tuple[np.ndarray, int]:
+        """(K C, K): the exact cost matrix C of ``exact_matrix`` times K,
+        as an object array of Python ints.  The sums run on the points
+        times D, the least common multiple of their coordinate
+        denominators, so K is D**2, or D for l1."""
         if self.kind == "lp_norm_power" and (self.q, self.p) in ((2.0, 2.0), (1.0, 1.0)):
             ints, scale = scaled_integers([*x.flat, *y.flat])
             pts = np.array(ints, dtype=object)
             d = pts[:x.size].reshape(x.shape)[:, None, :] \
                 - pts[x.size:].reshape(y.shape)[None, :, :]
             power = int(self.p)                 # 2, or 1 for l1
-            vals = (abs(d) ** power).sum(axis=2)
-            den = scale ** power
-            return np.array([Fraction(v, den) for v in vals.flat],
-                            dtype=object).reshape(vals.shape)
+            return (abs(d) ** power).sum(axis=2), scale ** power
         raise OTUniqError("exact mode supports explicit matrices, squared "
                           "Euclidean, and l1 costs")
 

@@ -2,10 +2,17 @@
 
 A problem document is a JSON object with blocks ``source``, ``target``,
 ``cost``, and optional ``options``.  Exact mode reads every number as
-written: 0.3 is 3/10, and a string "p/q" is p/q.  Reports serialize
-deterministically (sorted keys, repr floats) so identical inputs give
-byte-identical files, and as strict JSON: infinities are written as the
-strings "inf" and "-inf".
+written: 0.3 is 3/10, and a string "p/q" is p/q.
+
+Reports serialize deterministically, so identical inputs give
+byte-identical files.  ``render_report`` writes the text in one pass
+over the body: keys sorted, a two-space indent, strings ASCII-escaped,
+floats as their repr (a list of finite floats in one join), Fractions
+as "p/q" strings, numpy values as the Python ones.  That is the text of
+``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)``, whose
+indenting encoder is pure Python, without a conversion pass before it.
+Reports are strict JSON: infinities are written as the strings "inf"
+and "-inf", and a NaN is a ValueError.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .core import CostProfile, CostSpec, DiscreteMeasure
+from .core import CostProfile, CostSpec, DiscreteMeasure, scaled_integers
 from .errors import OTUniqError, ProblemFormatError
 
 SCHEMA_VERSION = "1"
@@ -150,13 +157,24 @@ class ProblemDocument:
     digest: str = ""
 
     def exact_problem(self):
-        """(cost, a, b) in Fractions from ``exact`` = (x, a, y, b, explicit
-        cost or None); other costs go through ``CostSpec.exact_matrix``."""
+        """(cost, a, b) in Fractions: ``scaled_exact_problem`` unscaled."""
+        cost, scale, a, b = self.scaled_exact_problem()
+        return cost / Fraction(scale), a, b
+
+    def scaled_exact_problem(self):
+        """(K cost, K, a, b) from ``exact`` = (x, a, y, b, explicit cost or
+        None): the cost times K as an object array of Python ints, and the
+        weights as Fractions.  K is the least common multiple of an
+        explicit cost's denominators; other costs go through
+        ``CostSpec.scaled_exact_matrix``."""
         x, a, y, b, rows = self.exact
-        if rows is not None:
-            return np.array(rows, dtype=object), a, b
-        return self.cost.exact_matrix(np.array(x, dtype=object),
-                                      np.array(y, dtype=object)), a, b
+        if rows is None:
+            cost, scale = self.cost.scaled_exact_matrix(
+                np.array(x, dtype=object), np.array(y, dtype=object))
+        else:
+            flat, scale = scaled_integers([v for row in rows for v in row])
+            cost = np.array(flat, dtype=object).reshape(len(rows), -1)
+        return cost, scale, a, b
 
 
 def parse_problem(text: str, exact: bool = False) -> ProblemDocument:
@@ -198,26 +216,53 @@ def parse_problem(text: str, exact: bool = False) -> ProblemDocument:
         digest=hashlib.sha256(text.encode("utf-8")).hexdigest())
 
 
-def _plain(obj: Any) -> Any:
-    """Convert numpy/Fraction values to JSON-stable plain types."""
+_string = json.encoder.encode_basestring_ascii
+_FLOATS = {float, np.float64}
+
+
+def _json(obj: Any, pad: str) -> str:
+    """``obj`` as report JSON, its lines after the first indented by
+    ``pad``: what ``json.dumps(..., sort_keys=True, indent=2,
+    allow_nan=False)`` writes once Fractions are "p/q" strings and numpy
+    values Python ones."""
+    if isinstance(obj, str):
+        return _string(obj)
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        if not obj:
+            return "{}"
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        text = (f"{_string(k)}: {_json(v, inner)}" for k, v in items)
+        return f"{{\n{inner}" + f",\n{inner}".join(text) + f"\n{pad}}}"
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) <= _FLOATS and all(map(math.isfinite, obj)):
+            text = map(float.__repr__, obj)
+        else:
+            text = (_json(v, inner) for v in obj)
+        return f"[\n{inner}" + f",\n{inner}".join(text) + f"\n{pad}]"
     if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
+        return f'"{obj.numerator}/{obj.denominator}"'
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isfinite(x):
+            return repr(x)
+        if math.isnan(x):
+            raise ValueError("Out of range float values are not JSON "
+                             "compliant")
         # strict JSON has no infinities; "inf" is what --values reads
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+        return '"inf"' if x > 0 else '"-inf"'
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if obj is None:
+        return "null"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    "serializable")
 
 
 def render_report(body: dict, digest: str,
@@ -229,11 +274,11 @@ def render_report(body: dict, digest: str,
         "schema": SCHEMA_VERSION,
         "tool_version": __version__,
         "input_digest": digest,
-        **_plain(body),
+        **body,
     }
     if seed is not None:
         doc["seed"] = int(seed)
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _json(doc, "") + "\n"
 
 
 def render_csv_grid(points: np.ndarray, values) -> str:

@@ -19,7 +19,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -330,12 +330,15 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 def solve_exact(cost_rows: Sequence[Sequence[Fraction]],
                 supplies: Sequence[Fraction],
-                demands: Sequence[Fraction]):
+                demands: Sequence[Fraction],
+                cost_scale: Optional[int] = None):
     """Exact-rational transportation solve on raw data.
 
     The simplex runs on Python ints: the weights times L, the least
     common multiple of their denominators, and the costs times K, that
-    of theirs.  The transportation matrix is totally unimodular, so the
+    of theirs.  A caller that holds the costs as ints already passes
+    them with ``cost_scale`` = K (``ProblemDocument.scaled_exact_problem``
+    does).  The transportation matrix is totally unimodular, so the
     masses and duals stay integers, and positive scaling keeps the order
     and ties of flows and reduced costs: every pivot is the one the
     simplex makes on the Fractions.  Returns (masses dict, f list, g
@@ -348,8 +351,10 @@ def solve_exact(cost_rows: Sequence[Sequence[Fraction]],
     if sum(a) != sum(b):
         raise Unbalanced("exact supplies and demands differ")
     t0 = time.perf_counter()
-    flat, cost_scale = scaled_integers([c for row in cost_rows for c in row])
-    cost = np.array(flat, dtype=object).reshape(n, m)
+    if cost_scale is None:
+        cost_rows, cost_scale = scaled_integers(
+            [c for row in cost_rows for c in row])
+    cost = np.array(cost_rows, dtype=object).reshape(n, m)
     masses, f, g, _, iterations = _solve_core(
         cost, a, b, enter_tol=0, max_iter=200 * (n + m) * max(n, m))
     elapsed = time.perf_counter() - t0

@@ -2,8 +2,10 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 import time
@@ -13,8 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from otuniq import __version__
 from otuniq.cli import main
 from otuniq.core import CostSpec, DiscreteMeasure, PotentialPair, verify_duality
+from otuniq.documents import render_report
 
 
 def _write(tmp_path, doc, name="problem.json"):
@@ -400,20 +404,29 @@ class TestExactSection:
         assert rep["exact"]["marginal_collision"] is None
         assert rep["exact"]["plan_blocks"] == 1
 
-    def test_component_cap_is_solver_error(self, tmp_path, capsys):
-        # 14 + 13 components exceed SUBSET_CAP; the subset search would
-        # otherwise enumerate 2^14 * 2^13 pairs
+    @pytest.mark.parametrize("m", [13, 14])
+    def test_component_cap_skips_marginal_check(self, tmp_path, capsys, m):
+        # 14 + m components exceed SUBSET_CAP, so the subset search would
+        # enumerate 2^14 * 2^m pairs; as in the certificate, the exact
+        # check is skipped and flagged, and the blocks are still found
         path = _write(tmp_path, {
             "schema": "1",
             "source": {"points": [[i] for i in range(14)],
                        "weights": ["1/14"] * 14, "labels": list(range(14))},
-            "target": {"points": [[i] for i in range(13)],
-                       "weights": ["1/13"] * 13, "labels": list(range(13))},
+            "target": {"points": [[i] for i in range(m)],
+                       "weights": [f"1/{m}"] * m, "labels": list(range(m))},
             "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
         })
         assert main(["certify", path, "--exact", "--labels",
-                     "--oracle", "off"]) == 3
-        assert "TooManyComponents" in capsys.readouterr().err
+                     "--oracle", "off"]) == (10 if m == 14 else 0)
+        rep = json.loads(capsys.readouterr().out)
+        skipped = "marginal degeneracy check skipped: component cap"
+        assert skipped in rep["certificate"]["flags"]
+        blocks = len(rep["certificate"]["degeneracy"]["blocks"])
+        assert rep["exact"] == {"plan_blocks": blocks,
+                                "plan_degenerate": blocks > 1,
+                                "marginal_collision": None,
+                                "flags": [skipped]}
 
 
 class TestWitness:
@@ -776,3 +789,189 @@ class TestDocumentFuzzer:
                 assert code in (0, 2, 3, 10, 11, 20), (argv, code)
                 if code == 2:
                     assert err.startswith("error: /"), err
+
+
+def _plain(obj):
+    """The former report conversion, kept as the writer's reference."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    return obj
+
+
+def _reference_report(body, digest, seed=None):
+    doc = {"schema": "1", "tool_version": __version__,
+           "input_digest": digest, **_plain(body)}
+    if seed is not None:
+        doc["seed"] = int(seed)
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_SCALARS = st.one_of(
+    st.floats(allow_nan=False), st.integers(-2 ** 70, 2 ** 70),
+    st.booleans(), st.none(), st.text(), st.fractions(),
+    st.floats(allow_nan=False).map(np.float64),
+    st.floats(allow_nan=False, width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_))
+_VALUES_TREE = st.recursive(
+    _SCALARS | st.lists(st.floats(allow_nan=False)).map(np.array)
+    | st.lists(st.floats(allow_nan=False).map(np.float64)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20)
+
+
+class TestReportWriter:
+    """``render_report`` writes the text of the former converter plus
+    ``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)``."""
+
+    BODIES = {
+        "fractions": {"f": [Fraction(1, 3), Fraction(-2), Fraction(0)],
+                      "cost": Fraction(7, 2)},
+        "numpy": {"x": np.float64(0.1), "y": np.float32(0.1),
+                  "k": np.int64(-3), "ok": np.bool_(True),
+                  "a": np.array([0.5, -0.0, 1e-300]),
+                  "m": np.array([[1, 2], [3, 4]]),
+                  "b": np.array([True, False]),
+                  "o": np.array([Fraction(1, 2), Fraction(3)], dtype=object)},
+        "float lists": {"f": [np.float64(v) for v in (0.1, 2.0, -1e20)],
+                        "g": [1.5, np.float64(2.5)], "h": [1.0, 2]},
+        "infinities": {"gap": math.inf, "low": -math.inf,
+                       "mixed": [1.0, math.inf, np.float64(-math.inf)],
+                       "arr": np.array([0.0, np.inf])},
+        "zeros": {"z": -0.0, "zs": [-0.0, 0.0], "nz": np.float64(-0.0)},
+        "empty": {"l": [], "d": {}, "t": (), "a": np.array([]),
+                  "nested": [[], {}, [[]]]},
+        "mixed": {"t": (1, "two", 3.0), "b": [True, False, None],
+                  "plan": [[0, 1, 0.25], (2, 3, Fraction(1, 4))],
+                  "deep": {"z": {"y": {"x": [{"w": None}]}}}},
+        "text": {"name": "Kantorovich–Rubinstein é ∞   \"q\" \\ \n",
+                 "ключ": "значение", "😀": ["\x00", "\t"]},
+        "keys": {"b": 1, "a": 2, "B": 3, "_": 4, "10": 5, "9": 6},
+    }
+
+    @pytest.mark.parametrize("name", sorted(BODIES))
+    def test_matches_reference(self, name):
+        body = self.BODIES[name]
+        for seed in (None, 7):
+            assert render_report(body, "d" * 64, seed) \
+                == _reference_report(body, "d" * 64, seed)
+
+    @given(st.dictionaries(st.text(max_size=5), _VALUES_TREE, max_size=5))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_reference_on_random_bodies(self, body):
+        assert render_report(body, "") == _reference_report(body, "")
+
+    @pytest.mark.parametrize("nan", [
+        math.nan, np.float64(math.nan), np.float32(math.nan),
+        [1.0, math.nan], [np.float64(math.nan)], np.array([0.0, np.nan]),
+        {"deep": [{"x": math.nan}]}])
+    def test_nan_raises(self, nan):
+        with pytest.raises(ValueError):
+            _reference_report({"v": nan}, "")
+        with pytest.raises(ValueError):
+            render_report({"v": nan}, "")
+
+
+_PIN_SIDE = {"points": [[0.0], [0.001], [0.002], [1.0], [1.001], [1.002]],
+             "weights": [1 / 6] * 6}
+_PIN_EXACT = {
+    "schema": "1",
+    "source": {"points": [[0], [1], [3]], "weights": [0.25, 0.25, 0.5],
+               "labels": [0, 1, 2]},
+    "target": {"points": [[0], [2.5], [3]], "weights": [0.5, 0.25, 0.25],
+               "labels": [0, 1, 2]},
+    "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
+}
+_PIN_DOCS = {
+    "two-by-two": {
+        "schema": "1",
+        "source": {"points": [[0.0], [1.0]], "weights": [0.5, 0.5]},
+        "target": {"points": [[0.0], [1.0]], "weights": [0.5, 0.5]},
+        "cost": {"kind": "explicit_matrix",
+                 "values": [[0.0, 2.0], [3.0, 1.0]]}},
+    "separated": {"schema": "1", "source": _PIN_SIDE, "target": _PIN_SIDE,
+                  "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
+                  "options": {"epsilon": 0.1}},
+    "exact": _PIN_EXACT,
+}
+
+
+class TestPinnedReports:
+    """Exit code and SHA-256 of whole reports of small fixed documents,
+    recorded with the former two-pass writer and a parser built per
+    call: the report bytes must not move."""
+
+    PINNED = {
+        "solve": (["solve", "two-by-two", "--seed", "3"], 0,
+                  "819f86a6b3e945b0b4a67a6633508d1f"
+                  "086933efef154d0841be5b993d5d39d7"),
+        "solve exact": (["solve", "exact", "--exact"], 0,
+                        "fed0a7952265daf281e24cf88c87e0ea"
+                        "e7878384dd45c91d3a55ade6baef05e0"),
+        "certify": (["certify", "separated"], 10,
+                    "c25d0f4adf4a710807c07fa5d40bbb87"
+                    "971ac43cbd8360cf8d79139657888546"),
+        "certify exact": (["certify", "exact", "--exact", "--labels"], 10,
+                          "f5da9f3479dcf396eb24cb94b9fef9f5"
+                          "816c34d3bc75d046b085bdb17e234c9b"),
+        "witness": (["witness", "separated", "--samples", "5"], 0,
+                    "39a1391d4fbc91155c2445c4f0eddd36"
+                    "08709475525ae03283685b094384bc0f"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_report_bytes(self, tmp_path, name):
+        argv, code, digest = self.PINNED[name]
+        doc = argv[1]
+        argv = [argv[0], _write(tmp_path, _PIN_DOCS[doc]), *argv[2:],
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == code
+        text = (tmp_path / "report.json").read_bytes()
+        if name == "certify":
+            rep = json.loads(text)
+            assert "witness" in rep["certificate"] and "oracles" in rep
+        assert hashlib.sha256(text).hexdigest() == digest
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; every call parses its
+    own arguments, so nothing carries over from the call before."""
+
+    def test_calls_share_no_state(self, tmp_path, capsys):
+        path = _two_interval(tmp_path, mass_left=0.4, target_mass_left=0.5)
+        exact = _write(tmp_path, _PIN_EXACT, "exact.json")
+
+        def report(argv, code):
+            assert main(argv) == code
+            return json.loads(capsys.readouterr().out)
+
+        assert "oracles" not in report(["certify", path, "--oracle", "off"],
+                                       0)
+        assert "oracles" in report(["certify", path], 0)
+        rep = report(["certify", exact, "--exact", "--labels", "--seed",
+                      "5"], 10)
+        assert "exact" in rep and rep["seed"] == 5
+        rep = report(["certify", exact, "--labels"], 10)
+        assert "exact" not in rep and "seed" not in rep
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", exact, "--labels", "--samples", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        rep = report(["solve", exact], 0)
+        assert rep["solve"]["mode"] == "float"
