@@ -33,6 +33,9 @@ TAU_TIGHT_SCALE = 1e-7   # scaled by (1 + max |c|)
 TAU_GAP = 1e-7           # relative duality gap
 TAU_FACE_SCALE = 1e-6    # scaled by (1 + max |c|)
 
+#: entries of one block of differences in ``CostSpec.matrix``
+_BLOCK = 1 << 15
+
 
 def scaled_integers(values) -> tuple[list, int]:
     """(k, L) with values[i] = k[i] / L exactly: L is the least common
@@ -261,18 +264,34 @@ class CostSpec:
         return self.p * norm ** (self.p - q) * inner
 
     def matrix(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-        """Full cost matrix for a measure pair."""
+        """Full cost matrix for a measure pair, read-only.
+
+        Closed-form kinds run ``value_rows`` on blocks of source rows,
+        each block's difference array holding at most ``_BLOCK`` entries
+        (or one source row, if that holds more), and write each block
+        clipped at 0 straight into the matrix.  The kernel works row by
+        row of the differences, so the matrix is bit for bit the one-shot
+        ``value_rows`` of all n m differences, while the temporaries stay
+        a small fraction of the matrix.  Raises when an entry is not
+        finite or below -1e-12.
+        """
         if self.kind == "explicit_matrix":
             if self.values.shape != (mu.n, nu.n):
                 raise DimensionMismatch(
                     f"cost is {self.values.shape}, measures are {(mu.n, nu.n)}"
                 )
             return self.values
-        diff = mu.points[:, None, :] - nu.points[None, :, :]
-        mat = self.value_rows(diff.reshape(-1, mu.dim)).reshape(mu.n, nu.n)
-        if np.any(~np.isfinite(mat)) or np.any(mat < -1e-12):
-            raise OTUniqError("cost evaluation produced invalid entries")
-        return _as_readonly(np.maximum(mat, 0.0))
+        n, m = mu.n, nu.n
+        x, y = mu.points, nu.points[None, :, :]
+        mat = np.empty((n, m))
+        step = max(1, _BLOCK // (m * mu.dim))
+        for r in range(0, n, step):
+            diff = x[r:r + step, None, :] - y
+            block = self.value_rows(diff.reshape(-1, mu.dim))
+            if np.any(~np.isfinite(block)) or np.any(block < -1e-12):
+                raise OTUniqError("cost evaluation produced invalid entries")
+            np.maximum(block.reshape(-1, m), 0.0, out=mat[r:r + step])
+        return _as_readonly(mat)
 
     def exact_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Exact squared Euclidean or l1 cost matrix between (n, d) and
@@ -423,18 +442,32 @@ def double_transform_residual(f: np.ndarray, cost_matrix: np.ndarray) -> float:
     return float(np.max(diff))
 
 
-def _tight_mask(pair: PotentialPair, cost_matrix: np.ndarray) -> np.ndarray:
-    """Boolean (n, m) mask of the tight pairs of a dual-feasible pair."""
+def _slack(pair: PotentialPair, cost_matrix: np.ndarray):
+    """(c - f - g, tau_tight): the slack as one new (n, m) array,
+    computed in place, and the tightness tolerance.
+
+    Raises InfeasiblePair when an entry lies below -tau_tight.  NaN
+    entries (only from NaN costs) count as infinitely slack: they never
+    fail feasibility and are never tight.
+    """
     tau = TAU_TIGHT_SCALE * (1.0 + float(np.max(cost_matrix)))
     with np.errstate(invalid="ignore"):
-        slack = cost_matrix - pair.f[:, None] - pair.g[None, :]
-    slack = np.where(np.isnan(slack), np.inf, slack)
-    if np.min(slack) < -tau:
-        i, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
+        slack = np.subtract(cost_matrix, pair.f[:, None])
+        slack -= pair.g[None, :]
+    # fmin skips NaN, as the minimum over NaN replaced by inf would
+    if np.fmin.reduce(slack, axis=None) < -tau:
+        worst = np.where(np.isnan(slack), np.inf, slack)
+        i, j = np.unravel_index(int(np.argmin(worst)), slack.shape)
         raise InfeasiblePair(
             f"f({i}) + g({j}) exceeds c by {-float(slack[i, j]):.3e}"
         )
-    return np.abs(slack) <= tau
+    return slack, tau
+
+
+def _tight_mask(pair: PotentialPair, cost_matrix: np.ndarray) -> np.ndarray:
+    """Boolean (n, m) mask of the tight pairs of a dual-feasible pair."""
+    slack, tau = _slack(pair, cost_matrix)
+    return np.abs(slack, out=slack) <= tau
 
 
 def subdifferential_of(pair: PotentialPair,
@@ -485,7 +518,13 @@ class DualityReport:
 
 def verify_duality(plan: TransportPlan, pair: PotentialPair,
                    cost_matrix: np.ndarray) -> DualityReport:
-    """Primal/dual cross-check: gap, feasibility, support tightness."""
+    """Primal/dual cross-check: gap, feasibility, support tightness.
+
+    One pass builds the slack c - f - g in a single (n, m) buffer;
+    feasibility is its minimum against -tau_tight, and support
+    tightness reads only the gathered ``slack[plan.rows, plan.cols]``,
+    so no (n, m) mask is built.
+    """
     cost_matrix = np.asarray(cost_matrix, dtype=float)
     if cost_matrix.shape != (plan.source.n, plan.target.n):
         raise DimensionMismatch("cost matrix does not match the plan")
@@ -496,9 +535,10 @@ def verify_duality(plan: TransportPlan, pair: PotentialPair,
     gap = primal - dual
     tau_gap = TAU_GAP * (1.0 + abs(primal))
     try:
-        mask = _tight_mask(pair, cost_matrix)
+        slack, tau = _slack(pair, cost_matrix)
         feasible = True
-        support_tight = bool(np.all(mask[plan.rows, plan.cols]))
+        support_tight = bool(np.all(
+            np.abs(slack[plan.rows, plan.cols]) <= tau))
     except InfeasiblePair:
         feasible = False
         support_tight = False

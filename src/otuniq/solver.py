@@ -14,6 +14,7 @@ oracles cross-validate certificates produced elsewhere:
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -79,16 +80,30 @@ def _price(cost, p, start: int, rows: int, enter_tol):
     the reduced cost ``c - u - v`` reads ``cost - p[rows] + p[targets]``,
     the same value in IEEE arithmetic.  Blocks of ``rows`` rows are
     scanned in turn, wrapping around; the most negative reduced cost of
-    the first block holding one below ``-enter_tol`` wins.  Returns (i,
-    j, reduced cost, next start row), or None when no arc prices out.
-    The same expression serves float arrays and object arrays of
+    the first block holding one below ``-enter_tol`` wins, the first of
+    equal ones in row-major order.  Returns (i, j, reduced cost, next
+    start row), or None when no arc prices out.  A one-row block (every
+    block when n <= m) is priced as the 1-d ``cost[r] - p[r] + pt``,
+    which computes the values of the 2-d slice expression in the same
+    order.  The same expressions serve float arrays and object arrays of
     Python ints or Fractions, which numpy evaluates entry by entry.
     """
     n, m = cost.shape
+    pt = p[n:]
     r, scanned = start, 0
+    if rows == 1:
+        for _ in range(n):
+            block = cost[r] - p[r] + pt
+            k = int(block.argmin())
+            rc = block[k]
+            r1 = r + 1 if r + 1 < n else 0
+            if rc < -enter_tol:
+                return r, k, rc, r1
+            r = r1
+        return None
     while scanned < n:
         r1 = min(r + rows, n)
-        block = cost[r:r1] - p[r:r1, None] + p[None, n:]
+        block = cost[r:r1] - p[r:r1, None] + pt
         k = int(block.argmin())
         rc = block.flat[k]
         if rc < -enter_tol:
@@ -111,14 +126,21 @@ def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
     Magnanti and Orlin, Network Flows, section 11.3).  It starts as the
     northwest-corner tree.  Each pivot finds the entering arc's cycle by
     walking up to the lowest common ancestor, always from the endpoint
-    with the smaller subtree (an ancestor's is strictly larger), moves
-    the subtree cut off by the leaving arc under the entering arc as one
-    block of ``order``, and shifts only that subtree's duals.  The
-    leaving arc follows the strongly-feasible-tree rule (Cunningham
-    1976): the last blocking arc met when walking the cycle from its
-    apex in the entering arc's direction, which rules out cycling on the
-    positive weights ``_solve_core`` passes; ``max_iter`` is a last
-    guard.  Returns (masses dict, u, v, basis, iterations).
+    with the smaller subtree (an ancestor's is strictly larger).  The
+    tree is bipartite, so each walked path alternates sources and
+    targets, and the arcs that lose mass are every other one from its
+    start: those of the sources on the i side and of the targets on the
+    j side.  The leaving arc follows the strongly-feasible-tree rule
+    (Cunningham 1976): the last blocking arc met when walking the cycle
+    from its apex in the entering arc's direction, that is the j side's
+    last minimum, else the i side's first, which rules out cycling on
+    the positive weights ``_solve_core`` passes; ``max_iter`` is a last
+    guard.  The subtree cut off by the leaving arc moves under the
+    entering arc as one block of ``order`` (built and moved by one
+    ``np.concatenate`` and one slice assignment), and only its duals
+    shift.  Which preorder the tree keeps does not change a pivot: the
+    pivots read only ``parent``, ``size``, ``flow`` and the duals.
+    Returns (masses dict, u, v, basis, iterations).
     """
     n, m = cost.shape
     zero = a[0] * 0
@@ -172,8 +194,7 @@ def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
         iterations += 1
         i, j, rc, start = entering
         # cycle: the tree paths from i and from target j up to their
-        # lowest common ancestor; a pred arc loses mass when it is a
-        # source's on the i side or a target's on the j side
+        # lowest common ancestor
         x, y = i, n + j
         up_i, up_j = [], []
         while x != y:
@@ -183,68 +204,80 @@ def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
             else:
                 up_j.append(y)
                 y = parent[y]
-        theta = min([flow[x] for x in up_i if x < n]
-                    + [flow[x] for x in up_j if x >= n])
-        # last blocking arc from the apex: the j side nearest the apex,
-        # else the i side nearest i
-        for k in range(len(up_j) - 1, -1, -1):
-            x = up_j[k]
-            if x >= n and flow[x] == theta:
-                path, above, grow = up_j[:k + 1], up_j[k + 1:], up_i
-                e_in, e_out = n + j, i
-                break
+        # the arcs losing mass are every other one from each side's
+        # start; the leaving arc is the last blocking arc from the apex:
+        # the j side's last minimum, else the i side's first
+        on_j = bool(up_j)
+        if on_j:
+            lose = [flow[x] for x in up_j[::2]]
+            theta = min(lose)
+            k = 2 * (len(lose) - 1 - lose[::-1].index(theta))
+        if up_i:
+            lose = [flow[x] for x in up_i[::2]]
+            least = min(lose)
+            if not on_j or least < theta:
+                theta, k, on_j = least, 2 * lose.index(least), False
+        if on_j:
+            path, above, grow = up_j[:k + 1], up_j[k + 1:], up_i
+            e_in, e_out, shift = n + j, i, -rc
         else:
-            for k, x in enumerate(up_i):
-                if x < n and flow[x] == theta:
-                    path, above, grow = up_i[:k + 1], up_i[k + 1:], up_j
-                    e_in, e_out = i, n + j
-                    break
+            path, above, grow = up_i[:k + 1], up_i[k + 1:], up_j
+            e_in, e_out, shift = i, n + j, rc
         if theta != zero:
-            for x in up_i:
-                flow[x] += -theta if x < n else theta
-            for x in up_j:
-                flow[x] += -theta if x >= n else theta
+            for x in up_i[::2]:
+                flow[x] -= theta
+            for x in up_i[1::2]:
+                flow[x] += theta
+            for x in up_j[::2]:
+                flow[x] -= theta
+            for x in up_j[1::2]:
+                flow[x] += theta
         # the subtree T cut off by the leaving arc, re-rooted at e_in:
         # its preorder is each stem node's old block minus the block of
-        # the stem node below it, two slices per stem arc
+        # the stem node below it, two slices per stem arc, or one slice
+        # when the stem is the one arc; sizes on the stem are suffix sums
+        # of the segment lengths
         leaving = path[-1]
         cut = size[leaving]                       # |T|
-        first = pos[path].tolist()
-        lo = first[-1]
-        segments = [order[first[0]:first[0] + size[e_in]]]
-        for k in range(1, len(path)):
-            segments.append(order[first[k]:first[k - 1]])
-            segments.append(order[first[k - 1] + size[path[k - 1]]:
-                                  first[k] + size[path[k]]])
-        sub = np.concatenate(segments)
-        # sizes: on the stem, suffix sums of the segment lengths; below
-        # the apex, the cycle loses |T| above the leaving arc and gains
-        # it from e_out up
-        stem = [cut] + [cut - size[x] for x in path[:-1]]
-        for x, s in zip(path, stem):
-            size[x] = s
+        lo = pos.item(leaving)
+        if len(path) == 1:
+            segments = [order[lo:lo + cut]]
+        else:
+            first = [pos.item(x) for x in path]
+            segments = [order[first[0]:first[0] + size[e_in]]]
+            for k in range(1, len(path)):
+                segments.append(order[first[k]:first[k - 1]])
+                segments.append(order[first[k - 1] + size[path[k - 1]]:
+                                      first[k] + size[path[k]]])
+            stem = [cut - size[x] for x in path[:-1]]
+            size[e_in] = cut
+            for x, s in zip(path[1:], stem):
+                size[x] = s
+        # below the apex, the cycle loses |T| above the leaving arc and
+        # gains it from e_out up
         for x in above:
             size[x] -= cut
         for x in grow:
             size[x] += cut
-        # move T as one block to just after e_out
-        dst = int(pos[e_out])
+        # move T as one block to just after e_out: one concatenation of
+        # T's segments and the part of ``order`` it moves past
+        dst = pos.item(e_out)
         if dst < lo:
-            order[dst + 1 + cut:lo + cut] = order[dst + 1:lo]
-            order[dst + 1:dst + 1 + cut] = sub
-            lo, hi = dst + 1, lo + cut
+            segments.append(order[dst + 1:lo])
+            lo, hi, at = dst + 1, lo + cut, 0
         else:
-            order[lo:dst + 1 - cut] = order[lo + cut:dst + 1]
-            order[dst + 1 - cut:dst + 1] = sub
-            hi = dst + 1
-        pos[order[lo:hi]] = nodes[lo:hi]
+            segments.insert(0, order[lo + cut:dst + 1])
+            hi, at = dst + 1, dst + 1 - cut - lo
+        block = np.concatenate(segments)
+        order[lo:hi] = block
+        pos[block] = nodes[lo:hi]
         # re-hang: reverse the stem from e_in up to the leaving arc
         prev, prev_flow = e_out, theta
         for x in path:
             parent[x], prev = prev, x
             flow[x], prev_flow = prev_flow, flow[x]
         # the subtree's duals move by rc so the entering arc becomes tight
-        p[sub] += rc if e_in < n else -rc
+        p[block[at:at + cut]] += shift
     basis = [(x, parent[x] - n) if x < n else (parent[x], x - n)
              for x in range(1, n + m)]
     masses = dict(zip(basis, flow[1:]))
@@ -264,19 +297,24 @@ def _solve_core(cost, a, b, *, enter_tol, max_iter: int):
     the scalar type like ``_transport_simplex``.
     """
     n, m = cost.shape
-    rows = [i for i in range(n) if a[i] > 0]
-    cols = [j for j in range(m) if b[j] > 0]
+    rows = [i for i, x in enumerate(a) if x > 0]
+    cols = [j for j, x in enumerate(b) if x > 0]
     live = cost if len(rows) == n else cost[rows]
     masses, u, _, basis, iterations = _transport_simplex(
         live if len(cols) == m else live[:, cols], [a[i] for i in rows],
         [b[j] for j in cols], enter_tol=enter_tol, max_iter=max_iter,
     )
-    g = (live - u[:, None]).min(axis=0)
-    f = (cost - g[None, :]).min(axis=1)
-    zero_t = [j for j in range(m) if not b[j] > 0]
-    zero_s = [i for i in range(n) if not a[i] > 0]
-    hang_t = (live[:, zero_t] - u[:, None]).argmin(axis=0).tolist()
-    hang_s = (cost[zero_s] - g[None, :]).argmin(axis=1).tolist()
+    slack = live - u[:, None]
+    g = slack.min(axis=0)
+    if len(rows) == n and len(cols) == m:
+        # every point is in the tree; one n x m buffer serves both passes
+        f = np.subtract(cost, g, out=slack).min(axis=1)
+        return masses, f, g, basis, iterations
+    f = (cost - g).min(axis=1)
+    zero_t = [j for j, x in enumerate(b) if not x > 0]
+    zero_s = [i for i, x in enumerate(a) if not x > 0]
+    hang_t = slack[:, zero_t].argmin(axis=0).tolist()
+    hang_s = (cost[zero_s] - g).argmin(axis=1).tolist()
     basis = [(rows[i], cols[j]) for i, j in basis] \
         + [(rows[k], j) for j, k in zip(zero_t, hang_t)] \
         + list(zip(zero_s, hang_s))
@@ -307,11 +345,13 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure,
     shift = f[mu.anchor_index()]
     f, g = f - shift, g + shift
     floor = TAU_MASS * float(mu.weights.sum())
-    arcs = sorted(arc for arc, x in masses.items() if x > floor)
-    plan = TransportPlan(np.array([i for i, _ in arcs], dtype=int),
-                         np.array([j for _, j in arcs], dtype=int),
-                         np.array([masses[arc] for arc in arcs], dtype=float),
-                         mu, nu)
+    arcs = np.fromiter(itertools.chain.from_iterable(masses), dtype=int,
+                       count=2 * len(masses)).reshape(-1, 2)
+    mass = np.fromiter(masses.values(), dtype=float, count=len(masses))
+    keep = mass > floor
+    arcs, mass = arcs[keep], mass[keep]
+    order = np.lexsort((arcs[:, 1], arcs[:, 0]))     # by (i, j)
+    plan = TransportPlan(arcs[order, 0], arcs[order, 1], mass[order], mu, nu)
     pair = PotentialPair(f, g, mu, nu)
     report = verify_duality(plan, pair, mat)
     if not report.optimal:

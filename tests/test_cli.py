@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from otuniq import __version__
+from otuniq import __version__, documents
 from otuniq.cli import main
 from otuniq.core import CostSpec, DiscreteMeasure, PotentialPair, verify_duality
-from otuniq.documents import render_report
+from otuniq.documents import parse_problem, render_report
+from otuniq.errors import ProblemFormatError
 
 
 def _write(tmp_path, doc, name="problem.json"):
@@ -635,6 +636,68 @@ class TestExactAsWritten:
                                  "options": {"exact": True}})
         (tmp_path / "problem.json.values").write_text("[0, 0, 0, 0]")
         assert _run([a.format(path) for a in argv])[0] == 0
+
+
+class TestOneDecode:
+    """A document is decoded once; a number with a fraction or an
+    exponent keeps its literal until the mode is known, and a field that
+    is not a number sees what the former float-then-Decimal decodes
+    gave it."""
+
+    BASE = {"schema": "1",
+            "source": {"points": [[0], [1]], "weights": [0.3, 0.7]},
+            "target": {"points": [[0], [2]], "weights": [0.5, 0.5]},
+            "cost": {"kind": "lp_norm_power", "q": 2, "p": 2}}
+
+    def _text(self, **changes):
+        doc = copy.deepcopy(self.BASE)
+        doc.update(changes)
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_decoded_once(self, monkeypatch, exact):
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(documents.json, "loads",
+                            lambda *a, **k: calls.append(1) or loads(*a, **k))
+        doc = parse_problem(self._text(options={"exact": exact}))
+        assert len(calls) == 1
+        assert (doc.exact is not None) == exact
+        if exact:
+            assert doc.exact[1] == [Fraction(3, 10), Fraction(7, 10)]
+        assert doc.mu.weights.tolist() == [0.3, 0.7]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_schema_literal_is_never_the_version(self, exact):
+        # Decimal("1e0") prints as 1, float("1e0") as 1.0; the schema is
+        # read as the float, as before
+        text = self._text().replace('"schema": "1"', '"schema": 1e0')
+        with pytest.raises(ProblemFormatError, match="expected version"):
+            parse_problem(text, exact=exact)
+
+    def test_zero_literal_leaves_exact_off(self):
+        doc = parse_problem(self._text(options={"exact": 0.0}))
+        assert doc.exact is None
+
+    @pytest.mark.parametrize("exact, shown", [(False, "2.5"),
+                                              (True, "Decimal('2.50')")])
+    def test_numeric_kind_message(self, exact, shown):
+        text = self._text(cost={"kind": "KIND"}).replace('"KIND"', "2.50")
+        with pytest.raises(ProblemFormatError) as err:
+            parse_problem(text, exact=exact)
+        assert str(err.value) == f"/cost/kind: unknown kind {shown}"
+
+    @pytest.mark.parametrize("exact, shown", [(False, "inf"),
+                                              (True, "1E+400")])
+    def test_float_field_of_an_exact_document(self, exact, shown):
+        # q is a float in both modes, but an exact document read it as
+        # the Decimal written, and its error shows that
+        text = self._text(cost={"kind": "lp_norm_power", "q": "Q"},
+                          options={"exact": exact}).replace('"Q"', "1e400")
+        with pytest.raises(ProblemFormatError) as err:
+            parse_problem(text)
+        assert str(err.value) == ("/cost/q: expected a finite number in "
+                                  f"the range of doubles, got {shown}")
 
 
 class TestArguments:

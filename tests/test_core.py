@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -366,6 +367,75 @@ class TestCostKernelEdges:
         cost = CostSpec.profile_of_distance(CostProfile(coeffs=[-1.0]))
         with pytest.raises(OTUniqError, match="invalid entries"):
             cost.matrix(mu, mu)
+
+
+def _one_shot_matrix(cost, mu, nu):
+    """``CostSpec.matrix`` as one expression over all n m differences:
+    the reference for the row-blocked build."""
+    diff = mu.points[:, None, :] - nu.points[None, :, :]
+    mat = cost.value_rows(diff.reshape(-1, mu.dim)).reshape(mu.n, nu.n)
+    return np.maximum(mat, 0.0)
+
+
+def _refinement_pair(n=129, m=4097):
+    """A 1-d source ramp against a uniform target grid, sized like the
+    largest rung of the benchmark's gradient refinement."""
+    xs = np.linspace(0.0, 1.0, n)
+    w = 1.5 - xs
+    return (DiscreteMeasure(xs[:, None], w / w.sum()),
+            DiscreteMeasure(np.linspace(0.2, 1.2, m)[:, None],
+                            np.full(m, 1.0 / m)))
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCostMatrixBlocks:
+    """``CostSpec.matrix`` is built in blocks of rows; the matrix must be
+    the one-shot expression's bit for bit, with temporaries small next
+    to it."""
+
+    COSTS = [CostSpec.lp_norm_power(q, p)
+             for q, p in ((1.0, 2.0), (2.0, 2.0), (2.0, 1.5), (3.0, 2.5),
+                          (np.inf, 3.0))] \
+        + [CostSpec.profile_of_distance(CostProfile(coeffs=[0.0, 0.5, 1.0])),
+           CostSpec.profile_of_distance(CostProfile(
+               table=([0.0, 1.0, 2.0, 5.0], [0.0, 1.0, 3.0, 10.0])))]
+
+    @pytest.mark.parametrize("k", range(len(COSTS)))
+    @pytest.mark.parametrize("n, m", [(70, 400), (5, 12000), (3, 2)])
+    def test_bit_identical_to_one_shot(self, k, n, m):
+        # 400 x 3 differences a row gives blocks of 27 rows with a short
+        # last one; 12000 x 3 gives one row a block
+        cost = self.COSTS[k]
+        rng = np.random.default_rng(1020 + k)
+        mu = DiscreteMeasure(rng.uniform(-2, 2, (n, 3)), np.full(n, 1 / n))
+        nu = DiscreteMeasure(rng.uniform(-2, 2, (m, 3)), np.full(m, 1 / m))
+        mat = cost.matrix(mu, nu)
+        assert mat.dtype == float and not mat.flags.writeable
+        ref = _one_shot_matrix(cost, mu, nu)
+        assert np.array_equal(mat.view(np.int64), ref.view(np.int64))
+
+    def test_peak_memory_at_most_one_and_a_half_matrices(self):
+        mu, nu = _refinement_pair()
+        cost = CostSpec.sq_euclidean()
+        res = solve(mu, nu, cost)
+        mat = res.cost_matrix
+        assert _peak_bytes(lambda: cost.matrix(mu, nu)) <= 1.5 * mat.nbytes
+        report = None
+
+        def check():
+            nonlocal report
+            report = verify_duality(res.plan, res.pair, mat)
+
+        assert _peak_bytes(check) <= 1.5 * mat.nbytes
+        assert report == res.duality and report.optimal
 
 
 class TestExactMatrix:

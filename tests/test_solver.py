@@ -21,6 +21,7 @@ from otuniq.core import (
 from otuniq.decompose import ComponentDecomposition
 from otuniq.errors import InfeasibleOptimum, Unbalanced
 from otuniq.solver import (
+    _price,
     _solve_core,
     dual_face_oracle,
     solve,
@@ -29,7 +30,12 @@ from otuniq.solver import (
 )
 from otuniq.uniqueness import certify
 
-from helpers import enumerate_vertices, lp_face_bounds, random_instance
+from helpers import (
+    enumerate_vertices,
+    lp_face_bounds,
+    random_instance,
+    reference_price,
+)
 
 
 class TestSolve:
@@ -137,8 +143,9 @@ class TestSolve:
 
 def _pinned_instances():
     """The float instances whose pivot sequence is pinned: uniform 2-d,
-    a clustered ladder-like pair, all-ones and a zero-weight-padded
-    one.  Yields (name, mu, nu, cost)."""
+    a clustered ladder-like pair, all-ones, a zero-weight-padded one, a
+    tall one priced in blocks of several rows and a 100 x 100 ladder
+    instance.  Yields (name, mu, nu, cost)."""
     rng = np.random.default_rng(1001)
     yield ("uniform 2-d n=60",
            DiscreteMeasure(rng.uniform(0, 1, (60, 2)), np.full(60, 1 / 60)),
@@ -167,6 +174,30 @@ def _pinned_instances():
            DiscreteMeasure(rng.uniform(0, 1, (10, 2)), a),
            DiscreteMeasure(rng.uniform(0, 1, (8, 2)), b),
            CostSpec.sq_euclidean())
+    rng = np.random.default_rng(1005)
+    yield ("tall 30x7",
+           DiscreteMeasure(rng.uniform(0, 1, (30, 2)),
+                           rng.dirichlet(np.ones(30))),
+           DiscreteMeasure(rng.uniform(0, 1, (7, 2)),
+                           rng.dirichlet(np.ones(7))),
+           CostSpec.sq_euclidean())
+    rng = np.random.default_rng(1006)
+    axis = np.linspace(-1.0, 1.0, 5)
+    lattice = np.stack(np.meshgrid(axis, axis, indexing="ij"),
+                       axis=-1).reshape(-1, 2)
+    sides = []
+    for offset, masses in ((0.0, [0.22, 0.31, 0.17, 0.30]),
+                           (3.0, [0.27, 0.19, 0.33, 0.21])):
+        pts = np.concatenate([lattice + [10.0 * k + offset, 0.0]
+                              + rng.uniform(-0.05, 0.05, lattice.shape)
+                              for k in range(4)])
+        ticks = rng.uniform(0.8, 1.2, (4, 25))
+        ticks = (ticks / ticks.sum(axis=1, keepdims=True)
+                 * np.array(masses)[:, None]).ravel()
+        w = np.round(ticks * 2.0 ** 20) / 2.0 ** 20
+        w[-1] = 1.0 - w[:-1].sum()
+        sides.append(DiscreteMeasure(pts, w))
+    yield ("clustered ladder n=100", *sides, CostSpec.sq_euclidean())
 
 
 def _digest(basis, masses, f, g) -> str:
@@ -190,6 +221,22 @@ def _pinned_exact_instance():
     return cost, a, b
 
 
+def _pinned_rational_instance():
+    """22 x 22 rational costs over denominators 1..6 and rational
+    weights over distinct denominators."""
+    rng = np.random.default_rng(1007)
+    cost = [[Fraction(int(c), int(d)) for c, d in zip(row, dens)]
+            for row, dens in zip(rng.integers(0, 40, (22, 22)),
+                                 rng.integers(1, 7, (22, 22)))]
+
+    def weights():
+        w = [Fraction(int(t), int(d)) for t, d
+             in zip(rng.integers(1, 20, 22), rng.integers(1, 9, 22))]
+        return [x / sum(w) for x in w]
+
+    return cost, weights(), weights()
+
+
 class TestPivotSequencePinned:
     """Pivot count, basis, plan and pair of fixed instances, pinned bit for
     bit: a change to how the simplex stores its basis tree must leave
@@ -205,6 +252,13 @@ class TestPivotSequencePinned:
                             "21086c84e7bd4315b020dd5a480685e3"),
         "zero-weight padded 10x8": (7, "ed96e4458247e649b8c31d14f7908338"
                                        "b59e9edece0149caea342ccd759205b5"),
+        # recorded from the preorder-array tree, before the pricing and
+        # pivot body were made leaner: blocks of three rows (30 x 7) and
+        # a ladder-sized instance
+        "tall 30x7": (44, "d40c8d9048652ef438371527429644c2"
+                          "ffe3ef766be442624b485d05c9b5edae"),
+        "clustered ladder n=100": (428, "a0b4351a841bb89853b7d9f861a0aa23"
+                                        "b83c17512bb8e95d614f93aa5408db3b"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -227,6 +281,81 @@ class TestPivotSequencePinned:
         assert _digest(basis, masses, f, g) \
             == ("329d5f43ed2d9cc5b2ff1e5a3009bd91"
                 "c50b85a2260654578ee21fbebacd3467")
+
+    def test_exact_rational(self):
+        cost, a, b = _pinned_rational_instance()
+        masses, f, g, iterations = solve_exact(cost, a, b)
+        basis = _solve_core(np.array(cost, dtype=object), a, b,
+                            enter_tol=Fraction(0), max_iter=10 ** 6)[3]
+        assert iterations == 127
+        assert _digest(basis, masses, f, g) \
+            == ("c4ff3b030dc9252eda2ba874c6394806"
+                "d9634f5b4f8f2d94af4dd6024fab40ce")
+
+
+PRICE_SHAPES = [(1, 1), (1, 6), (7, 1), (4, 9), (7, 7), (11, 3), (13, 4)]
+
+
+def _price_cases():
+    """Derandomized pricing inputs: (cost, p, start, rows, enter_tol).
+
+    Per shape, float and object-int arrays; costs drawn from a few
+    integers (many tied reduced costs) or from floats; duals random, or
+    the row minima (no arc prices out); every start row; ``rows`` the
+    simplex's ceil(ceil(sqrt(n m)) / m) and 1 to 3 besides, so the
+    shapes with n > m have blocks of two or more rows that do not
+    divide n."""
+    rng = np.random.default_rng(1010)
+    for n, m in PRICE_SHAPES:
+        rule = -(-(math.isqrt(n * m - 1) + 1) // m)
+        for tied in (True, False):
+            cost = rng.integers(0, 4, (n, m)) if tied \
+                else rng.integers(0, 1000, (n, m))
+            for duals in ("random", "row minima"):
+                if duals == "random":
+                    p = rng.integers(-3, 4, n + m) if tied \
+                        else rng.integers(-500, 500, n + m)
+                else:
+                    p = np.concatenate([cost.min(axis=1), np.zeros(m, int)])
+                for exact in (False, True):
+                    if exact:
+                        c = np.array(cost.tolist(), dtype=object)
+                        q = np.array(p.tolist(), dtype=object)
+                        c = c if tied else c * 7
+                        tols = (0,)
+                    else:
+                        c = cost.astype(float) if tied \
+                            else cost / 7.0 + rng.uniform(0, 1e-3, (n, m))
+                        q = p.astype(float) if tied else p / 7.0
+                        tols = (0.0, 0.5, 1e-12)
+                    for rows in sorted({rule, 1, 2, 3} & set(range(1, n + 1))):
+                        for tol in tols:
+                            for start in range(n):
+                                yield c, q, start, rows, tol
+
+
+class TestPrice:
+    """``_price`` prices one-row blocks by a 1-d expression; it must give
+    what the 2-d block expression gives, bit for bit."""
+
+    @staticmethod
+    def _key(out):
+        if out is None:
+            return None
+        i, j, rc, nxt = out
+        value = rc.hex() if isinstance(rc, float) else rc
+        return type(i), i, type(j), j, type(rc), value, nxt
+
+    def test_matches_reference(self):
+        cases = entering = 0
+        for cost, p, start, rows, tol in _price_cases():
+            got = _price(cost, p, start, rows, tol)
+            assert self._key(got) \
+                == self._key(reference_price(cost, p, start, rows, tol)), \
+                (cost.shape, cost.dtype, start, rows, tol)
+            cases += 1
+            entering += got is not None
+        assert 0 < entering < cases
 
 
 def _highs_optimum(cost: np.ndarray, a, b) -> float:
