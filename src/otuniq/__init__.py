@@ -30,6 +30,7 @@ from .uniqueness import (
     UniquenessCertificate,
     ambiguity_witness,
     certify,
+    exact_blocks,
     marginal_degeneracy_check,
     plan_degeneracy_check,
 )

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import NEG_INF, c_transform, scaled_integers, tight_components
+from .core import NEG_INF, c_transform
 from .decompose import ComponentDecomposition
 from .documents import (
     ProblemDocument,
@@ -27,7 +27,7 @@ from .documents import (
     render_csv_grid,
     render_report,
 )
-from .errors import OTUniqError, ProblemFormatError, TooManyComponents
+from .errors import OTUniqError, ProblemFormatError
 from .regularity import asymptotic_region, dominated_region
 from .solver import (
     dual_face_oracle,
@@ -35,12 +35,7 @@ from .solver import (
     solve_exact,
     tight_graph_connectivity_oracle,
 )
-from .uniqueness import (
-    _degeneracy,
-    ambiguity_witness,
-    certify,
-    marginal_degeneracy_check,
-)
+from .uniqueness import ambiguity_witness, certify, exact_blocks
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -135,7 +130,7 @@ def cmd_certify(args) -> int:
             "f_b": list(cert.witness[1].f), "g_b": list(cert.witness[1].g),
         }
     if doc.exact:
-        body["exact"] = _exact_section(doc, dec)
+        body["exact"], _ = exact_blocks(*doc.scaled_exact_problem(), dec)
     code = {"unique": EXIT_OK, "non_unique": EXIT_NON_UNIQUE}.get(
         cert.verdict, EXIT_INCONCLUSIVE)
     if args.oracle == "on":
@@ -169,37 +164,6 @@ def cmd_certify(args) -> int:
                 "see the discretized dual face only")
     _emit(render_report(body, doc.digest, args.seed), args.out)
     return code
-
-
-def _exact_section(doc: ProblemDocument, dec: ComponentDecomposition) -> dict:
-    """``certify``'s blocks and marginal check on the exact solution of the
-    problem as written, with tightness ``slack == 0`` on the costs and
-    duals times K, Python ints."""
-    cost, scale, a, b = doc.scaled_exact_problem()
-    masses, f, g, _it = solve_exact(cost, a, b, cost_scale=scale)
-    kf, kg = (np.array([v.numerator * (scale // v.denominator) for v in h],
-                       dtype=object) for h in (f, g))
-    tight = (cost == np.add.outer(kf, kg)) \
-        & np.outer(np.array(a) > 0, np.array(b) > 0)
-    rows, cols = np.array(list(masses), dtype=int).T
-    labels, _, _ = tight_components(rows, cols, tight, dec.source_index,
-                                    dec.target_index)
-    # the component masses as the ints mass * L, one LCM for both sides
-    w, _ = scaled_integers(list(a) + list(b))
-    ms = [sum(w[i] for i in grp) for grp in dec.source_components]
-    mt = [sum(w[len(a) + j] for j in grp) for grp in dec.target_components]
-    blocks = len(_degeneracy(labels, ms, mt)["blocks"])
-    section = {"plan_blocks": blocks, "plan_degenerate": blocks > 1,
-               "marginal_collision": None}
-    try:
-        hit = marginal_degeneracy_check(ms, mt)
-    except TooManyComponents:
-        section["flags"] = ["marginal degeneracy check skipped: "
-                            "component cap"]
-        return section
-    if hit["status"] == "colliding":
-        section["marginal_collision"] = [list(hit["I"]), list(hit["J"])]
-    return section
 
 
 def cmd_witness(args) -> int:

@@ -293,18 +293,11 @@ class CostSpec:
             np.maximum(block.reshape(-1, m), 0.0, out=mat[r:r + step])
         return _as_readonly(mat)
 
-    def exact_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Exact squared Euclidean or l1 cost matrix between (n, d) and
-        (m, d) object arrays of Fraction points, as an object array of
-        Fractions: ``scaled_exact_matrix`` over its scale."""
-        ints, scale = self.scaled_exact_matrix(x, y)
-        return np.array([Fraction(v, scale) for v in ints.flat],
-                        dtype=object).reshape(ints.shape)
-
     def scaled_exact_matrix(self, x: np.ndarray,
                             y: np.ndarray) -> tuple[np.ndarray, int]:
-        """(K C, K): the exact cost matrix C of ``exact_matrix`` times K,
-        as an object array of Python ints.  The sums run on the points
+        """(K C, K): the exact squared Euclidean or l1 cost matrix C
+        between (n, d) and (m, d) object arrays of Fraction points, times
+        K, as an object array of Python ints.  The sums run on the points
         times D, the least common multiple of their coordinate
         denominators, so K is D**2, or D for l1."""
         if self.kind == "lp_norm_power" and (self.q, self.p) in ((2.0, 2.0), (1.0, 1.0)):
@@ -488,7 +481,7 @@ def tight_components(rows: np.ndarray, cols: np.ndarray, tight: np.ndarray,
     the group of i to the group of j, each arc (``rows[k]``,
     ``cols[k]``) of an optimal plan one back.  The caller decides
     tightness, so any scalar type works: within a tolerance in float
-    mode, ``slack == 0`` on Fractions; the mask should hold only pairs
+    mode, ``slack == 0`` on exact scalars; the mask should hold only pairs
     of positive-weight points.  A tight pair carries mass in some
     optimal plan iff it lies on a cycle of this graph (strict
     complementarity, Goldman-Tucker), so two groups share a component

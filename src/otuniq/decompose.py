@@ -94,9 +94,9 @@ class ComponentDecomposition:
         return cls(tuple(tuple(g) for g in src), tuple(tuple(g) for g in tgt),
                    method, epsilon)
 
-    def component_masses(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
-        ms = [float(np.sum(mu.weights[list(g)]))
-              for g in self.source_components]
-        mt = [float(np.sum(nu.weights[list(g)]))
-              for g in self.target_components]
-        return ms, mt
+    def component_masses(self, a: np.ndarray, b: np.ndarray):
+        """Per-component weight sums: floats on float arrays (bit for bit
+        ``np.sum``), Python ints on object arrays of ints."""
+        cast = float if a.dtype != object else (lambda x: x)
+        return ([cast(np.sum(a[list(g)])) for g in self.source_components],
+                [cast(np.sum(b[list(g)])) for g in self.target_components])

@@ -180,11 +180,6 @@ class ProblemDocument:
     exact: Optional[tuple] = None       # exact mode: the numbers as written
     digest: str = ""
 
-    def exact_problem(self):
-        """(cost, a, b) in Fractions: ``scaled_exact_problem`` unscaled."""
-        cost, scale, a, b = self.scaled_exact_problem()
-        return cost / Fraction(scale), a, b
-
     def scaled_exact_problem(self):
         """(K cost, K, a, b) from ``exact`` = (x, a, y, b, explicit cost or
         None): the cost times K as an object array of Python ints, and the

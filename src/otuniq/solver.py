@@ -9,7 +9,7 @@ oracles cross-validate certificates produced elsewhere:
   face by two shortest-path runs;
 * ``tight_graph_connectivity_oracle`` applies the classical criterion
   on the tight-edge graph by ``core.tight_components``, the routine of
-  ``certify`` and of the exact section of ``otuniq certify --exact``.
+  the block rule that ``certify`` and ``exact_blocks`` share.
 """
 
 from __future__ import annotations

@@ -3,6 +3,10 @@
 Degeneracy tests on component masses and on component flow graphs, the
 certification pipeline on the tight residual graph, and the explicit
 f_{a, b} ambiguity witness family for separated self-coupled instances.
+
+One block rule, ``_blocks``, serves both scalar modes: ``certify`` runs
+it on floats with tightness within tau, ``exact_blocks`` (the ``exact``
+section of ``otuniq certify --exact``) on Python ints with ``==``.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,6 +27,7 @@ from .core import (
     TransportPlan,
     _tight_mask,
     component_labels,
+    scaled_integers,
     tight_components,
     verify_duality,
 )
@@ -35,7 +39,7 @@ from .errors import (
     TooManyComponents,
     WrongComponentCount,
 )
-from .solver import SolveResult, dual_face_oracle, solve
+from .solver import SolveResult, dual_face_oracle, solve, solve_exact
 
 SUBSET_CAP = 26          # |I| + |J| bound for subset enumeration
 MARGIN_FACTOR = 10.0     # knife-edge warning threshold, times tau_mass
@@ -78,7 +82,8 @@ class ComponentFlowGraph:
     def build(cls, plan: TransportPlan,
               decomposition: ComponentDecomposition) -> "ComponentFlowGraph":
         """Sum the plan's arcs per (source, target) component pair."""
-        ms, mt = decomposition.component_masses(plan.source, plan.target)
+        ms, mt = decomposition.component_masses(plan.source.weights,
+                                                plan.target.weights)
         acc: dict = {}
         for key, v in zip(zip(decomposition.source_index[plan.rows].tolist(),
                               decomposition.target_index[plan.cols].tolist()),
@@ -132,8 +137,8 @@ def marginal_degeneracy_check(component_masses_mu: Sequence[float],
 
     Nondegenerate iff no nonempty proper subset of source-component
     masses matches one of target-component masses within tau_mass, or
-    exactly when every mass is a Fraction or an int (an int gap is 0 or
-    at least 1).  Also reports the minimal gap over all subset pairs,
+    exactly when no mass is a float (Fractions and ints; an int gap is
+    0 or at least 1).  Also reports the minimal gap over all subset pairs,
     for knife-edge warnings.  (I, J) pairs the first source subset, by
     size then lexicographically, that reaches it with its nearest target
     subset.  Only the smaller side's subset sums are held in memory.
@@ -146,7 +151,7 @@ def marginal_degeneracy_check(component_masses_mu: Sequence[float],
         )
     if len(ms) < 2 or len(mt) < 2:      # a side with no proper subset
         return {"status": "nondegenerate", "min_gap": float("inf")}
-    tau = 0 if all(isinstance(x, Fraction) for x in ms + mt) else TAU_MASS
+    tau = TAU_MASS if any(isinstance(x, float) for x in ms + mt) else 0
     best_gap = float("inf")
     hit = None
     for s, combo, lo, hi in _target_neighbours(ms, mt):
@@ -216,6 +221,33 @@ def _block_witness(result: SolveResult, src_block, tgt_block, left):
     return None
 
 
+def _blocks(rows, cols, tight, a, b, decomposition: ComponentDecomposition):
+    """The block rule on an optimal plan's arcs, the boolean mask of its
+    dual's tight pairs and the weights (float arrays, or object arrays of
+    Python ints): component masses, the marginal test (skipped and
+    flagged past SUBSET_CAP), and the blocks of the tight residual graph.
+    Returns (source component masses, marginal or None, flags,
+    ``tight_components``'s (labels, ti, tj), ``_degeneracy``)."""
+    ms, mt = decomposition.component_masses(a, b)
+    flags: list[str] = []
+    try:
+        marginal = marginal_degeneracy_check(ms, mt)
+        # an int gap is 0 or at least 1, so only float masses flag here
+        if marginal["min_gap"] < MARGIN_FACTOR * TAU_MASS \
+                and marginal["status"] == "nondegenerate":
+            flags.append(
+                f"degeneracy-margin: minimal subset-sum gap "
+                f"{marginal['min_gap']:.3e}"
+            )
+    except TooManyComponents:
+        marginal = None
+        flags.append("marginal degeneracy check skipped: component cap")
+    graph = tight_components(rows, cols, tight & np.outer(a > 0, b > 0),
+                             decomposition.source_index,
+                             decomposition.target_index)
+    return ms, marginal, flags, graph, _degeneracy(graph[0], ms, mt)
+
+
 def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
             decomposition: ComponentDecomposition) -> UniquenessCertificate:
     """Structural uniqueness certificate for the dual optimizers.
@@ -235,25 +267,10 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     shift witness and verdict non_unique.
     """
     result = solve(mu, nu, cost)
-    ms, mt = decomposition.component_masses(mu, nu)
-    flags: list[str] = []
-    try:
-        marginal = marginal_degeneracy_check(ms, mt)
-        if marginal["min_gap"] < MARGIN_FACTOR * TAU_MASS \
-                and marginal["status"] == "nondegenerate":
-            flags.append(
-                f"degeneracy-margin: minimal subset-sum gap "
-                f"{marginal['min_gap']:.3e}"
-            )
-    except TooManyComponents:
-        marginal = None
-        flags.append("marginal degeneracy check skipped: component cap")
-    tight = _tight_mask(result.pair, result.cost_matrix) \
-        & np.outer(mu.weights > 0, nu.weights > 0)
-    labels, ti, tj = tight_components(
-        result.plan.rows, result.plan.cols, tight,
-        decomposition.source_index, decomposition.target_index)
-    degeneracy = _degeneracy(labels, ms, mt)
+    ms, marginal, flags, (labels, ti, tj), degeneracy = _blocks(
+        result.plan.rows, result.plan.cols,
+        _tight_mask(result.pair, result.cost_matrix), mu.weights, nu.weights,
+        decomposition)
     live = [mass > TAU_MASS for mass in ms]
     comp_verdicts = [(k, "unique" if ok else "zero_mass")
                      for k, ok in enumerate(live)]
@@ -267,7 +284,8 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     glued = src_block[ti] == tgt_block[tj]
     links = np.unique(np.c_[decomposition.source_index[ti[glued]],
                             decomposition.target_index[tj[glued]]], axis=0)
-    feeders = np.bincount(links[:, 1], minlength=len(mt))
+    feeders = np.bincount(links[:, 1],
+                          minlength=len(decomposition.target_components))
     if any(len(grp) > 1 and k > 1
            for grp, k in zip(decomposition.target_components, feeders)):
         flags.append(
@@ -289,6 +307,32 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
         verdict=verdict, degeneracy=degeneracy, marginal_degeneracy=marginal,
         freedom_dim=max(freedom, 0), witness=witness, flags=tuple(flags),
         component_verdicts=tuple(comp_verdicts), solve_result=result)
+
+
+def exact_blocks(cost, scale: int, a, b,
+                 decomposition: ComponentDecomposition):
+    """``certify``'s block rule on the ``solve_exact`` solution of
+    ``ProblemDocument.scaled_exact_problem()`` = (K cost, K, a, b).
+
+    Tightness is ``K c == K f + K g`` and the component masses are mass
+    * L (one LCM for both sides), all Python ints, so no tolerance
+    enters.  Returns (section, degeneracy): the ``exact`` section of
+    ``otuniq certify --exact``, and the blocks it counts.
+    """
+    masses, f, g, _it = solve_exact(cost, a, b, cost_scale=scale)
+    kf, kg = (np.array([v.numerator * (scale // v.denominator) for v in h],
+                       dtype=object) for h in (f, g))
+    rows, cols = np.array(list(masses), dtype=int).T
+    w = np.array(scaled_integers(list(a) + list(b))[0], dtype=object)
+    _, marginal, flags, _, degeneracy = _blocks(
+        rows, cols, cost == np.add.outer(kf, kg), w[:len(a)], w[len(a):],
+        decomposition)
+    blocks = len(degeneracy["blocks"])
+    hit = marginal is not None and marginal["status"] == "colliding"
+    section = {"plan_blocks": blocks, "plan_degenerate": blocks > 1,
+               "marginal_collision": [list(marginal["I"]), list(marginal["J"])]
+               if hit else None}
+    return (dict(section, flags=flags) if flags else section), degeneracy
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ PUBLIC = [
     "dual_face_oracle",
     "errors",
     "escape_diagnostic",
+    "exact_blocks",
     "gradient_identity_check",
     "marginal_degeneracy_check",
     "plan_degeneracy_check",

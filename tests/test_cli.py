@@ -18,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 from otuniq import __version__, documents
 from otuniq.cli import main
 from otuniq.core import CostSpec, DiscreteMeasure, PotentialPair, verify_duality
+from otuniq.decompose import ComponentDecomposition
 from otuniq.documents import parse_problem, render_report
 from otuniq.errors import ProblemFormatError
+from otuniq.uniqueness import certify, exact_blocks
 
 
 def _write(tmp_path, doc, name="problem.json"):
@@ -383,6 +385,15 @@ class TestExactSection:
         blocks = rep["exact"]["plan_blocks"]
         assert blocks == len(rep["certificate"]["degeneracy"]["blocks"])
         assert rep["exact"]["plan_degenerate"] == (blocks > 1)
+        # the library entry point lists the same blocks as the float one
+        parsed = parse_problem(json.dumps(doc), exact=True)
+        dec = ComponentDecomposition.build(parsed.mu, parsed.nu,
+                                           "explicit_labels")
+        section, degeneracy = exact_blocks(*parsed.scaled_exact_problem(),
+                                           dec)
+        assert section == rep["exact"]
+        assert degeneracy["blocks"] == certify(
+            parsed.mu, parsed.nu, parsed.cost, dec).degeneracy["blocks"]
 
     def test_marginal_collision_has_zero_tolerance(self, tmp_path, capsys):
         # source component masses 1/2 +- 1e-12 match the targets' 1/2

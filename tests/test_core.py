@@ -439,7 +439,15 @@ class TestCostMatrixBlocks:
 
 
 class TestExactMatrix:
-    """Exact cost matrices against a per-entry Fraction reference."""
+    """Scaled exact cost matrices: Python ints over their scale K, against
+    a per-entry Fraction reference."""
+
+    @staticmethod
+    def _unscaled(cost, x, y):
+        ints, scale = cost.scaled_exact_matrix(np.array(x, dtype=object),
+                                               np.array(y, dtype=object))
+        assert all(type(v) is int for v in ints.flat)
+        return ints / Fraction(scale)
 
     @staticmethod
     def _reference(q, x, y):
@@ -472,8 +480,7 @@ class TestExactMatrix:
         if dim == "primes":
             assert math.lcm(*(v.denominator for p in x + y for v in p)) \
                 > 2 ** 64
-        mat = CostSpec.lp_norm_power(q, q).exact_matrix(
-            np.array(x, dtype=object), np.array(y, dtype=object))
+        mat = self._unscaled(CostSpec.lp_norm_power(q, q), x, y)
         assert mat.shape == (9, 6) and mat.dtype == object
         assert mat.tolist() == self._reference(q, x, y)
         assert all(type(v) is Fraction for v in mat.flat)
@@ -484,8 +491,7 @@ class TestExactMatrix:
         x = [[Fraction(123456789, 1000000007)], [Fraction(7, 2 ** 40)]]
         y = [[Fraction(1, 10 ** 15)],
              [Fraction(999999999990, 999999999989)]]
-        mat = CostSpec.lp_norm_power(q, q).exact_matrix(
-            np.array(x, dtype=object), np.array(y, dtype=object))
+        mat = self._unscaled(CostSpec.lp_norm_power(q, q), x, y)
         assert mat.tolist() == self._reference(q, x, y)
 
     def test_explicit_matrix(self):
@@ -499,7 +505,9 @@ class TestExactMatrix:
             "cost": {"kind": "explicit_matrix",
                      "values": [[0, "1/3", 2.5], [0.1, 7, "1/7"]]},
         }), exact=True)
-        mat, a, b = doc.exact_problem()
+        ints, scale, a, b = doc.scaled_exact_problem()
+        assert all(type(v) is int for v in ints.flat)
+        mat = ints / Fraction(scale)
         assert mat.tolist() == [
             [0, Fraction(1, 3), Fraction(5, 2)],
             [Fraction(1, 10), 7, Fraction(1, 7)]]
@@ -513,4 +521,4 @@ class TestExactMatrix:
         for cost in (CostSpec.lp_norm_power(3.0, 1.0),
                      CostSpec.explicit([[0.0, 1.0], [1.0, 0.0]])):
             with pytest.raises(OTUniqError, match="exact mode supports"):
-                cost.exact_matrix(x, x)
+                cost.scaled_exact_matrix(x, x)

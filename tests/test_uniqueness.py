@@ -112,6 +112,12 @@ class TestMarginalDegeneracy:
         floats = marginal_degeneracy_check([float(x) for x in ms],
                                            [0.5, 0.5])
         assert floats["status"] == "colliding"
+        # an int mass among Fractions keeps the comparison exact
+        d = Fraction(1, 10**12)
+        for zero in (0, Fraction(0)):
+            out = marginal_degeneracy_check(
+                [zero, Fraction(1, 2) + d, Fraction(1, 2) - d], mt)
+            assert out["status"] == "nondegenerate" and out["min_gap"] == d
 
     def test_component_cap(self):
         with pytest.raises(TooManyComponents):
