@@ -167,6 +167,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    if args.samples < 1:
+        raise ProblemFormatError("--samples", f"expected a positive "
+                                 f"integer, got {args.samples}")
     doc = _load(args.problem, False)
     dec = _decomposition(doc, args)
     wit = ambiguity_witness(doc.mu, doc.cost, dec, n_samples=args.samples)

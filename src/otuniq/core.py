@@ -8,7 +8,7 @@ lifting works on plain numpy arrays.  Potentials may take the value -inf
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
@@ -500,6 +500,8 @@ def tight_components(rows: np.ndarray, cols: np.ndarray, tight: np.ndarray,
 
 @dataclass(frozen=True)
 class DualityReport:
+    """``verify_duality``'s verdict; ``tight`` is None if infeasible."""
+
     primal_cost: float
     dual_value: float
     gap: float
@@ -507,6 +509,8 @@ class DualityReport:
     support_tight: bool
     optimal: bool
     tolerance: float
+    tight: Optional[np.ndarray] = field(default=None, repr=False,
+                                        compare=False)
 
 
 def verify_duality(plan: TransportPlan, pair: PotentialPair,
@@ -514,9 +518,9 @@ def verify_duality(plan: TransportPlan, pair: PotentialPair,
     """Primal/dual cross-check: gap, feasibility, support tightness.
 
     One pass builds the slack c - f - g in a single (n, m) buffer;
-    feasibility is its minimum against -tau_tight, and support
-    tightness reads only the gathered ``slack[plan.rows, plan.cols]``,
-    so no (n, m) mask is built.
+    feasibility is its minimum against -tau_tight.  The buffer becomes
+    the tight mask, read at the plan's arcs for support tightness and
+    kept read-only as ``tight`` for ``certify`` and the tight-graph oracle.
     """
     cost_matrix = np.asarray(cost_matrix, dtype=float)
     if cost_matrix.shape != (plan.source.n, plan.target.n):
@@ -528,13 +532,11 @@ def verify_duality(plan: TransportPlan, pair: PotentialPair,
     gap = primal - dual
     tau_gap = TAU_GAP * (1.0 + abs(primal))
     try:
-        slack, tau = _slack(pair, cost_matrix)
-        feasible = True
-        support_tight = bool(np.all(
-            np.abs(slack[plan.rows, plan.cols]) <= tau))
+        tight = _as_readonly(_tight_mask(pair, cost_matrix))
     except InfeasiblePair:
-        feasible = False
-        support_tight = False
+        tight = None
+    feasible = tight is not None
+    support_tight = feasible and bool(np.all(tight[plan.rows, plan.cols]))
     optimal = feasible and support_tight and abs(gap) <= tau_gap
     return DualityReport(primal, dual, gap, feasible, support_tight, optimal,
-                         tau_gap)
+                         tau_gap, tight)

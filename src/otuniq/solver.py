@@ -34,7 +34,7 @@ from .core import (
     DualityReport,
     PotentialPair,
     TransportPlan,
-    _tight_mask,
+    _slack,
     scaled_integers,
     tight_components,
     verify_duality,
@@ -417,12 +417,12 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
     so max f_i = dist(anchor -> x_i) and min f_i = -dist(x_i -> anchor)
     on the digraph with arcs y_j -> x_i of weight c_ij and x_i -> y_j of
     weight -c_ij on the support.  The arcs are reweighted by ``pair``,
-    which must be optimal for the plan: every weight becomes a slack
-    >= 0, and two Dijkstra runs from the anchor, on the graph and on its
-    transpose, give all bounds.  The bounds depend only on the support
-    and the costs, not on which optimal pair is passed.  Coordinates a
-    path cannot reach (zero-weight points) are unbounded; they are
-    reported as +-inf and excluded from the spread.
+    which must be optimal for the plan: every weight becomes a slack >= 0
+    (``core._slack``, clipped at 0 in place), and two Dijkstra runs from
+    the anchor, on the graph and on its transpose, give all bounds.  The
+    bounds depend only on the support and the costs, not on which optimal
+    pair is passed.  Coordinates a path cannot reach (zero-weight points)
+    are unbounded; they are reported as +-inf and excluded from the spread.
     """
     if not verify_duality(plan, pair, cost_matrix).optimal:
         raise InfeasibleOptimum("the pair is not optimal for the plan")
@@ -430,7 +430,8 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
     n, m = mat.shape
     anchor = plan.source.anchor_index()
     f = pair.f
-    slack = np.maximum(mat - f[:, None] - pair.g[None, :], 0.0)
+    slack = _slack(pair, mat)[0]
+    np.maximum(slack, 0.0, out=slack)
     # nodes: sources 0..n-1, targets n..n+m-1; zero weights must stay
     # stored entries, so both graphs are built from triplets directly
     src = np.repeat(np.arange(n), m)
@@ -457,14 +458,13 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
 def tight_graph_connectivity_oracle(result: SolveResult) -> dict:
     """Classical dual-uniqueness criterion on the tight-edge graph.
 
-    ``tight_components`` on single points: a tight edge is usable when
-    some optimal plan puts mass on it, i.e. when its ends share a
-    component.  Potentials are unique up to one constant iff one
-    component holds every positive-weight point.
+    ``tight_components`` on single points and ``result.duality.tight``:
+    a tight edge is usable when some optimal plan puts mass on it, i.e.
+    when its ends share a component.  Potentials are unique up to one
+    constant iff one component holds every positive-weight point.
     """
     mu, nu = result.plan.source, result.plan.target
-    tight = _tight_mask(result.pair, result.cost_matrix) \
-        & np.outer(mu.weights > 0, nu.weights > 0)
+    tight = result.duality.tight & np.outer(mu.weights > 0, nu.weights > 0)
     labels, ti, tj = tight_components(result.plan.rows, result.plan.cols,
                                       tight, np.arange(mu.n), np.arange(nu.n))
     usable = labels[ti] == labels[mu.n + tj]

@@ -25,7 +25,6 @@ from .core import (
     DiscreteMeasure,
     PotentialPair,
     TransportPlan,
-    _tight_mask,
     component_labels,
     scaled_integers,
     tight_components,
@@ -195,10 +194,10 @@ def _block_witness(result: SolveResult, src_block, tgt_block, left):
     not every block is left; the first such block's sources are shifted
     up by s and its targets down by s.  It is mass balanced, so the dual
     value is unchanged, and s is half the least slack from its
-    positive-weight sources to the other positive-weight targets.
-    Zero-weight points then take their c-transform values, as in
-    ``solve``.  Returns None when no source block qualifies or the
-    shifted pair fails verification.
+    positive-weight sources to the other positive-weight targets, whose
+    sub-block alone is computed.  Zero-weight points then take their
+    c-transform values, as in ``solve``.  Returns None when no source
+    block qualifies or the shifted pair fails verification.
     """
     pair, mat = result.pair, result.cost_matrix
     pos_s, pos_t = pair.source.weights > 0, pair.target.weights > 0
@@ -207,9 +206,9 @@ def _block_witness(result: SolveResult, src_block, tgt_block, left):
     if block is None:
         return None
     in_s, in_t = src_block == block, tgt_block == block
-    slack = (mat - pair.f[:, None] - pair.g[None, :])[
-        np.ix_(in_s & pos_s, ~in_t & pos_t)]
-    s = float(np.min(slack, initial=1.0)) / 2.0
+    rows, cols = in_s & pos_s, ~in_t & pos_t
+    s = float(np.min(mat[np.ix_(rows, cols)] - pair.f[rows, None]
+                     - pair.g[None, cols], initial=1.0)) / 2.0
     f2, g2 = pair.f.copy(), pair.g.copy()
     f2[in_s] += s
     g2[in_t] -= s
@@ -268,9 +267,8 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     """
     result = solve(mu, nu, cost)
     ms, marginal, flags, (labels, ti, tj), degeneracy = _blocks(
-        result.plan.rows, result.plan.cols,
-        _tight_mask(result.pair, result.cost_matrix), mu.weights, nu.weights,
-        decomposition)
+        result.plan.rows, result.plan.cols, result.duality.tight,
+        mu.weights, nu.weights, decomposition)
     live = [mass > TAU_MASS for mass in ms]
     comp_verdicts = [(k, "unique" if ok else "zero_mass")
                      for k, ok in enumerate(live)]

@@ -441,19 +441,23 @@ class TestExactSection:
                                 "flags": [skipped]}
 
 
+def _two_clusters(tmp_path, n=5):
+    """A self-coupled document of two clusters of n points, 1 apart."""
+    pts = [[i * 1e-3] for i in range(n)] + [[1 + i * 1e-3] for i in range(n)]
+    w = [1.0 / (2 * n)] * (2 * n)
+    return pts, w, _write(tmp_path, {
+        "schema": "1",
+        "source": {"points": pts, "weights": w},
+        "target": {"points": pts, "weights": w},
+        "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
+        "options": {"epsilon": 0.1},
+    })
+
+
 class TestWitness:
     def test_samples_verified(self, tmp_path, capsys):
         n = 5
-        pts = [[i * 1e-3] for i in range(n)] + \
-              [[1 + i * 1e-3] for i in range(n)]
-        w = [1.0 / (2 * n)] * (2 * n)
-        path = _write(tmp_path, {
-            "schema": "1",
-            "source": {"points": pts, "weights": w},
-            "target": {"points": pts, "weights": w},
-            "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
-            "options": {"epsilon": 0.1},
-        })
+        pts, w, path = _two_clusters(tmp_path, n)
         assert main(["witness", path, "--samples", "5"]) == 0
         rep = json.loads(capsys.readouterr().out)
         wit = rep["witness"]
@@ -467,6 +471,56 @@ class TestWitness:
         for s in wit["samples"]:
             pair = PotentialPair(np.array(s["f"]), np.array(s["g"]), mu, mu)
             assert verify_duality(plan, pair, mat).optimal
+
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_samples_must_be_positive(self, tmp_path, samples):
+        _, _, path = _two_clusters(tmp_path)
+        code, err = _run(["witness", path, "--samples", samples])
+        assert code == 2
+        assert "error: --samples: " in err
+
+
+class TestSlackPasses:
+    """One n x m slack pass per verified pair: ``verify_duality`` keeps
+    its tight mask, which ``certify`` and the tight-graph oracle read,
+    and the witness takes the slack of one sub-block only."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        from otuniq import core, solver
+        calls = []
+        original = core._slack
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        # solver holds its own reference, bound at import
+        monkeypatch.setattr(core, "_slack", counted)
+        monkeypatch.setattr(solver, "_slack", counted)
+        return calls
+
+    @pytest.mark.parametrize("offset, verdict, passes",
+                             [(0.3, "unique", 1), (None, "non_unique", 2)])
+    def test_library_certify(self, monkeypatch, offset, verdict, passes):
+        pts = np.r_[np.arange(4) * 1e-3, 1 + np.arange(4) * 1e-3][:, None]
+        mu = DiscreteMeasure(pts, np.full(8, 1 / 8), np.repeat([0, 1], 4))
+        # the target is the source itself, or the source moved by offset
+        # and labelled as one component
+        nu = mu if offset is None else \
+            DiscreteMeasure(pts + offset, mu.weights, np.zeros(8))
+        dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
+        calls = self._counted(monkeypatch)
+        assert certify(mu, nu, CostSpec.sq_euclidean(), dec).verdict \
+            == verdict
+        assert len(calls) == passes
+
+    def test_cli_certify_with_both_oracles(self, tmp_path, monkeypatch):
+        _, _, path = _two_clusters(tmp_path)
+        calls = self._counted(monkeypatch)
+        code, err = _run(["certify", path, "--oracle", "on"])
+        assert code == 10, err
+        assert len(calls) == 4
 
 
 class TestRegularityCommand:

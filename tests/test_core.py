@@ -204,6 +204,22 @@ class TestVerifyDuality:
         rep = verify_duality(res.plan, bad, cost.matrix(mu, nu))
         assert not rep.optimal
 
+    def test_tight_mask_read_only_or_none(self):
+        rng = np.random.default_rng(9)
+        mu = DiscreteMeasure(rng.uniform(0, 1, (5, 2)), np.full(5, 0.2))
+        nu = DiscreteMeasure(rng.uniform(0, 1, (4, 2)), np.full(4, 0.25))
+        cost = CostSpec.sq_euclidean()
+        res = solve(mu, nu, cost)
+        mat = cost.matrix(mu, nu)
+        rep = verify_duality(res.plan, res.pair, mat)
+        assert rep.optimal and not rep.tight.flags.writeable
+        assert np.array_equal(rep.tight,
+                              subdifferential_of(res.pair, mat).mask)
+        assert repr(rep).endswith(f"tolerance={rep.tolerance!r})")
+        raised = PotentialPair(res.pair.f + 0.5, res.pair.g, mu, nu)
+        bad = verify_duality(res.plan, raised, mat)
+        assert not bad.feasible and bad.tight is None
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(8)
         mu = DiscreteMeasure(rng.uniform(0, 1, (3, 1)), np.full(3, 1 / 3))

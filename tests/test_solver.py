@@ -17,6 +17,7 @@ from otuniq.core import (
     PotentialPair,
     TransportPlan,
     component_labels,
+    verify_duality,
 )
 from otuniq.decompose import ComponentDecomposition
 from otuniq.errors import InfeasibleOptimum, Unbalanced
@@ -739,10 +740,13 @@ class TestTightGraphOracle:
         rng = np.random.default_rng(15)
         mu, nu, cost, _, _ = random_instance(rng, "unique", max_points=12)
         res = solve(mu, nu, cost)
+        pair = PotentialPair(res.pair.f + 2.5, res.pair.g - 2.5, mu, nu)
+        # the oracle reads the tight mask off the report, so the shifted
+        # result carries the shifted pair's own verification
         shifted = res.__class__(
-            plan=res.plan,
-            pair=PotentialPair(res.pair.f + 2.5, res.pair.g - 2.5, mu, nu),
-            basis=res.basis, iterations=res.iterations, duality=res.duality,
+            plan=res.plan, pair=pair, basis=res.basis,
+            iterations=res.iterations,
+            duality=verify_duality(res.plan, pair, res.cost_matrix),
             cost_matrix=res.cost_matrix)
         a = tight_graph_connectivity_oracle(res)
         b = tight_graph_connectivity_oracle(shifted)
