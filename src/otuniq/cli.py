@@ -27,7 +27,8 @@ from .documents import (
     render_csv_grid,
     render_report,
 )
-from .errors import OTUniqError, ProblemFormatError
+from .errors import (AllInfinite, BadEpsilon, DimensionMismatch,
+                     OTUniqError, ProblemFormatError)
 from .regularity import asymptotic_region, dominated_region
 from .solver import (
     dual_face_oracle,
@@ -66,14 +67,22 @@ def _load(path: str, exact: bool) -> ProblemDocument:
 
 def _decomposition(doc: ProblemDocument, args) -> ComponentDecomposition:
     if args.labels:
+        for side, measure in (("source", doc.mu), ("target", doc.nu)):
+            if measure.labels is None:
+                raise ProblemFormatError(f"/{side}/labels",
+                                         "missing; --labels needs them")
         return ComponentDecomposition.build(doc.mu, doc.nu, "explicit_labels")
     epsilon = doc.epsilon if args.epsilon is None else args.epsilon
+    where = "/options/epsilon" if args.epsilon is None else "--epsilon"
     if epsilon is None:
         raise ProblemFormatError(
-            "/options/epsilon",
+            where,
             "decomposition needs --labels or an epsilon (flag or options)")
-    return ComponentDecomposition.build(doc.mu, doc.nu, "epsilon_graph",
-                                        float(epsilon))
+    try:
+        return ComponentDecomposition.build(doc.mu, doc.nu, "epsilon_graph",
+                                            float(epsilon))
+    except BadEpsilon as exc:
+        raise ProblemFormatError(where, str(exc))
 
 
 def cmd_solve(args) -> int:
@@ -222,7 +231,10 @@ def cmd_ctransform(args) -> int:
         raise ProblemFormatError("--values", f"expected a JSON list of "
                                              f"numbers or '-inf': {exc}")
     mat = doc.cost.matrix(doc.mu, doc.nu)
-    res = c_transform(vals, mat, args.direction)
+    try:
+        res = c_transform(vals, mat, args.direction)
+    except (AllInfinite, DimensionMismatch) as exc:
+        raise ProblemFormatError("--values", str(exc))
     pts = doc.mu.points if args.direction == "to_source" else doc.nu.points
     _emit(render_csv_grid(pts, res), args.out)
     return EXIT_OK

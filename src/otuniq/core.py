@@ -418,7 +418,8 @@ def c_transform(values: np.ndarray, cost_matrix: np.ndarray,
     mat = cost_matrix if direction == "to_source" else cost_matrix.T
     if values.shape[0] != mat.shape[1]:
         side = "columns" if direction == "to_source" else "rows"
-        raise DimensionMismatch(f"values do not match cost {side}")
+        raise DimensionMismatch(f"{values.shape[0]} values for "
+                                f"{mat.shape[1]} cost {side}")
     with np.errstate(invalid="ignore"):
         diff = mat - values[None, :]
     diff[:, np.isneginf(values)] = np.inf

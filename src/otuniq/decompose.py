@@ -2,9 +2,11 @@
 
 Components are either taken verbatim from measure labels or built from
 the epsilon-proximity graph (two points share a component iff joined by
-a chain of hops of Euclidean length <= epsilon).  Components are
-discrete stand-ins for the topological components of a continuum
-support; every downstream certificate flags that distinction.
+a chain of hops of Euclidean length <= epsilon).  Either way each point
+gets a component id from ``core.component_labels``, so components are
+numbered by their smallest member.  Components are discrete stand-ins
+for the topological components of a continuum support; every
+downstream certificate flags that distinction.
 """
 
 from __future__ import annotations
@@ -13,53 +15,56 @@ from dataclasses import dataclass, field
 from typing import Literal, Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .core import DiscreteMeasure, _as_readonly, component_labels
 from .errors import BadEpsilon, OTUniqError
 
 
-# entries of the pairwise-difference temporary per row block
-_BLOCK_ENTRIES = 1 << 18
+def _component_ids(measure: DiscreteMeasure, method: str,
+                   epsilon: Optional[float]) -> np.ndarray:
+    """Component id of each point, numbered by smallest member.
 
-
-def _epsilon_edges(pts: np.ndarray, epsilon: float) -> np.ndarray:
-    """Pairs i < j with ``|pts[i] - pts[j]| <= epsilon``, row by row.
-
-    The norm test runs over the upper triangle in blocks of rows, so the
-    difference temporary holds at most about ``_BLOCK_ENTRIES`` floats.
-    Returns a (k, 2) array in row-major order.
+    Explicit labels link each point to the next point with the same
+    label.  The epsilon graph takes its candidate pairs from a k-d tree
+    queried at a radius widened by 1e-9 relative: the tree compares
+    squared distances, whose rounding differs from the norm's, so an
+    unwidened query can miss a pair at exactly epsilon.  The norm test
+    ``|pts[i] - pts[j]| <= epsilon`` then decides each pair.
     """
-    n, d = pts.shape
-    rows = max(1, _BLOCK_ENTRIES // max(1, n * d))
-    parts = []
-    for r in range(0, n, rows):
-        near = np.linalg.norm(pts[r:r + rows, None, :] - pts[None, r:, :],
-                              axis=2) <= epsilon
-        i, j = np.nonzero(np.triu(near, k=1))
-        parts.append(np.column_stack([r + i, r + j]))
-    return np.concatenate(parts)
+    if method == "explicit_labels":
+        if measure.labels is None:
+            raise OTUniqError("measure carries no labels")
+        order = np.argsort(measure.labels, kind="stable")
+        lab = measure.labels[order]
+        same = lab[1:] == lab[:-1]
+        edges = np.column_stack([order[:-1][same], order[1:][same]])
+    elif method == "epsilon_graph":
+        if epsilon is None or not epsilon > 0:
+            raise BadEpsilon(f"epsilon must be positive, got {epsilon}")
+        pts = measure.points
+        pairs = cKDTree(pts).query_pairs(epsilon * (1 + 1e-9),
+                                         output_type="ndarray")
+        near = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+        edges = pairs[near <= epsilon]
+    else:
+        raise OTUniqError(f"unknown decomposition method {method!r}")
+    return component_labels(measure.n, edges)
+
+
+def _groups(ids: np.ndarray) -> list[list[int]]:
+    """Point indices of each component, in id order."""
+    bounds = np.cumsum(np.bincount(ids))[:-1]
+    return [g.tolist() for g in np.split(np.argsort(ids, kind="stable"),
+                                         bounds)]
 
 
 def decompose(measure: DiscreteMeasure,
               method: Literal["explicit_labels", "epsilon_graph"],
               epsilon: Optional[float] = None) -> list[list[int]]:
-    """Partition of point indices into components, ordered by smallest
-    member index."""
-    if method == "explicit_labels":
-        if measure.labels is None:
-            raise OTUniqError("measure carries no labels")
-        keys = [int(lab) for lab in measure.labels]
-    elif method == "epsilon_graph":
-        if epsilon is None or not epsilon > 0:
-            raise BadEpsilon("epsilon must be positive")
-        edges = _epsilon_edges(measure.points, epsilon)
-        keys = component_labels(measure.n, edges).tolist()
-    else:
-        raise OTUniqError(f"unknown decomposition method {method!r}")
-    buckets: dict[int, list[int]] = {}
-    for idx, key in enumerate(keys):
-        buckets.setdefault(key, []).append(idx)
-    return sorted(buckets.values(), key=lambda g: g[0])
+    """Components as lists of point indices in increasing order, ordered
+    by smallest member: equal labels, or chains of hops <= epsilon."""
+    return _groups(_component_ids(measure, method, epsilon))
 
 
 @dataclass(frozen=True)
@@ -67,32 +72,25 @@ class ComponentDecomposition:
     """Index partitions of both supports, with the method that built them.
 
     ``source_index[i]`` and ``target_index[j]`` give the component of
-    each point.
+    each point (read-only arrays); ``build`` computes them and reads the
+    component tuples off them, so both views come from one labelling.
     """
 
+    source_index: np.ndarray = field(repr=False, compare=False)
+    target_index: np.ndarray = field(repr=False, compare=False)
     source_components: tuple
     target_components: tuple
     method: str
     epsilon: Optional[float] = None
-    source_index: np.ndarray = field(init=False, repr=False, compare=False)
-    target_index: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name, parts in (("source_index", self.source_components),
-                            ("target_index", self.target_components)):
-            index = np.empty(sum(len(g) for g in parts), dtype=int)
-            for k, grp in enumerate(parts):
-                index[list(grp)] = k
-            object.__setattr__(self, name, _as_readonly(index))
 
     @classmethod
     def build(cls, mu: DiscreteMeasure, nu: DiscreteMeasure,
               method: Literal["explicit_labels", "epsilon_graph"],
               epsilon: Optional[float] = None) -> "ComponentDecomposition":
-        src = decompose(mu, method, epsilon)
-        tgt = decompose(nu, method, epsilon)
-        return cls(tuple(tuple(g) for g in src), tuple(tuple(g) for g in tgt),
-                   method, epsilon)
+        src = _as_readonly(_component_ids(mu, method, epsilon))
+        tgt = _as_readonly(_component_ids(nu, method, epsilon))
+        return cls(src, tgt, tuple(map(tuple, _groups(src))),
+                   tuple(map(tuple, _groups(tgt))), method, epsilon)
 
     def component_masses(self, a: np.ndarray, b: np.ndarray):
         """Per-component weight sums: floats on float arrays (bit for bit

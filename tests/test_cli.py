@@ -137,8 +137,29 @@ class TestExitCodes:
 
     def test_nan_epsilon_is_solver_error(self, tmp_path, capsys):
         path = _two_interval(tmp_path)
-        assert main(["certify", path, "--epsilon", "nan"]) == 3
-        assert "BadEpsilon" in capsys.readouterr().err
+        assert main(["certify", path, "--epsilon", "nan"]) == 2
+        assert "error: --epsilon: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, source_labels, epsilon, where", [
+        (["certify", "--labels"], None, 0.2, "/source/labels"),
+        (["witness", "--labels"], [0] * 20 + [1] * 20, 0.2,
+         "/target/labels"),
+        (["certify", "--epsilon", "0"], None, 0.2, "--epsilon"),
+        (["witness", "--epsilon", "-1"], None, 0.2, "--epsilon"),
+        (["certify"], None, 0, "/options/epsilon"),
+        (["witness"], None, -0.2, "/options/epsilon"),
+    ], ids=["no_source_labels", "no_target_labels", "zero_flag",
+            "negative_flag", "zero_option", "negative_option"])
+    def test_bad_decomposition_input_is_named(self, tmp_path, argv,
+                                              source_labels, epsilon, where):
+        with open(_two_interval(tmp_path)) as fh:
+            doc = json.load(fh)
+        if source_labels is not None:
+            doc["source"]["labels"] = source_labels
+        doc["options"]["epsilon"] = epsilon
+        code, err = _run([argv[0], _write(tmp_path, doc)] + argv[1:])
+        assert code == 2
+        assert f"error: {where}: " in err
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("path, patch", [
@@ -811,8 +832,14 @@ class TestArguments:
         (["regularity", "{}", "--anchor", "0,0", "--direction", "1,0",
           "--radii", "a"], "--radii"),
         (["ctransform", "{}", "--values", "{}.txt"], "--values"),
+        (["ctransform", "{}", "--values", "{}.short"], "--values"),
+        (["ctransform", "{}", "--values", "{}.short", "--direction",
+          "to_target"], "--values"),
+        (["ctransform", "{}", "--values", "{}.inf"], "--values"),
     ], ids=["anchor_not_a_number", "partner_wrong_dimension",
-            "radii_missing", "radii_not_a_number", "values_not_json"])
+            "radii_missing", "radii_not_a_number", "values_not_json",
+            "values_too_few", "values_too_few_to_target",
+            "values_all_minus_inf"])
     def test_bad_argument_is_named(self, tmp_path, argv, name):
         pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
         side = {"points": pts, "weights": [0.25] * 4}
@@ -821,6 +848,8 @@ class TestArguments:
                                  "cost": {"kind": "lp_norm_power",
                                           "q": 2, "p": 2}})
         (tmp_path / "problem.json.txt").write_text("0, 0, 0, 0")
+        (tmp_path / "problem.json.short").write_text("[0, 0, 0]")
+        (tmp_path / "problem.json.inf").write_text(json.dumps(["-inf"] * 4))
         code, err = _run([a.format(path) for a in argv])
         assert code == 2
         assert f"error: {name}: " in err

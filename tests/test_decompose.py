@@ -152,6 +152,40 @@ class TestDecompose:
             assert decompose(m, "epsilon_graph", eps) \
                 == _epsilon_reference(m.points, eps)
 
+    def test_epsilon_at_a_pair_distance(self):
+        # epsilon is a rounded pair distance or one ulp either side; the
+        # k-d tree rounds squared distances differently from the norm
+        rng = np.random.default_rng(44)
+        for _ in range(400):
+            n, d = int(rng.integers(2, 12)), int(rng.integers(1, 4))
+            m = DiscreteMeasure(rng.uniform(-1, 1, (n, d))
+                                * 10.0 ** rng.integers(-3, 4),
+                                np.full(n, 1 / n))
+            i, j = rng.choice(n, 2, replace=False)
+            dist = np.linalg.norm(m.points[i] - m.points[j])
+            for eps in (np.nextafter(dist, 0), dist,
+                        np.nextafter(dist, np.inf)):
+                assert decompose(m, "epsilon_graph", eps) \
+                    == _epsilon_reference(m.points, eps)
+
+    def test_arbitrary_integer_labels(self):
+        rng = np.random.default_rng(45)
+        cases = [[5, -3, 5, 10 ** 12, -3, 0]]
+        cases += [rng.choice(rng.integers(-10 ** 6, 10 ** 6, 6),
+                             int(rng.integers(1, 30))) for _ in range(200)]
+        for labels in cases:
+            m = _measure(np.arange(len(labels)), labels=labels)
+            buckets = {}
+            for idx, key in enumerate(np.asarray(labels).tolist()):
+                buckets.setdefault(key, []).append(idx)
+            want = sorted(buckets.values(), key=lambda g: g[0])
+            assert decompose(m, "explicit_labels") == want
+            dec = ComponentDecomposition.build(m, m, "explicit_labels")
+            assert dec.target_components == tuple(map(tuple, want))
+            assert not dec.source_index.flags.writeable
+            for i in range(len(labels)):
+                assert i in want[dec.source_index[i]]
+
     def test_missing_labels(self):
         m = _measure([0.0, 1.0])
         with pytest.raises(OTUniqError):
