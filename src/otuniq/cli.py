@@ -23,6 +23,7 @@ from .core import NEG_INF, c_transform
 from .decompose import ComponentDecomposition
 from .documents import (
     ProblemDocument,
+    _number,
     parse_problem,
     render_csv_grid,
     render_report,
@@ -225,9 +226,10 @@ def cmd_ctransform(args) -> int:
     doc = _load(args.problem, False)
     try:
         with open(args.values) as fh:
-            vals = np.array([NEG_INF if v in ("-inf", None) else float(v)
+            vals = np.array([NEG_INF if v in ("-inf", None)
+                             else _number(v, "--values", False, False)
                              for v in json.load(fh)])
-    except (ValueError, TypeError) as exc:      # not JSON, or not numbers
+    except (ValueError, TypeError) as exc:      # not JSON, or not a list
         raise ProblemFormatError("--values", f"expected a JSON list of "
                                              f"numbers or '-inf': {exc}")
     mat = doc.cost.matrix(doc.mu, doc.nu)

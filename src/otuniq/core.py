@@ -385,8 +385,8 @@ class PotentialPair:
         """mu f + nu g; -inf values only count where they carry weight."""
         terms_f = np.where(self.source.weights > 0, self.f, 0.0)
         terms_g = np.where(self.target.weights > 0, self.g, 0.0)
-        return float(self.source.weights @ np.nan_to_num(terms_f, neginf=NEG_INF)
-                     + self.target.weights @ np.nan_to_num(terms_g, neginf=NEG_INF))
+        return float(self.source.weights @ terms_f
+                     + self.target.weights @ terms_g)
 
     def shifted(self, s: float) -> "PotentialPair":
         return PotentialPair(self.f + s, self.g - s, self.source, self.target)

@@ -116,6 +116,9 @@ def _parse_measure(block, location: str, exact: bool):
             or not all(isinstance(x, int) for x in labels)):
         raise ProblemFormatError(f"{location}/labels",
                                  "expected integer labels, one per point")
+    for k, x in enumerate(labels or ()):
+        if not -2 ** 63 <= x < 2 ** 63:
+            raise ProblemFormatError(f"{location}/labels/{k}", "outside int64")
     try:
         measure = DiscreteMeasure(np.array(pts, dtype=float),
                                   np.array(weights, dtype=float), labels)

@@ -6,7 +6,7 @@ code runs in float mode and, on scaled Python ints, in exact mode.  Two
 oracles cross-validate certificates produced elsewhere:
 
 * ``dual_face_oracle`` bounds each dual coordinate over the optimal
-  face by two shortest-path runs;
+  face by two shortest-path runs on the n source nodes;
 * ``tight_graph_connectivity_oracle`` applies the classical criterion
   on the tight-edge graph by ``core.tight_components``, the routine of
   the block rule that ``certify`` and ``exact_blocks`` share.
@@ -23,8 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import csgraph_from_dense, dijkstra
 
 from .core import (
     TAU_FACE_SCALE,
@@ -412,38 +411,33 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
 
     The face is pinned by complementary slackness: f_i + g_j <= c_ij
     everywhere, with equality on the support of the optimal ``plan``.
-    With f fixed to 0 at the source's ``anchor_index()``, that is a
-    system of difference constraints on the node values f_i and -g_j,
-    so max f_i = dist(anchor -> x_i) and min f_i = -dist(x_i -> anchor)
-    on the digraph with arcs y_j -> x_i of weight c_ij and x_i -> y_j of
-    weight -c_ij on the support.  The arcs are reweighted by ``pair``,
-    which must be optimal for the plan: every weight becomes a slack >= 0
-    (``core._slack``, clipped at 0 in place), and two Dijkstra runs from
-    the anchor, on the graph and on its transpose, give all bounds.  The
-    bounds depend only on the support and the costs, not on which optimal
-    pair is passed.  Coordinates a path cannot reach (zero-weight points)
-    are unbounded; they are reported as +-inf and excluded from the spread.
+    With f = 0 at the source's ``anchor_index()``, these are difference
+    constraints: max f_i = dist(anchor -> x_i), min f_i = -dist(x_i ->
+    anchor).  Reweighted by ``pair``, which must be optimal, a path
+    alternates plan arcs x_i -> y_j of weight 0 and arcs y_j -> x_k of
+    weight slack[k, j] >= 0, so it runs on the n sources: hop i -> k
+    weighs the least slack[k, j] over i's plan columns j (bit for bit,
+    as rounding a + b is monotone in b).  Two Dijkstra runs from the
+    anchor, on the hops and their transpose, give all bounds, which do
+    not depend on the pair.  A zero hop is an arc, so ``null_value=inf``
+    marks the absent ones: ``dijkstra`` drops the zeros of a dense array.
+    Coordinates no path reaches (zero-weight points) are +-inf, left out
+    of the spread.
     """
     if not verify_duality(plan, pair, cost_matrix).optimal:
         raise InfeasibleOptimum("the pair is not optimal for the plan")
     mat = np.asarray(cost_matrix, dtype=float)
-    n, m = mat.shape
+    n = mat.shape[0]
     anchor = plan.source.anchor_index()
     f = pair.f
     slack = _slack(pair, mat)[0]
     np.maximum(slack, 0.0, out=slack)
-    # nodes: sources 0..n-1, targets n..n+m-1; zero weights must stay
-    # stored entries, so both graphs are built from triplets directly
-    src = np.repeat(np.arange(n), m)
-    tgt = n + np.tile(np.arange(m), n)
-    tail = np.concatenate([tgt, plan.rows])
-    head = np.concatenate([src, n + plan.cols])
-    weight = np.concatenate([slack.ravel(), np.zeros(len(plan.rows))])
-    shape = (n + m, n + m)
-    d_out = dijkstra(csr_matrix((weight, (tail, head)), shape=shape),
-                     indices=anchor)[:n]
-    d_in = dijkstra(csr_matrix((weight, (head, tail)), shape=shape),
-                    indices=anchor)[:n]
+    hop = np.full((n, n), np.inf)
+    np.minimum.at(hop, plan.rows, slack.T[plan.cols])
+    del slack               # the graph build is the memory peak
+    graph = csgraph_from_dense(hop, null_value=np.inf)
+    d_out = dijkstra(graph, indices=anchor)
+    d_in = dijkstra(graph.T, indices=anchor)
     f_max = f - f[anchor] + d_out
     f_min = f - f[anchor] - d_in
     tau = TAU_FACE_SCALE * (1.0 + float(np.max(mat)))

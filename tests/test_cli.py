@@ -181,9 +181,12 @@ class TestExitCodes:
                             "cost": {"kind": "lp_norm_power"}}),
         ("/source/points", {"source": {"points": [[], []],
                                        "weights": [0.5, 0.5]}}),
+        ("/source/labels/1", {"source": {"points": [[0.0], [1.0]],
+                                         "weights": [0.5, 0.5],
+                                         "labels": [0, 2 ** 63]}}),
     ], ids=["nan_weight", "inf_weight", "huge_weight", "ragged_matrix",
             "matrix_shape", "nan_q", "nan_epsilon", "target_dimension",
-            "no_coordinates"])
+            "no_coordinates", "huge_label"])
     def test_bad_document_names_its_path(self, tmp_path, capsys, exact,
                                          path, patch):
         doc = {
@@ -787,6 +790,11 @@ class TestOneDecode:
 
 
 class TestArguments:
+    # --values entries that are neither finite numbers nor "-inf"
+    BAD_VALUES = {"nan_string": '"nan"', "nan": "NaN",
+                  "infinity": "Infinity", "inf_string": '"inf"',
+                  "boolean": "true"}
+
     @pytest.mark.parametrize("argv", [
         ["solve", "{}", "--labels"],
         ["solve", "{}", "--epsilon", "3"],
@@ -836,10 +844,12 @@ class TestArguments:
         (["ctransform", "{}", "--values", "{}.short", "--direction",
           "to_target"], "--values"),
         (["ctransform", "{}", "--values", "{}.inf"], "--values"),
-    ], ids=["anchor_not_a_number", "partner_wrong_dimension",
-            "radii_missing", "radii_not_a_number", "values_not_json",
-            "values_too_few", "values_too_few_to_target",
-            "values_all_minus_inf"])
+    ] + [(["ctransform", "{}", "--values", "{}." + bad], "--values")
+         for bad in BAD_VALUES], ids=[
+        "anchor_not_a_number", "partner_wrong_dimension", "radii_missing",
+        "radii_not_a_number", "values_not_json", "values_too_few",
+        "values_too_few_to_target", "values_all_minus_inf"]
+        + [f"values_{bad}" for bad in BAD_VALUES])
     def test_bad_argument_is_named(self, tmp_path, argv, name):
         pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
         side = {"points": pts, "weights": [0.25] * 4}
@@ -850,6 +860,9 @@ class TestArguments:
         (tmp_path / "problem.json.txt").write_text("0, 0, 0, 0")
         (tmp_path / "problem.json.short").write_text("[0, 0, 0]")
         (tmp_path / "problem.json.inf").write_text(json.dumps(["-inf"] * 4))
+        for bad, entry in self.BAD_VALUES.items():
+            values = f"[{entry}, 0, 0, 0]"
+            (tmp_path / f"problem.json.{bad}").write_text(values)
         code, err = _run([a.format(path) for a in argv])
         assert code == 2
         assert f"error: {name}: " in err

@@ -28,7 +28,7 @@ from otuniq.errors import (
     InfeasiblePair,
     OTUniqError,
 )
-from otuniq.solver import solve
+from otuniq.solver import dual_face_oracle, solve
 
 
 def _cost_matrices(max_side=8):
@@ -452,6 +452,18 @@ class TestCostMatrixBlocks:
 
         assert _peak_bytes(check) <= 1.5 * mat.nbytes
         assert report == res.duality and report.optimal
+
+    def test_dual_face_oracle_peak_at_most_six_matrices(self):
+        # the oracle's graph has the n sources as nodes; its build from
+        # the n x n hop array is the peak, about 4.3 matrices
+        n = 400
+        rng = np.random.default_rng(400)
+        mu = DiscreteMeasure(rng.uniform(0, 1, (n, 2)), np.full(n, 1 / n))
+        nu = DiscreteMeasure(rng.uniform(0, 1, (n, 2)), np.full(n, 1 / n))
+        res = solve(mu, nu, CostSpec.sq_euclidean())
+        mat = res.cost_matrix
+        peak = _peak_bytes(lambda: dual_face_oracle(res.plan, res.pair, mat))
+        assert peak <= 6 * mat.nbytes
 
 
 class TestExactMatrix:

@@ -659,6 +659,28 @@ class TestDualFaceOracleAgainstLP:
         res, rep = _solved_face(mu, nu, cost)
         _assert_matches_lp(res.plan, res.cost_matrix, rep)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_plan_arcs(self, seed):
+        # the bounds do not depend on the order of the plan's arcs
+        rng = np.random.default_rng(730 + seed)
+        n, m = int(rng.integers(3, 12)), int(rng.integers(3, 12))
+        ws = np.array(_dyadic_ties(rng, n), dtype=float)
+        ws[rng.integers(1, n)] = 0.0        # a source without plan arcs
+        mu = DiscreteMeasure(rng.uniform(0, 5, (n, 2)), ws / ws.sum())
+        nu = DiscreteMeasure(rng.uniform(0, 5, (m, 2)), _dyadic_ties(rng, m))
+        res, rep = _solved_face(mu, nu, CostSpec.lp_norm_power(1.0, 1.0))
+        p = res.plan
+        order = rng.permutation(len(p.rows))
+        assert not np.array_equal(order, np.arange(len(order)))
+        shuffled = TransportPlan(p.rows[order], p.cols[order],
+                                 p.masses[order], mu, nu)
+        got = dual_face_oracle(shuffled, res.pair, res.cost_matrix)
+        for a, b in ((got.f_min, rep.f_min), (got.f_max, rep.f_max)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert (got.max_spread, got.unique, got.anchor) \
+            == (rep.max_spread, rep.unique, rep.anchor)
+        _assert_matches_lp(shuffled, res.cost_matrix, got)
+
     @pytest.mark.parametrize("anchor_weight", [0.25, 0.0])
     def test_zero_weight_points_unbounded(self, anchor_weight):
         rng = np.random.default_rng(710)
