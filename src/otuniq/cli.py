@@ -227,7 +227,7 @@ def cmd_ctransform(args) -> int:
     try:
         with open(args.values) as fh:
             vals = np.array([NEG_INF if v in ("-inf", None)
-                             else _number(v, "--values", False, False)
+                             else _number(v, "--values", False)
                              for v in json.load(fh)])
     except (ValueError, TypeError) as exc:      # not JSON, or not a list
         raise ProblemFormatError("--values", f"expected a JSON list of "

@@ -88,8 +88,9 @@ class DiscreteMeasure:
             )
         if pts.size == 0:
             raise OTUniqError("measure needs a point with a coordinate")
-        if np.any(w < 0):
-            raise OTUniqError("weights must be nonnegative")
+        bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0)))
+        if bad.size:
+            raise OTUniqError(f"weight {bad[0]} is {w[bad[0]]}, not in [0, inf)")
         total = w.sum()
         if abs(total - 1.0) > TAU_MASS * max(1.0, abs(total)):
             raise OTUniqError(f"weights sum to {total!r}, expected 1")
@@ -97,10 +98,16 @@ class DiscreteMeasure:
         object.__setattr__(self, "points", _as_readonly(pts))
         object.__setattr__(self, "weights", _as_readonly(w))
         if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=int).ravel()
+            lab = np.asarray(self.labels, dtype=object).ravel()
+            bad = [k for k, x in enumerate(lab) if isinstance(x, bool) or not
+                   isinstance(x, (int, float, np.integer, np.floating))
+                   or not (-2 ** 63 <= x < 2 ** 63 and float(x).is_integer())]
+            if bad:
+                raise OTUniqError(f"label {bad[0]} is {lab[bad[0]]!r}, "
+                                  "expected an int64 integer")
             if lab.shape[0] != pts.shape[0]:
                 raise DimensionMismatch("labels length mismatch")
-            object.__setattr__(self, "labels", _as_readonly(lab))
+            object.__setattr__(self, "labels", _as_readonly(lab.astype(int)))
 
     @property
     def n(self) -> int:

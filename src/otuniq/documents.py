@@ -1,8 +1,11 @@
 """Problem and report documents, schema version 1.
 
 A problem document is a JSON object with blocks ``source``, ``target``,
-``cost``, and optional ``options``.  Exact mode reads every number as
-written: 0.3 is 3/10, and a string "p/q" is p/q.
+``cost``, and optional ``options``.  It is decoded in its mode: a float
+document by json's own float parser, an exact one with its literals as
+Decimals, so that exact mode reads every number as written: 0.3 is
+3/10, and a string "p/q" is p/q.  A document that sets ``options.exact``
+without the ``exact`` argument is decoded a second time, in exact mode.
 
 Reports serialize deterministically, so identical inputs give
 byte-identical files.  ``render_report`` writes the text in one pass
@@ -33,38 +36,18 @@ from .errors import OTUniqError, ProblemFormatError
 SCHEMA_VERSION = "1"
 
 
-class _Literal(str):
-    """A JSON number with a fraction or an exponent, kept as written.
-
-    ``parse_problem`` decodes a document once, before it knows the mode;
-    ``_number`` and ``_plain`` read each such literal once it is known."""
-
-
-def _plain(value, decimals: bool):
-    """``value`` with a number literal read as ``float`` would (the JSON
-    default) or, with ``decimals`` (an exact-mode document), as the
-    Decimal written: what a decoder without the literal hook gives."""
-    if isinstance(value, _Literal):
-        return Decimal(value) if decimals else float(value)
-    return value
-
-
-def _number(value, location: str, exact: bool, decimals: bool):
+def _number(value, location: str, exact: bool):
     """A finite number: a float, or in exact mode the Fraction written,
     built only once its double is finite (and nonzero unless it is) and
     its digits are few, so a short exponent cannot stall the parser.
-    ``decimals`` is the document's mode: a number literal is read as in
-    ``_plain``, also in a float field of an exact document."""
-    if type(value) is _Literal:
-        value = Decimal(value) if decimals else float(value)
-    elif isinstance(value, bool):
-        raise ProblemFormatError(location, "expected a number, got a boolean")
+    A literal arrives as its document's mode decoded it: a float, or in
+    an exact document the Decimal written, also in a float field."""
     if isinstance(value, str) and exact:
         try:
             value = Fraction(value) if "/" in value else Decimal(value)
         except (ArithmeticError, ValueError):
             raise ProblemFormatError(location, f"bad rational {value!r}")
-    elif not isinstance(value, (int, float, Decimal)):
+    elif type(value) not in (int, float, Decimal):    # a bool is not one
         raise ProblemFormatError(location, f"expected a number, got {value!r}")
     try:
         x = float(value)
@@ -79,11 +62,10 @@ def _number(value, location: str, exact: bool, decimals: bool):
     return Fraction(value) if exact else x
 
 
-def _number_list(values, location: str, exact: bool,
-                 decimals: bool) -> list:
+def _number_list(values, location: str, exact: bool) -> list:
     if not isinstance(values, list) or not values:
         raise ProblemFormatError(location, "expected a nonempty list")
-    return [_number(v, f"{location}/{k}", exact, decimals)
+    return [_number(v, f"{location}/{k}", exact)
             for k, v in enumerate(values)]
 
 
@@ -98,14 +80,13 @@ def _parse_measure(block, location: str, exact: bool):
     if not isinstance(raw_pts, list) or not raw_pts:
         raise ProblemFormatError(f"{location}/points",
                                  "expected a nonempty list")
-    pts = [[_number(v, f"{location}/points/{k}", exact, exact)
+    pts = [[_number(v, f"{location}/points/{k}", exact)
             for v in (p if isinstance(p, list) else [p])]
            for k, p in enumerate(raw_pts)]
     if len({len(r) for r in pts}) != 1 or not pts[0]:
         raise ProblemFormatError(f"{location}/points",
                                  "expected one positive dimension")
-    weights = _number_list(block["weights"], f"{location}/weights", exact,
-                           exact)
+    weights = _number_list(block["weights"], f"{location}/weights", exact)
     if len(weights) != len(pts):
         raise ProblemFormatError(f"{location}/weights",
                                  f"{len(weights)} weights for {len(pts)} "
@@ -113,7 +94,7 @@ def _parse_measure(block, location: str, exact: bool):
     labels = block.get("labels")
     if labels is not None and (
             not isinstance(labels, list) or len(labels) != len(pts)
-            or not all(isinstance(x, int) for x in labels)):
+            or not all(type(x) is int for x in labels)):
         raise ProblemFormatError(f"{location}/labels",
                                  "expected integer labels, one per point")
     for k, x in enumerate(labels or ()):
@@ -135,21 +116,19 @@ def _parse_cost(block, location: str, exact: bool):
     try:
         if kind == "lp_norm_power":
             spec = CostSpec.lp_norm_power(
-                _number(block.get("q", 2), f"{location}/q", False, exact),
-                _number(block.get("p", 1), f"{location}/p", False, exact))
+                _number(block.get("q", 2), f"{location}/q", False),
+                _number(block.get("p", 1), f"{location}/p", False))
         elif kind == "profile_of_distance" and "coeffs" in block:
-            spec = CostSpec.profile_of_distance(CostProfile(
-                coeffs=_number_list(block["coeffs"], f"{location}/coeffs",
-                                    False, exact)))
+            spec = CostSpec.profile_of_distance(CostProfile(_number_list(
+                block["coeffs"], f"{location}/coeffs", False)))
         elif kind == "profile_of_distance" and "table" in block:
             tab = block["table"]
             if not isinstance(tab, dict) or "r" not in tab or "h" not in tab:
                 raise ProblemFormatError(f"{location}/table",
                                          "needs 'r' and 'h' lists")
             spec = CostSpec.profile_of_distance(CostProfile(table=(
-                _number_list(tab["r"], f"{location}/table/r", False, exact),
-                _number_list(tab["h"], f"{location}/table/h", False,
-                             exact))))
+                _number_list(tab["r"], f"{location}/table/r", False),
+                _number_list(tab["h"], f"{location}/table/h", False))))
         elif kind == "profile_of_distance":
             raise ProblemFormatError(location, "profile needs coeffs or table")
         elif kind == "explicit_matrix":
@@ -161,12 +140,12 @@ def _parse_cost(block, location: str, exact: bool):
                     raise ProblemFormatError(
                         f"{location}/values/{r}",
                         "expected a list as long as row 0")
-            rows = [[_number(v, f"{location}/values/{r}", exact, exact)
+            rows = [[_number(v, f"{location}/values/{r}", exact)
                      for v in row] for r, row in enumerate(rows)]
             spec = CostSpec.explicit(np.array(rows, dtype=float))
         else:
             raise ProblemFormatError(f"{location}/kind",
-                                     f"unknown kind {_plain(kind, exact)!r}")
+                                     f"unknown kind {kind!r}")
     except ProblemFormatError:
         raise
     except OTUniqError as exc:
@@ -202,12 +181,13 @@ class ProblemDocument:
 def parse_problem(text: str, exact: bool = False) -> ProblemDocument:
     """Parse and validate a schema-v1 problem document."""
     try:
-        doc = json.loads(text, parse_float=_Literal)
+        doc = json.loads(text, parse_float=Decimal if exact else None)
     except ValueError as exc:       # also an integer past Python's digit cap
         raise ProblemFormatError("/", f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ProblemFormatError("/", "top level must be an object")
-    if str(_plain(doc.get("schema"), False)) != SCHEMA_VERSION:
+    schema = doc.get("schema")
+    if type(schema) not in (str, int) or str(schema) != SCHEMA_VERSION:
         raise ProblemFormatError("/schema",
                                  f"expected version {SCHEMA_VERSION!r}")
     for key in ("source", "target", "cost"):
@@ -216,7 +196,8 @@ def parse_problem(text: str, exact: bool = False) -> ProblemDocument:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ProblemFormatError("/options", "expected an object")
-    exact = bool(exact or _plain(options.get("exact", False), False))
+    if not exact and options.get("exact"):
+        return parse_problem(text, exact=True)
     mu, x, a = _parse_measure(doc["source"], "/source", exact)
     nu, y, b = _parse_measure(doc["target"], "/target", exact)
     cost, rows = _parse_cost(doc["cost"], "/cost", exact)
@@ -229,7 +210,7 @@ def parse_problem(text: str, exact: bool = False) -> ProblemDocument:
             "/target/points", f"dimension {nu.dim}, the source's is {mu.dim}")
     epsilon = options.get("epsilon")
     if epsilon is not None:
-        epsilon = _number(epsilon, "/options/epsilon", False, exact)
+        epsilon = _number(epsilon, "/options/epsilon", False)
     return ProblemDocument(
         mu=mu, nu=nu, cost=cost, epsilon=epsilon,
         exact=(x, a, y, b, rows) if exact else None,

@@ -9,6 +9,7 @@ import math
 import os
 import tempfile
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -184,9 +185,16 @@ class TestExitCodes:
         ("/source/labels/1", {"source": {"points": [[0.0], [1.0]],
                                          "weights": [0.5, 0.5],
                                          "labels": [0, 2 ** 63]}}),
+        ("/source/labels", {"source": {"points": [[0.0], [1.0]],
+                                       "weights": [0.5, 0.5],
+                                       "labels": [True, False]}}),
+        ("/target/labels", {"target": {"points": [[0.0], [1.0]],
+                                       "weights": [0.5, 0.5],
+                                       "labels": [0, True]}}),
     ], ids=["nan_weight", "inf_weight", "huge_weight", "ragged_matrix",
             "matrix_shape", "nan_q", "nan_epsilon", "target_dimension",
-            "no_coordinates", "huge_label"])
+            "no_coordinates", "huge_label", "boolean_source_labels",
+            "boolean_target_labels"])
     def test_bad_document_names_its_path(self, tmp_path, capsys, exact,
                                          path, patch):
         doc = {
@@ -728,10 +736,10 @@ class TestExactAsWritten:
 
 
 class TestOneDecode:
-    """A document is decoded once; a number with a fraction or an
-    exponent keeps its literal until the mode is known, and a field that
-    is not a number sees what the former float-then-Decimal decodes
-    gave it."""
+    """A document is decoded in its mode: a float document once with
+    json's float literals, an ``--exact`` run once with Decimal literals,
+    and a document that declares exact without the flag a second time,
+    in exact mode, once its options are read."""
 
     BASE = {"schema": "1",
             "source": {"points": [[0], [1]], "weights": [0.3, 0.7]},
@@ -745,21 +753,31 @@ class TestOneDecode:
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_decoded_once(self, monkeypatch, exact):
-        calls = []
+        literals = []           # the type of the first weight, per decode
         loads = json.loads
-        monkeypatch.setattr(documents.json, "loads",
-                            lambda *a, **k: calls.append(1) or loads(*a, **k))
-        doc = parse_problem(self._text(options={"exact": exact}))
-        assert len(calls) == 1
+
+        def counted(*args, **kwargs):
+            doc = loads(*args, **kwargs)
+            literals.append(type(doc["source"]["weights"][0]))
+            return doc
+
+        monkeypatch.setattr(documents.json, "loads", counted)
+        text = self._text(options={"exact": exact})
+        doc = parse_problem(text, exact=exact)
+        assert literals == [Decimal if exact else float]
         assert (doc.exact is not None) == exact
         if exact:
             assert doc.exact[1] == [Fraction(3, 10), Fraction(7, 10)]
+            literals.clear()
+            declared = parse_problem(text)
+            assert literals == [float, Decimal]
+            assert declared.exact == doc.exact
         assert doc.mu.weights.tolist() == [0.3, 0.7]
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_schema_literal_is_never_the_version(self, exact):
         # Decimal("1e0") prints as 1, float("1e0") as 1.0; the schema is
-        # read as the float, as before
+        # the string "1" or the integer 1 in both modes
         text = self._text().replace('"schema": "1"', '"schema": 1e0')
         with pytest.raises(ProblemFormatError, match="expected version"):
             parse_problem(text, exact=exact)
@@ -787,6 +805,77 @@ class TestOneDecode:
             parse_problem(text)
         assert str(err.value) == ("/cost/q: expected a finite number in "
                                   f"the range of doubles, got {shown}")
+
+
+def _bits(values) -> bytes:
+    """The bytes of ``values`` as doubles: -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestDecodeAgainstJson:
+    """A float document's numbers are the doubles json's own decoder
+    gives, bit for bit; an exact document reads the same numbers whether
+    it declares exact or the flag is passed."""
+
+    # literals at the edges of the doubles: signed zero, the least
+    # subnormal, a subnormal, the largest double and 17-digit decimals
+    TEXT = """{"schema": "1",
+        "source": {"points": [[0.1, 0], [-0.0, 1], [5e-324, 2],
+                              [1e-320, 3], [1.7976931348623157e308, 4],
+                              [0.12345678901234567, 5]],
+                   "weights": [0.1, -0.0, 5e-324, 1e-320,
+                               0.12345678901234567, 0.77654321098765433],
+                   "labels": [0, 0, 1, 1, 2, 2]},
+        "target": {"points": [[2.2250738585072014e-308],
+                              [0.99999999999999989]],
+                   "weights": [0.30000000000000004, 0.69999999999999996]},
+        "cost": {"kind": "explicit_matrix",
+                 "values": [[0.1, -0.0], [5e-324, 1e-320],
+                            [1.7976931348623157e308, 0.12345678901234567],
+                            [3.0000000000000004, 4.9406564584124654e-324],
+                            [1e22, 1.2345678901234567e-300],
+                            [2, 0.30000000000000004]]},
+        "options": {"epsilon": 0.30000000000000004%s}}"""
+
+    def test_float_document_is_json_doubles(self):
+        doc = parse_problem(self.TEXT % "")
+        want = json.loads(self.TEXT % "")
+        for got, block in ((doc.mu, want["source"]), (doc.nu, want["target"])):
+            assert _bits(got.points) == _bits(block["points"])
+            assert _bits(got.weights) == _bits(block["weights"])
+        assert _bits(doc.cost.values) == _bits(want["cost"]["values"])
+        assert _bits(doc.epsilon) == _bits(want["options"]["epsilon"])
+        assert doc.exact is None
+
+    @given(st.lists(st.floats(0, 1e308), min_size=1, max_size=8),
+           st.sampled_from(["{!r}", "{:.17e}", "{:.25g}", "{:.3e}"]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_cost_literals_are_json_doubles(self, values, form):
+        # each literal, however it is spelled, is the double json reads
+        literals = ", ".join(form.format(v) for v in values)
+        text = json.dumps({
+            "schema": "1",
+            "source": {"points": [[0]], "weights": [1]},
+            "target": {"points": [[k] for k in range(len(values))],
+                       "weights": [1 / len(values)] * len(values)},
+            "cost": {"kind": "explicit_matrix", "values": "ROW"},
+        }).replace('"ROW"', f"[[{literals}]]")
+        assert _bits(parse_problem(text).cost.values) == \
+            _bits(json.loads(text)["cost"]["values"])
+
+    def test_declared_exact_equals_flag(self):
+        declared = parse_problem(self.TEXT % ', "exact": true')
+        flagged = parse_problem(self.TEXT % "", exact=True)
+        assert declared.exact == flagged.exact
+        assert declared.exact[0][2] == [Fraction(Decimal("5e-324")), 2]
+        for got, want in ((declared.mu, flagged.mu),
+                          (declared.nu, flagged.nu)):
+            assert _bits(got.points) == _bits(want.points)
+            assert _bits(got.weights) == _bits(want.weights)
+            assert np.array_equal(got.labels, want.labels) \
+                if want.labels is not None else got.labels is None
+        assert _bits(declared.cost.values) == _bits(flagged.cost.values)
+        assert _bits(declared.epsilon) == _bits(flagged.epsilon)
 
 
 class TestArguments:

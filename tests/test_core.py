@@ -240,6 +240,41 @@ class TestDomainTypes:
             DiscreteMeasure(np.array([[0.0], [1.0]]),
                             np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (np.inf, "inf"),
+                                            (-np.inf, "-inf")])
+    def test_non_finite_weight_named(self, bad, shown):
+        # a NaN sum fails the sum test open and an infinite one makes its
+        # tolerance infinite, so the weight itself is checked
+        with pytest.raises(OTUniqError, match=f"^weight 1 is {shown}, "):
+            DiscreteMeasure(np.array([[0.0], [1.0], [2.0]]),
+                            np.array([0.5, bad, 0.5]))
+
+    @pytest.mark.parametrize("labels, shown", [
+        ([0.5, 1.7, 0.2], "label 0 is 0.5,"),
+        ([0, 1.7, 0], "label 1 is 1.7,"),
+        ([0, 1, True], "label 2 is True,"),
+        (np.array([True, False, True]), "label 0 is True,"),
+        ([0, 1, float("nan")], "label 2 is nan,"),
+        (["0", "1", "2"], "label 0 is '0',"),
+        ([0, 2 ** 63, 1], f"label 1 is {2 ** 63},"),
+        ([0, 1, -10 ** 400], "label 2 is -1000"),
+    ], ids=["fractions", "one_fraction", "boolean", "boolean_array", "nan",
+            "strings", "past_int64", "past_doubles"])
+    def test_non_integer_label_named(self, labels, shown):
+        with pytest.raises(OTUniqError, match=f"^{shown}"):
+            DiscreteMeasure(np.array([[0.0], [1.0], [2.0]]),
+                            np.full(3, 1 / 3), labels)
+
+    @pytest.mark.parametrize("labels", [
+        [0, 5, -3], np.array([0, 5, -3], dtype=np.int32),
+        np.array([0.0, 5.0, -3.0]), [np.int64(0), 5, -3.0]],
+        ids=["ints", "int32", "integral_floats", "mixed"])
+    def test_integer_labels_kept(self, labels):
+        mu = DiscreteMeasure(np.array([[0.0], [1.0], [2.0]]),
+                             np.full(3, 1 / 3), labels)
+        assert mu.labels.tolist() == [0, 5, -3]
+        assert mu.labels.dtype == int
+
     def test_coincident_points_rejected(self):
         with pytest.raises(OTUniqError):
             DiscreteMeasure(np.array([[0.0], [0.0]]), np.array([0.5, 0.5]))
