@@ -116,6 +116,7 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     doc = _load(args.problem, args.exact)
+    scaled = doc.scaled_exact_problem() if doc.exact else None
     dec = _decomposition(doc, args)
     cert = certify(doc.mu, doc.nu, doc.cost, dec)
     result = cert.solve_result
@@ -140,7 +141,7 @@ def cmd_certify(args) -> int:
             "f_b": list(cert.witness[1].f), "g_b": list(cert.witness[1].g),
         }
     if doc.exact:
-        body["exact"], _ = exact_blocks(*doc.scaled_exact_problem(), dec)
+        body["exact"], _ = exact_blocks(*scaled, dec)
     code = {"unique": EXIT_OK, "non_unique": EXIT_NON_UNIQUE}.get(
         cert.verdict, EXIT_INCONCLUSIVE)
     if args.oracle == "on":
@@ -201,9 +202,14 @@ def cmd_regularity(args) -> int:
         values = dominated_region(anchor, _numbers(args, "partner", dim),
                                   doc.cost, grid).member
     else:
-        values = asymptotic_region(
-            anchor, _numbers(args, "direction", dim), doc.cost,
-            _numbers(args, "radii"), grid).tail_frequency
+        u, radii = _numbers(args, "direction", dim), _numbers(args, "radii")
+        if not 0 < np.linalg.norm(u) < np.inf:
+            raise ProblemFormatError("--direction",
+                                     "expected a nonzero, finite-norm vector")
+        if np.any(radii <= 0):
+            raise ProblemFormatError("--radii", "expected positive radii")
+        values = asymptotic_region(anchor, u, doc.cost, radii,
+                                   grid).tail_frequency
     _emit(render_csv_grid(grid, values), args.out)
     return EXIT_OK
 

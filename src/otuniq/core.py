@@ -33,6 +33,9 @@ TAU_TIGHT_SCALE = 1e-7   # scaled by (1 + max |c|)
 TAU_GAP = 1e-7           # relative duality gap
 TAU_FACE_SCALE = 1e-6    # scaled by (1 + max |c|)
 
+SAMPLE_R_MAX = 100.0     # profile checks sample distances up to this,
+SAMPLE_COUNT = 2048      # at this many points
+
 #: entries of one block of differences in ``CostSpec.matrix``
 _BLOCK = 1 << 15
 
@@ -173,8 +176,8 @@ class CostProfile:
         # np.interp is flat beyond both ends of the table
         return np.where((r < xs[0]) | (r > xs[-1]), 0.0, slopes[idx])
 
-    def is_nondecreasing(self, r_max: float = 100.0, samples: int = 2048) -> bool:
-        rs = np.linspace(0.0, r_max, samples)
+    def is_nondecreasing(self) -> bool:
+        rs = np.linspace(0.0, SAMPLE_R_MAX, SAMPLE_COUNT)
         vals = self(rs)
         return bool(np.all(np.diff(vals) >= -1e-12 * (1.0 + np.abs(vals[:-1]))))
 

@@ -69,7 +69,7 @@ def decompose(measure: DiscreteMeasure,
 
 @dataclass(frozen=True)
 class ComponentDecomposition:
-    """Index partitions of both supports, with the method that built them.
+    """Index partitions of both supports.
 
     ``source_index[i]`` and ``target_index[j]`` give the component of
     each point (read-only arrays); ``build`` computes them and reads the
@@ -80,8 +80,6 @@ class ComponentDecomposition:
     target_index: np.ndarray = field(repr=False, compare=False)
     source_components: tuple
     target_components: tuple
-    method: str
-    epsilon: Optional[float] = None
 
     @classmethod
     def build(cls, mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -90,7 +88,7 @@ class ComponentDecomposition:
         src = _as_readonly(_component_ids(mu, method, epsilon))
         tgt = _as_readonly(_component_ids(nu, method, epsilon))
         return cls(src, tgt, tuple(map(tuple, _groups(src))),
-                   tuple(map(tuple, _groups(tgt))), method, epsilon)
+                   tuple(map(tuple, _groups(tgt))))
 
     def component_masses(self, a: np.ndarray, b: np.ndarray):
         """Per-component weight sums: floats on float arrays (bit for bit

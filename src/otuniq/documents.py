@@ -167,11 +167,14 @@ class ProblemDocument:
         None): the cost times K as an object array of Python ints, and the
         weights as Fractions.  K is the least common multiple of an
         explicit cost's denominators; other costs go through
-        ``CostSpec.scaled_exact_matrix``."""
+        ``CostSpec.scaled_exact_matrix``, whose errors name /cost."""
         x, a, y, b, rows = self.exact
         if rows is None:
-            cost, scale = self.cost.scaled_exact_matrix(
-                np.array(x, dtype=object), np.array(y, dtype=object))
+            try:
+                cost, scale = self.cost.scaled_exact_matrix(
+                    np.array(x, dtype=object), np.array(y, dtype=object))
+            except OTUniqError as exc:
+                raise ProblemFormatError("/cost", str(exc))
         else:
             flat, scale = scaled_integers([v for row in rows for v in row])
             cost = np.array(flat, dtype=object).reshape(len(rows), -1)
@@ -196,7 +199,10 @@ def parse_problem(text: str, exact: bool = False) -> ProblemDocument:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ProblemFormatError("/options", "expected an object")
-    if not exact and options.get("exact"):
+    flag = options.get("exact")
+    if flag and flag is not True:       # a false value leaves exact mode off
+        raise ProblemFormatError("/options/exact", "expected true or false")
+    if not exact and flag:
         return parse_problem(text, exact=True)
     mu, x, a = _parse_measure(doc["source"], "/source", exact)
     nu, y, b = _parse_measure(doc["target"], "/target", exact)

@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CostProfile, CostSpec, DiscreteMeasure
+from .core import (SAMPLE_COUNT, SAMPLE_R_MAX, CostProfile, CostSpec,
+                   DiscreteMeasure)
 from .errors import (
     DimensionMismatch,
     NotAGrid,
@@ -31,8 +32,6 @@ ESCAPE_GROWTH_FACTOR = 2.0   # flag when partner distance ever doubles
 class DominatedCostRegion:
     """Grid membership of C(x, y) = {x' : c(x', y) <= c(x, y)}."""
 
-    anchor_x: np.ndarray
-    anchor_y: np.ndarray
     grid: np.ndarray
     member: np.ndarray        # boolean per grid point
     threshold: float          # c(x, y)
@@ -46,19 +45,15 @@ def dominated_region(x, y, cost: CostSpec, grid) -> DominatedCostRegion:
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     thr = cost.value(x, y)
-    return DominatedCostRegion(anchor_x=x, anchor_y=y, grid=grid,
-                               member=cost.value_rows(grid - y) <= thr,
-                               threshold=thr)
+    return DominatedCostRegion(grid=grid, threshold=thr,
+                               member=cost.value_rows(grid - y) <= thr)
 
 
 @dataclass(frozen=True)
 class AsymptoticRegion:
     """Membership frequencies of C(x_n~, y_n) along an escaping ray."""
 
-    x: np.ndarray
     direction: np.ndarray
-    radii: np.ndarray
-    grid: np.ndarray
     frequency: np.ndarray      # over the whole schedule
     tail_frequency: np.ndarray  # over the tail half only
     tail_member: np.ndarray    # member at every radius in the tail half
@@ -82,6 +77,8 @@ def asymptotic_region(x, direction, cost: CostSpec, radii, grid
     x = np.asarray(x, dtype=float).ravel()
     u = np.asarray(direction, dtype=float).ravel()
     norm = float(np.linalg.norm(u))
+    if not 0 < norm < np.inf:
+        raise OTUniqError("direction must have a positive finite norm")
     if not np.isclose(norm, 1.0, rtol=0.0, atol=1e-9):
         u = u / norm
     radii = np.sort(np.asarray(radii, dtype=float))
@@ -94,8 +91,7 @@ def asymptotic_region(x, direction, cost: CostSpec, radii, grid
         x_n = x + u / np.sqrt(r)
         member[k] = dominated_region(x_n, y_n, cost, grid).member
     tail = member[len(radii) // 2:]
-    return AsymptoticRegion(x=x, direction=u, radii=radii, grid=grid,
-                            frequency=member.mean(axis=0),
+    return AsymptoticRegion(direction=u, frequency=member.mean(axis=0),
                             tail_frequency=tail.mean(axis=0),
                             tail_member=tail.all(axis=0))
 
@@ -104,7 +100,6 @@ def asymptotic_region(x, direction, cost: CostSpec, radii, grid
 class EscapeDiagnostic:
     """Partner-distance growth across a target truncation schedule."""
 
-    radii: np.ndarray
     partner_distance: np.ndarray   # (n_radii, n_sources) max per source
     escape_score: np.ndarray       # max over the schedule
     flagged: np.ndarray            # growth ever doubled
@@ -112,8 +107,7 @@ class EscapeDiagnostic:
 
 def escape_diagnostic(mu: DiscreteMeasure,
                       nu_family: Sequence[DiscreteMeasure],
-                      cost: CostSpec, radii: Optional[Sequence[float]] = None
-                      ) -> EscapeDiagnostic:
+                      cost: CostSpec) -> EscapeDiagnostic:
     """Flag source points whose partners escape under truncation growth.
 
     Solves each truncated problem and records, per source point, the
@@ -123,9 +117,6 @@ def escape_diagnostic(mu: DiscreteMeasure,
     """
     if len(nu_family) < 3:
         raise ScheduleTooShort("need at least three truncation radii")
-    if radii is None:
-        radii = np.arange(1.0, len(nu_family) + 1.0)
-    radii = np.asarray(radii, dtype=float)
     dist = np.zeros((len(nu_family), mu.n))
     for k, nu in enumerate(nu_family):
         plan = solve(mu, nu, cost).plan
@@ -135,19 +126,18 @@ def escape_diagnostic(mu: DiscreteMeasure,
     running_min = np.minimum.accumulate(np.maximum(dist, tiny), axis=0)
     flagged = np.any(dist[1:] >= ESCAPE_GROWTH_FACTOR * running_min[:-1],
                      axis=0)
-    return EscapeDiagnostic(radii=radii, partner_distance=dist,
+    return EscapeDiagnostic(partner_distance=dist,
                             escape_score=dist.max(axis=0), flagged=flagged)
 
 
-def superlinearity_bound(profile, a: float, r_max: float = 100.0,
-                         samples: int = 2048) -> float:
+def superlinearity_bound(profile, a: float) -> float:
     """g(a) = inf over b >= a of h'(b), sampled numerically.
 
     ``profile`` is either a CostProfile or an lp_norm_power CostSpec;
     h' -> infinity (g unbounded in a) is the superlinearity hypothesis
     of the interior-regularity theorem.
     """
-    bs = np.linspace(a, max(r_max, a + 1.0), samples)
+    bs = np.linspace(a, max(SAMPLE_R_MAX, a + 1.0), SAMPLE_COUNT)
     if isinstance(profile, CostProfile):
         return float(np.min(profile.derivative(bs)))
     if isinstance(profile, CostSpec) and profile.kind == "lp_norm_power":

@@ -283,7 +283,7 @@ def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
     return masses, p[:n], -p[n:], basis, iterations
 
 
-def _solve_core(cost, a, b, *, enter_tol, max_iter: int):
+def _solve_core(cost, a, b, *, enter_tol):
     """Optimal masses, a c-concave pair and a tight basis tree.
 
     The simplex runs on the positive-weight rows and columns alone, on
@@ -292,8 +292,8 @@ def _solve_core(cost, a, b, *, enter_tol, max_iter: int):
     then f from all of g, so f = u on the positive sources) and join the
     tree by a tight arc of no mass: a target to its argmin positive
     source, a source to its argmin target.  Returns (masses, f, g, basis
-    of n + m - 1 arcs, iterations) in the original indices; generic over
-    the scalar type like ``_transport_simplex``.
+    of n + m - 1 arcs, iterations) in the original indices after at most
+    50 (n + m) max(n, m) pivots; generic over the scalar type.
     """
     n, m = cost.shape
     rows = [i for i, x in enumerate(a) if x > 0]
@@ -301,8 +301,8 @@ def _solve_core(cost, a, b, *, enter_tol, max_iter: int):
     live = cost if len(rows) == n else cost[rows]
     masses, u, _, basis, iterations = _transport_simplex(
         live if len(cols) == m else live[:, cols], [a[i] for i in rows],
-        [b[j] for j in cols], enter_tol=enter_tol, max_iter=max_iter,
-    )
+        [b[j] for j in cols], enter_tol=enter_tol,
+        max_iter=50 * (n + m) * max(n, m))
     slack = live - u[:, None]
     g = slack.min(axis=0)
     if len(rows) == n and len(cols) == m:
@@ -335,12 +335,9 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure,
     t0 = time.perf_counter()
     mat = cost.matrix(mu, nu)
     scale = float(np.max(mat)) if mat.size else 0.0
-    enter_tol = 1e-12 * (1.0 + scale)
-    max_iter = 50 * (mu.n + nu.n) * max(mu.n, nu.n)
     masses, f, g, basis, iterations = _solve_core(
         np.asarray(mat, dtype=float), mu.weights.tolist(),
-        nu.weights.tolist(), enter_tol=enter_tol, max_iter=max_iter,
-    )
+        nu.weights.tolist(), enter_tol=1e-12 * (1.0 + scale))
     shift = f[mu.anchor_index()]
     f, g = f - shift, g + shift
     floor = TAU_MASS * float(mu.weights.sum())
@@ -394,8 +391,7 @@ def solve_exact(cost_rows: Sequence[Sequence[Fraction]],
         cost_rows, cost_scale = scaled_integers(
             [c for row in cost_rows for c in row])
     cost = np.array(cost_rows, dtype=object).reshape(n, m)
-    masses, f, g, _, iterations = _solve_core(
-        cost, a, b, enter_tol=0, max_iter=200 * (n + m) * max(n, m))
+    masses, f, g, _, iterations = _solve_core(cost, a, b, enter_tol=0)
     elapsed = time.perf_counter() - t0
     log.debug("solve_exact: n=%d m=%d pivots=%d %.4f s %.1f us/pivot", n, m,
               iterations, elapsed, 1e6 * elapsed / iterations if iterations

@@ -191,10 +191,14 @@ class TestExitCodes:
         ("/target/labels", {"target": {"points": [[0.0], [1.0]],
                                        "weights": [0.5, 0.5],
                                        "labels": [0, True]}}),
+        ("/options/exact", {"options": {"exact": "no"}}),
+        ("/cost", {"cost": {"kind": "lp_norm_power", "q": 3},
+                   "options": {"exact": True}}),
     ], ids=["nan_weight", "inf_weight", "huge_weight", "ragged_matrix",
             "matrix_shape", "nan_q", "nan_epsilon", "target_dimension",
             "no_coordinates", "huge_label", "boolean_source_labels",
-            "boolean_target_labels"])
+            "boolean_target_labels", "exact_option_string",
+            "exact_unsupported_cost"])
     def test_bad_document_names_its_path(self, tmp_path, capsys, exact,
                                          path, patch):
         doc = {
@@ -928,6 +932,10 @@ class TestArguments:
          "--radii"),
         (["regularity", "{}", "--anchor", "0,0", "--direction", "1,0",
           "--radii", "a"], "--radii"),
+        (["regularity", "{}", "--anchor", "0,0", "--direction", "1,0",
+          "--radii=0,1,2"], "--radii"),
+        (["regularity", "{}", "--anchor", "0,0", "--direction", "0,0",
+          "--radii", "1,2,3"], "--direction"),
         (["ctransform", "{}", "--values", "{}.txt"], "--values"),
         (["ctransform", "{}", "--values", "{}.short"], "--values"),
         (["ctransform", "{}", "--values", "{}.short", "--direction",
@@ -936,7 +944,8 @@ class TestArguments:
     ] + [(["ctransform", "{}", "--values", "{}." + bad], "--values")
          for bad in BAD_VALUES], ids=[
         "anchor_not_a_number", "partner_wrong_dimension", "radii_missing",
-        "radii_not_a_number", "values_not_json", "values_too_few",
+        "radii_not_a_number", "radii_not_positive", "direction_zero",
+        "values_not_json", "values_too_few",
         "values_too_few_to_target", "values_all_minus_inf"]
         + [f"values_{bad}" for bad in BAD_VALUES])
     def test_bad_argument_is_named(self, tmp_path, argv, name):

@@ -306,8 +306,7 @@ class TestRestrictFullMass:
             for i in np.flatnonzero(a == 0):
                 assert f[i] == min(rat[i][j] - g[j] for j in range(len(b)))
             _, cf, cg, basis, _ = _solve_core(
-                np.array(rat, dtype=object), sa, sb,
-                enter_tol=Fraction(0), max_iter=10 ** 4)
+                np.array(rat, dtype=object), sa, sb, enter_tol=Fraction(0))
             assert (cf.tolist(), cg.tolist()) == (f, g)
             _assert_tight_tree(basis, *cost.shape,
                                lambda i, j: f[i] + g[j] == rat[i][j])

@@ -142,6 +142,10 @@ class TestAsymptoticRegion:
             asymptotic_region([0.0], [1.0], cost, [1.0, 2.0, 4.0],
                               _grid_1d(-1, 1, 5))
 
+    def test_zero_direction_rejected(self):
+        with pytest.raises(OTUniqError, match="direction"):
+            asymptotic_region([0.0, 0.0], [0.0, 0.0], CostSpec.sq_euclidean(),
+                              [1.0, 2.0, 4.0], _grid_2d(-1, 1, 5))
 
     def test_decreasing_profile_rejected(self):
         cost = CostSpec.profile_of_distance(CostProfile(coeffs=[1.0, -1.0]))

@@ -277,7 +277,7 @@ class TestPivotSequencePinned:
         cost, a, b = _pinned_exact_instance()
         masses, f, g, iterations = solve_exact(cost, a, b)
         basis = _solve_core(np.array(cost, dtype=object), a, b,
-                            enter_tol=Fraction(0), max_iter=10 ** 6)[3]
+                            enter_tol=Fraction(0))[3]
         assert iterations == 37
         assert _digest(basis, masses, f, g) \
             == ("329d5f43ed2d9cc5b2ff1e5a3009bd91"
@@ -287,7 +287,7 @@ class TestPivotSequencePinned:
         cost, a, b = _pinned_rational_instance()
         masses, f, g, iterations = solve_exact(cost, a, b)
         basis = _solve_core(np.array(cost, dtype=object), a, b,
-                            enter_tol=Fraction(0), max_iter=10 ** 6)[3]
+                            enter_tol=Fraction(0))[3]
         assert iterations == 127
         assert _digest(basis, masses, f, g) \
             == ("c4ff3b030dc9252eda2ba874c6394806"
@@ -544,8 +544,7 @@ class TestSolveExactDifferential:
         cost, a, b = _rational_instance(seed)
         masses, f, g, iterations = solve_exact(cost, a, b)
         ref_masses, ref_f, ref_g, _, ref_iterations = _solve_core(
-            np.array(cost, dtype=object), a, b, enter_tol=Fraction(0),
-            max_iter=10 ** 6)
+            np.array(cost, dtype=object), a, b, enter_tol=Fraction(0))
         assert iterations == ref_iterations
         assert masses == {k: x for k, x in ref_masses.items() if x > 0}
         assert f == ref_f.tolist() and g == ref_g.tolist()
