@@ -30,7 +30,7 @@ from .documents import (
 )
 from .errors import (AllInfinite, BadEpsilon, DimensionMismatch,
                      OTUniqError, ProblemFormatError)
-from .regularity import asymptotic_region, dominated_region
+from .regularity import _norm, asymptotic_region, dominated_region
 from .solver import (
     dual_face_oracle,
     solve,
@@ -203,7 +203,7 @@ def cmd_regularity(args) -> int:
                                   doc.cost, grid).member
     else:
         u, radii = _numbers(args, "direction", dim), _numbers(args, "radii")
-        if not 0 < np.linalg.norm(u) < np.inf:
+        if not 0 < _norm(u) < np.inf:
             raise ProblemFormatError("--direction",
                                      "expected a nonzero, finite-norm vector")
         if np.any(radii <= 0):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
@@ -60,15 +60,23 @@ def component_labels(n_nodes: int, edges, strong: bool = False) -> np.ndarray:
     """Connected-component id of each node of a directed graph.
 
     ``edges`` is a list of (tail, head) pairs or a (k, 2) integer array.
-    Weak connectivity ignores edge directions; ``strong`` asks for
+    Weak connectivity ignores edge directions: its components are the
+    strong ones of the edges and their reverses.  ``strong`` asks for
     strongly connected components.  Ids count up in the order of each
-    component's smallest node.
+    component's smallest node.  The CSR matrix is built from the sorted
+    distinct keys tail * n_nodes + head: scipy's strong labelling does
+    not return on a matrix with a repeated (tail, head) entry.
     """
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
+    if not strong:
+        e = np.concatenate([e, e[:, ::-1]])
+    keys = np.sort(e[:, 0] * n_nodes + e[:, 1])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    tails, heads = np.divmod(keys, n_nodes)
+    indptr = np.r_[0, np.cumsum(np.bincount(tails, minlength=n_nodes))]
+    adj = csr_matrix((np.ones(keys.size), heads, indptr),
                      shape=(n_nodes, n_nodes))
-    _, labels = connected_components(
-        adj, directed=True, connection="strong" if strong else "weak")
+    _, labels = connected_components(adj, directed=True, connection="strong")
     _, first, inverse = np.unique(labels, return_index=True,
                                   return_inverse=True)
     return np.argsort(np.argsort(first))[inverse]

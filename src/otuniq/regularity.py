@@ -59,6 +59,16 @@ class AsymptoticRegion:
     tail_member: np.ndarray    # member at every radius in the tail half
 
 
+def _norm(u: np.ndarray) -> float:
+    """Euclidean norm of ``u``, inf past the float range: the entries are
+    scaled by the largest |u_i| first, so no square overflows.  NaN when
+    an entry is NaN."""
+    top = float(np.max(np.abs(u), initial=0.0))
+    if not 0 < top < np.inf:
+        return top
+    return top * float(np.linalg.norm(u / top))
+
+
 def asymptotic_region(x, direction, cost: CostSpec, radii, grid
                       ) -> AsymptoticRegion:
     """Approximate C_infinity = limsup C(x_n~, y_n).
@@ -76,7 +86,7 @@ def asymptotic_region(x, direction, cost: CostSpec, radii, grid
         raise ProfileNotMonotone("profile must be nondecreasing")
     x = np.asarray(x, dtype=float).ravel()
     u = np.asarray(direction, dtype=float).ravel()
-    norm = float(np.linalg.norm(u))
+    norm = _norm(u)
     if not 0 < norm < np.inf:
         raise OTUniqError("direction must have a positive finite norm")
     if not np.isclose(norm, 1.0, rtol=0.0, atol=1e-9):

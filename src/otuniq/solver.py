@@ -2,8 +2,9 @@
 
 The simplex (``_transport_simplex``, run by ``_solve_core`` on the
 positive-weight points) is generic over the scalar type, so the same
-code runs in float mode and, on scaled Python ints, in exact mode.  Two
-oracles cross-validate certificates produced elsewhere:
+code runs in float mode and, on scaled integers (int64 or Python ints),
+in exact mode.  Two oracles cross-validate certificates produced
+elsewhere:
 
 * ``dual_face_oracle`` bounds each dual coordinate over the optimal
   face by two shortest-path runs on the n source nodes;
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,51 +72,61 @@ class DualFaceReport:
     tolerance: float
 
 
-def _price(cost, p, start: int, rows: int, enter_tol):
-    """Block search for an entering arc, starting at row ``start``.
+#: arcs priced by one vector expression: whole rows, at least one
+BLOCK_ARCS = 10_000
+
+
+def _scan(cost, p, r: int, r1: int, enter_tol):
+    """Price rows ``r``..``r1 - 1`` in one vector expression.
 
     ``p`` holds the node duals: u on the sources, -v on the targets, so
-    the reduced cost ``c - u - v`` reads ``cost - p[rows] + p[targets]``,
-    the same value in IEEE arithmetic.  Blocks of ``rows`` rows are
-    scanned in turn, wrapping around; the most negative reduced cost of
-    the first block holding one below ``-enter_tol`` wins, the first of
-    equal ones in row-major order.  Returns (i, j, reduced cost, next
-    start row), or None when no arc prices out.  A one-row block (every
-    block when n <= m) is priced as the 1-d ``cost[r] - p[r] + pt``,
-    which computes the values of the 2-d slice expression in the same
-    order.  The same expressions serve float arrays and object arrays of
-    Python ints or Fractions, which numpy evaluates entry by entry.
+    the reduced cost ``c - u - v`` reads ``cost - p[rows] + p[targets]``.
+    Returns the queue (rows, columns, reduced costs) of the rows whose
+    least reduced cost is below ``-enter_tol``, each at its first argmin,
+    most negative first and in row order among equals (a stable sort).
+    The same expressions serve float, int64 and object arrays of Python
+    ints or Fractions, which numpy evaluates entry by entry.
+    """
+    block = cost[r:r1] - p[r:r1, None] + p[cost.shape[0]:]
+    cols = block.argmin(axis=1)
+    least = block[np.arange(r1 - r), cols]
+    hit = np.flatnonzero(least < -enter_tol)
+    hit = hit[np.argsort(least[hit], kind="stable")]
+    return hit + r, cols[hit], least[hit]
+
+
+def _entering(cost, p, enter_tol):
+    """Entering arcs by row-block queue pricing; ``p`` may change between
+    yields.
+
+    Blocks of ``BLOCK_ARCS // m`` rows (at least one) are scanned in
+    turn, wrapping around, and the next only once the queue of the last
+    (``_scan``) is used up.  Each queued arc is re-checked with the
+    scalar ``cost[i, j] - p[i] + p[n + j]``, the vector's own sequence
+    of operations, so float values agree bit for bit, and yielded as
+    (i, j, reduced cost) while it still prices out.  The pricing ends,
+    the basis optimal, once n consecutive rows queue nothing.
     """
     n, m = cost.shape
-    pt = p[n:]
-    r, scanned = start, 0
-    if rows == 1:
-        for _ in range(n):
-            block = cost[r] - p[r] + pt
-            k = int(block.argmin())
-            rc = block[k]
-            r1 = r + 1 if r + 1 < n else 0
-            if rc < -enter_tol:
-                return r, k, rc, r1
-            r = r1
-        return None
-    while scanned < n:
+    rows = max(1, BLOCK_ARCS // m)
+    r = idle = 0
+    while idle < n:
         r1 = min(r + rows, n)
-        block = cost[r:r1] - p[r:r1, None] + pt
-        k = int(block.argmin())
-        rc = block.flat[k]
-        if rc < -enter_tol:
-            return r + k // m, k % m, rc, r1 % n
-        scanned += r1 - r
+        queue_i, queue_j, _ = _scan(cost, p, r, r1, enter_tol)
+        idle = 0 if len(queue_i) else idle + r1 - r
         r = r1 % n
-    return None
+        for i, j in zip(queue_i.tolist(), queue_j.tolist()):
+            rc = cost.item(i, j) - p.item(i) + p.item(n + j)
+            if rc < -enter_tol:
+                yield i, j, rc
 
 
 def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
     """Network simplex on the complete bipartite graph.
 
-    ``cost`` is an n x m ndarray, float or object-holding ints or Fractions;
-    ``a``/``b`` are supply and demand lists of the matching scalar type.
+    ``cost`` is an n x m ndarray: float, int64, or object-holding ints or
+    Fractions; ``a``/``b`` are supply and demand lists of the matching
+    Python scalar type.  Entering arcs come from ``_entering``.
     Nodes are sources 0..n-1 and targets n..n+m-1.  The basis is a tree
     rooted at source 0, stored as ``parent``, ``flow`` (the mass on the
     arc joining x to its parent), a preorder ``order`` of the nodes,
@@ -180,18 +190,11 @@ def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
     size = [1] * (n + m)
     for x in reversed(created[1:]):
         size[parent[x]] += size[x]
-    side = math.isqrt(n * m - 1) + 1          # ceil(sqrt(n m)) arcs
-    rows = -(-side // m)
-    start = 0
     iterations = 0
-    while True:
-        entering = _price(cost, p, start, rows, enter_tol)
-        if entering is None:
-            break
+    for i, j, rc in _entering(cost, p, enter_tol):
         if iterations >= max_iter:
             raise SolverError(f"simplex exceeded {max_iter} pivots")
         iterations += 1
-        i, j, rc, start = entering
         # cycle: the tree paths from i and from target j up to their
         # lowest common ancestor
         x, y = i, n + j
@@ -377,7 +380,12 @@ def solve_exact(cost_rows: Sequence[Sequence[Fraction]],
     does).  The transportation matrix is totally unimodular, so the
     masses and duals stay integers, and positive scaling keeps the order
     and ties of flows and reduced costs: every pivot is the one the
-    simplex makes on the Fractions.  Returns (masses dict, f list, g
+    simplex makes on the Fractions.  The masses are Python ints; the
+    costs are int64 when (2 (n + m) + 1) max |K c| < 2**63, which bounds
+    every dual (a tree path of at most n + m - 1 arcs), slack and reduced
+    cost the simplex forms, and Python ints in an object array otherwise.
+    Both are exact, so they make the same pivots; int64 prices a block
+    in machine arithmetic.  Returns (masses dict, f list, g
     list, iterations) with every value a Fraction, mass / L and dual / K;
     no tolerance enters anywhere, and f is not anchored.
     """
@@ -391,6 +399,13 @@ def solve_exact(cost_rows: Sequence[Sequence[Fraction]],
         cost_rows, cost_scale = scaled_integers(
             [c for row in cost_rows for c in row])
     cost = np.array(cost_rows, dtype=object).reshape(n, m)
+    try:
+        fixed = cost.astype(np.int64)
+        top = max(int(fixed.max()), -int(fixed.min()))
+        if (2 * (n + m) + 1) * top < 2 ** 63:
+            cost = fixed
+    except OverflowError:                   # an entry outside int64
+        pass
     masses, f, g, _, iterations = _solve_core(cost, a, b, enter_tol=0)
     elapsed = time.perf_counter() - t0
     log.debug("solve_exact: n=%d m=%d pivots=%d %.4f s %.1f us/pivot", n, m,

@@ -280,10 +280,10 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     src_block = labels[decomposition.source_index]
     tgt_block = labels[len(ms) + decomposition.target_index]
     glued = src_block[ti] == tgt_block[tj]
-    links = np.unique(np.c_[decomposition.source_index[ti[glued]],
-                            decomposition.target_index[tj[glued]]], axis=0)
-    feeders = np.bincount(links[:, 1],
-                          minlength=len(decomposition.target_components))
+    n_t = len(decomposition.target_components)
+    links = np.unique(decomposition.source_index[ti[glued]] * n_t
+                      + decomposition.target_index[tj[glued]])
+    feeders = np.bincount(links % n_t, minlength=n_t)
     if any(len(grp) > 1 and k > 1
            for grp, k in zip(decomposition.target_components, feeders)):
         flags.append(

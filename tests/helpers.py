@@ -304,21 +304,3 @@ def marginal_degeneracy_reference(ms, mt) -> dict:
         return {"status": "colliding", "I": hit[0], "J": hit[1],
                 "min_gap": best_gap}
     return {"status": "nondegenerate", "min_gap": best_gap}
-
-
-def reference_price(cost, p, start: int, rows: int, enter_tol):
-    """``solver._price`` as it was before its one-row fast path: every
-    block priced as a 2-d slice.  The reference for the entering arc,
-    its reduced cost and the next start row, bit for bit."""
-    n, m = cost.shape
-    r, scanned = start, 0
-    while scanned < n:
-        r1 = min(r + rows, n)
-        block = cost[r:r1] - p[r:r1, None] + p[None, n:]
-        k = int(block.argmin())
-        rc = block.flat[k]
-        if rc < -enter_tol:
-            return r + k // m, k % m, rc, r1 % n
-        scanned += r1 - r
-        r = r1 % n
-    return None

@@ -9,6 +9,7 @@ import math
 import os
 import tempfile
 import time
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -604,6 +605,31 @@ class TestRegularityCommand:
         # deep inside the half-space the tail frequency saturates
         assert freq[2.0] == 1.0
         assert freq[-2.0] == 0.0
+
+
+    def test_overflowing_direction(self, tmp_path):
+        """--direction is normalized by its largest entry first: 1e308,1e308
+        reads as 1,1, and a norm past the float range (1.5e308,1.5e308)
+        exits 2; neither lets numpy warn."""
+        side = {"points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                "weights": [0.25] * 4}
+        path = _write(tmp_path, {"schema": "1", "source": side,
+                                 "target": side,
+                                 "cost": {"kind": "lp_norm_power",
+                                          "q": 2, "p": 2}})
+        args = ["regularity", path, "--anchor", "0,0", "--radii", "1,2,4"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _run(args + ["--direction", "1.5e308,1.5e308"])
+            runs = [_run(args + ["--direction", u, "--out",
+                                 str(tmp_path / f"{k}.csv")])
+                    for k, u in enumerate(["1e308,1e308", "1,1"])]
+        assert code == 2
+        assert "error: --direction: " in err and "Warning" not in err
+        assert runs == [(0, ""), (0, "")]
+        assert not caught
+        assert (tmp_path / "0.csv").read_text() \
+            == (tmp_path / "1.csv").read_text()
 
 
 class TestCTransform:

@@ -348,3 +348,50 @@ class TestDecomposePotential:
         assert len(dec.source_components) == 2
         for grp in dec.source_components:
             _assert_restriction_optimal(res, grp)
+
+
+def _closure_labels(n_nodes, edges, strong):
+    """Component ids from the transitive closure of the adjacency
+    matrix, numbered in the order of each component's smallest node."""
+    reach = np.eye(n_nodes, dtype=bool)
+    for i, j in edges:
+        reach[i, j] = True
+        if not strong:
+            reach[j, i] = True
+    while True:
+        wider = reach | (reach.astype(int) @ reach.astype(int) > 0)
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    same = reach & reach.T
+    labels = np.full(n_nodes, -1)
+    for i in range(n_nodes):
+        if labels[i] < 0:
+            labels[same[i]] = labels.max() + 1
+    return labels
+
+
+class TestComponentLabels:
+    """``component_labels`` on edge lists with repeated edges and
+    self-loops, in both modes, against the transitive closure."""
+
+    @pytest.mark.parametrize("strong", [False, True])
+    def test_matches_closure(self, strong):
+        rng = np.random.default_rng(900)
+        for _ in range(60):
+            n = int(rng.integers(1, 13))
+            edges = rng.integers(0, n, (int(rng.integers(0, 3 * n)), 2))
+            if len(edges):              # a repeated edge and a self-loop
+                edges = np.concatenate([edges, edges[:1],
+                                        [[edges[0, 0]] * 2]])
+            got = component_labels(n, edges, strong=strong)
+            assert got.tolist() \
+                == _closure_labels(n, edges.tolist(), strong).tolist()
+
+    @pytest.mark.parametrize("strong", [False, True])
+    def test_repeated_edges_and_loops(self, strong):
+        edges = [(0, 1), (0, 1), (1, 0), (2, 2), (2, 2), (3, 1), (3, 1)]
+        want = [0, 0, 1, 2] if strong else [0, 0, 1, 0]
+        assert component_labels(4, edges, strong=strong).tolist() == want
+        assert component_labels(4, [], strong=strong).tolist() \
+            == [0, 1, 2, 3]

@@ -147,6 +147,25 @@ class TestAsymptoticRegion:
             asymptotic_region([0.0, 0.0], [0.0, 0.0], CostSpec.sq_euclidean(),
                               [1.0, 2.0, 4.0], _grid_2d(-1, 1, 5))
 
+    def test_huge_direction_normalized(self):
+        # the squares of 1e308 overflow; the norm, 1.41e308, does not
+        grid = _grid_2d(-2, 2, 9)
+        radii = [1.0, 2.0, 4.0]
+        a = asymptotic_region([0.0, 0.0], [1e308, 1e308],
+                              CostSpec.sq_euclidean(), radii, grid)
+        b = asymptotic_region([0.0, 0.0], [1.0, 1.0],
+                              CostSpec.sq_euclidean(), radii, grid)
+        assert a.direction.tolist() == b.direction.tolist()
+        assert np.array_equal(a.tail_frequency, b.tail_frequency)
+
+    def test_overflowing_norm_rejected(self):
+        # a norm past the float range is an OTUniqError, not a numpy
+        # overflow warning (the suite turns warnings into errors)
+        for u in ([1.5e308, 1.5e308], [np.inf, 0.0], [np.nan, 1.0]):
+            with pytest.raises(OTUniqError, match="direction"):
+                asymptotic_region([0.0, 0.0], u, CostSpec.sq_euclidean(),
+                                  [1.0, 2.0, 4.0], _grid_2d(-1, 1, 5))
+
     def test_decreasing_profile_rejected(self):
         cost = CostSpec.profile_of_distance(CostProfile(coeffs=[1.0, -1.0]))
         with pytest.raises(ProfileNotMonotone):

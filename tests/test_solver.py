@@ -1,6 +1,7 @@
 """Transportation simplex and the two dual-uniqueness oracles."""
 
 import hashlib
+import itertools
 import logging
 import math
 import re
@@ -11,18 +12,21 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from otuniq import solver
 from otuniq.core import (
     CostSpec,
     DiscreteMeasure,
     PotentialPair,
     TransportPlan,
     component_labels,
+    scaled_integers,
     verify_duality,
 )
 from otuniq.decompose import ComponentDecomposition
 from otuniq.errors import InfeasibleOptimum, Unbalanced
 from otuniq.solver import (
-    _price,
+    _entering,
+    _scan,
     _solve_core,
     dual_face_oracle,
     solve,
@@ -35,7 +39,6 @@ from helpers import (
     enumerate_vertices,
     lp_face_bounds,
     random_instance,
-    reference_price,
 )
 
 
@@ -199,6 +202,20 @@ def _pinned_instances():
         w[-1] = 1.0 - w[:-1].sum()
         sides.append(DiscreteMeasure(pts, w))
     yield ("clustered ladder n=100", *sides, CostSpec.sq_euclidean())
+    rng = np.random.default_rng(1008)
+    yield ("tall 150x90",
+           DiscreteMeasure(rng.uniform(0, 1, (150, 2)),
+                           rng.dirichlet(np.ones(150))),
+           DiscreteMeasure(rng.uniform(0, 1, (90, 2)),
+                           rng.dirichlet(np.ones(90))),
+           CostSpec.sq_euclidean())
+    rng = np.random.default_rng(1009)
+    yield ("wide 30x1200",
+           DiscreteMeasure(rng.uniform(0, 1, (30, 2)),
+                           rng.dirichlet(np.ones(30))),
+           DiscreteMeasure(rng.uniform(0, 1, (1200, 2)),
+                           rng.dirichlet(np.ones(1200))),
+           CostSpec.sq_euclidean())
 
 
 def _digest(basis, masses, f, g) -> str:
@@ -241,25 +258,29 @@ def _pinned_rational_instance():
 class TestPivotSequencePinned:
     """Pivot count, basis, plan and pair of fixed instances, pinned bit for
     bit: a change to how the simplex stores its basis tree must leave
-    every pivot where it was.  Values recorded from the tree kept as
-    parent, depth and adjacency sets."""
+    every pivot where it was.  Values recorded under row-block queue
+    pricing (``solver.BLOCK_ARCS`` arcs a block); each optimum is checked
+    against HiGHS by ``test_float_optimum_matches_highs``."""
 
     PINNED = {
-        "uniform 2-d n=60": (485, "234e0b912f7814a11c69af3f7ea9cb0f"
-                                  "3939a348722d4698967288013bca8e82"),
-        "clustered n=40": (99, "38b2571a4a1a3911bbc56b9c85f3329e"
-                               "0becedc7d1aec6beba7298bf388559da"),
+        "uniform 2-d n=60": (577, "8b4a97f7df80e2f8a372de70dcbb9a1d"
+                                  "ae48a320a15b28227fbfab82f78eec1a"),
+        "clustered n=40": (70, "105f7af1bd61eaf205ad411c36bb5625"
+                               "9215a5197899254801bf870b1c9825f0"),
         "all-ones 8x8": (0, "16dbca16f55fd3a404ffe7d87472f3b3"
                             "21086c84e7bd4315b020dd5a480685e3"),
-        "zero-weight padded 10x8": (7, "ed96e4458247e649b8c31d14f7908338"
+        "zero-weight padded 10x8": (8, "ed96e4458247e649b8c31d14f7908338"
                                        "b59e9edece0149caea342ccd759205b5"),
-        # recorded from the preorder-array tree, before the pricing and
-        # pivot body were made leaner: blocks of three rows (30 x 7) and
-        # a ladder-sized instance
-        "tall 30x7": (44, "d40c8d9048652ef438371527429644c2"
-                          "ffe3ef766be442624b485d05c9b5edae"),
-        "clustered ladder n=100": (428, "a0b4351a841bb89853b7d9f861a0aa23"
-                                        "b83c17512bb8e95d614f93aa5408db3b"),
+        "tall 30x7": (36, "0809ddd3d72f175cc1ce3e721eaec7d9"
+                          "b236ad69cc0932c528b2ad57c6a1ca40"),
+        "clustered ladder n=100": (287, "0edc6104814424c7f7748c258579e12c"
+                                        "43d52673f4a25c95dc5111169222e8e2"),
+        # two blocks of 111 and 39 rows, and four of 8, 8, 8 and 6
+        # rows, scanned in turn and wrapping
+        "tall 150x90": (1041, "061bcdf2a5086aaab84e24f35cc6cf8b"
+                                "c982167c4535649b758f4f1d375bcaf3"),
+        "wide 30x1200": (3430, "544febd1d4a0da4448f1ff99519b2bf3"
+                                "3ba906a3a720922b6273ae8bc651d9c4"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -273,42 +294,47 @@ class TestPivotSequencePinned:
                                         res.pair.g.tolist())) \
             == self.PINNED[name]
 
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_float_optimum_matches_highs(self, name):
+        mu, nu, cost = next((mu, nu, cost) for key, mu, nu, cost
+                            in _pinned_instances() if key == name)
+        res = solve(mu, nu, cost)
+        highs = _highs_optimum(res.cost_matrix, mu.weights, nu.weights)
+        assert abs(res.duality.primal_cost - highs) <= res.duality.tolerance
+
     def test_exact(self):
         cost, a, b = _pinned_exact_instance()
         masses, f, g, iterations = solve_exact(cost, a, b)
         basis = _solve_core(np.array(cost, dtype=object), a, b,
                             enter_tol=Fraction(0))[3]
-        assert iterations == 37
+        assert iterations == 32
         assert _digest(basis, masses, f, g) \
-            == ("329d5f43ed2d9cc5b2ff1e5a3009bd91"
-                "c50b85a2260654578ee21fbebacd3467")
+            == ("293ae815b1c373a4cceeeb0145b966fc"
+                "eab00986e3bdc8c48c9d9addccfd42f5")
 
     def test_exact_rational(self):
         cost, a, b = _pinned_rational_instance()
         masses, f, g, iterations = solve_exact(cost, a, b)
         basis = _solve_core(np.array(cost, dtype=object), a, b,
                             enter_tol=Fraction(0))[3]
-        assert iterations == 127
+        assert iterations == 96
         assert _digest(basis, masses, f, g) \
             == ("c4ff3b030dc9252eda2ba874c6394806"
                 "d9634f5b4f8f2d94af4dd6024fab40ce")
 
 
-PRICE_SHAPES = [(1, 1), (1, 6), (7, 1), (4, 9), (7, 7), (11, 3), (13, 4)]
+SCAN_SHAPES = [(1, 1), (1, 6), (7, 1), (4, 9), (7, 7), (11, 3), (13, 4)]
 
 
-def _price_cases():
-    """Derandomized pricing inputs: (cost, p, start, rows, enter_tol).
+def _scan_cases():
+    """Derandomized pricing inputs: (cost, p, enter_tol).
 
-    Per shape, float and object-int arrays; costs drawn from a few
-    integers (many tied reduced costs) or from floats; duals random, or
-    the row minima (no arc prices out); every start row; ``rows`` the
-    simplex's ceil(ceil(sqrt(n m)) / m) and 1 to 3 besides, so the
-    shapes with n > m have blocks of two or more rows that do not
-    divide n."""
+    Per shape, float, int64 and object-int arrays; costs drawn from a
+    few integers (many tied reduced costs) or from a wide range; duals
+    random, or the row minima (no arc prices out); tolerances 0, 0.5
+    and 1e-12."""
     rng = np.random.default_rng(1010)
-    for n, m in PRICE_SHAPES:
-        rule = -(-(math.isqrt(n * m - 1) + 1) // m)
+    for n, m in SCAN_SHAPES:
         for tied in (True, False):
             cost = rng.integers(0, 4, (n, m)) if tied \
                 else rng.integers(0, 1000, (n, m))
@@ -318,45 +344,72 @@ def _price_cases():
                         else rng.integers(-500, 500, n + m)
                 else:
                     p = np.concatenate([cost.min(axis=1), np.zeros(m, int)])
-                for exact in (False, True):
-                    if exact:
-                        c = np.array(cost.tolist(), dtype=object)
-                        q = np.array(p.tolist(), dtype=object)
-                        c = c if tied else c * 7
-                        tols = (0,)
-                    else:
-                        c = cost.astype(float) if tied \
-                            else cost / 7.0 + rng.uniform(0, 1e-3, (n, m))
-                        q = p.astype(float) if tied else p / 7.0
-                        tols = (0.0, 0.5, 1e-12)
-                    for rows in sorted({rule, 1, 2, 3} & set(range(1, n + 1))):
-                        for tol in tols:
-                            for start in range(n):
-                                yield c, q, start, rows, tol
+                arrays = [
+                    (cost.astype(np.int64), p.astype(np.int64)),
+                    (np.array(cost.tolist(), dtype=object),
+                     np.array(p.tolist(), dtype=object)),
+                    (cost.astype(float), p.astype(float)) if tied
+                    else (cost / 7.0 + rng.uniform(0, 1e-3, (n, m)),
+                          p / 7.0)]
+                for c, q in arrays:
+                    for tol in (0, 0.5, 1e-12):
+                        yield c, q, tol
 
 
-class TestPrice:
-    """``_price`` prices one-row blocks by a 1-d expression; it must give
-    what the 2-d block expression gives, bit for bit."""
+def _plain_queue(cost, p, r: int, r1: int, tol):
+    """The queue of rows r..r1-1, entry by entry: each row's least
+    reduced cost and its first argmin, rows below -tol by that value,
+    ties in row order."""
+    n, m = cost.shape
+    rows = []
+    for i in range(r, r1):
+        values = [cost[i, j] - p[i] + p[n + j] for j in range(m)]
+        least = min(values)
+        if least < -tol:
+            rows.append((least, i, values.index(least)))
+    rows.sort(key=lambda t: (t[0], t[1]))
+    return [(i, j, v) for v, i, j in rows]
 
-    @staticmethod
-    def _key(out):
-        if out is None:
-            return None
-        i, j, rc, nxt = out
-        value = rc.hex() if isinstance(rc, float) else rc
-        return type(i), i, type(j), j, type(rc), value, nxt
 
-    def test_matches_reference(self):
-        cases = entering = 0
-        for cost, p, start, rows, tol in _price_cases():
-            got = _price(cost, p, start, rows, tol)
-            assert self._key(got) \
-                == self._key(reference_price(cost, p, start, rows, tol)), \
-                (cost.shape, cost.dtype, start, rows, tol)
-            cases += 1
-            entering += got is not None
-        assert 0 < entering < cases
+def _key(value):
+    """A scalar of any of the three dtypes, floats by ``float.hex``."""
+    value = value.item() if isinstance(value, np.generic) else value
+    return value.hex() if isinstance(value, float) else value
+
+
+class TestBlockScan:
+    """``_scan`` against a row-by-row reference; ``_entering``'s scalar
+    re-check against the vector entry, bit for bit."""
+
+    def test_scan_matches_plain_rows(self):
+        cases = queued = 0
+        for cost, p, tol in _scan_cases():
+            n = cost.shape[0]
+            for r in range(n):
+                for r1 in sorted({r + 1, min(r + 2, n), n}):
+                    qi, qj, least = _scan(cost, p, r, r1, tol)
+                    got = [(i, j, _key(v)) for i, j, v
+                           in zip(qi.tolist(), qj.tolist(), least)]
+                    want = [(i, j, _key(v)) for i, j, v
+                            in _plain_queue(cost, p, r, r1, tol)]
+                    assert got == want, (cost.dtype, cost.shape, r, r1, tol)
+                    cases += 1
+                    queued += bool(got)
+        assert 0 < queued < cases
+
+    def test_recheck_equals_vector_entry(self):
+        for cost, p, tol in _scan_cases():
+            qi, qj, least = _scan(cost, p, 0, cost.shape[0], tol)
+            # every shape here fits one block: with the duals unchanged,
+            # the first len(qi) yields are that block's queue, and the
+            # pricing ends at once when the queue is empty
+            got = list(itertools.islice(_entering(cost, p, tol), len(qi)))
+            assert [(i, j, _key(rc)) for i, j, rc in got] \
+                == [(i, j, _key(v))
+                    for i, j, v in zip(qi.tolist(), qj.tolist(), least)]
+            assert all(type(rc) in (float, int) for _, _, rc in got)
+            if not len(qi):
+                assert list(_entering(cost, p, tol)) == []
 
 
 def _highs_optimum(cost: np.ndarray, a, b) -> float:
@@ -555,6 +608,69 @@ class TestSolveExactDifferential:
         if seed % 4 == 3:
             for values in ([c for row in cost for c in row], a + b):
                 assert math.lcm(*(v.denominator for v in values)) > 2 ** 64
+
+
+class TestMachineIntegers:
+    """Exact mode runs on int64 when (2 (n + m) + 1) max |K c| < 2**63 and
+    on Python ints in an object array otherwise; both are exact, so the
+    same integers must give the same masses, duals, basis and pivots."""
+
+    @staticmethod
+    def _scaled(cost, a, b):
+        """The integer problem ``solve_exact`` hands ``_solve_core``."""
+        flat, _ = scaled_integers([c for row in cost for c in row])
+        w, _ = scaled_integers(list(a) + list(b))
+        wide = np.array(flat, dtype=object).reshape(len(a), len(b))
+        return wide, w[:len(a)], w[len(a):]
+
+    def test_int64_equals_object(self):
+        instances = [_pinned_exact_instance(), _pinned_rational_instance()] \
+            + [_rational_instance(seed) for seed in range(24)]
+        compared = 0
+        for cost, a, b in instances:
+            wide, a_int, b_int = self._scaled(cost, a, b)
+            top = max(abs(c) for c in wide.flat)
+            if (2 * (len(a) + len(b)) + 1) * top >= 2 ** 63:
+                continue                # the distinct-prime flavor
+            ref = _solve_core(wide, a_int, b_int, enter_tol=0)
+            got = _solve_core(wide.astype(np.int64), a_int, b_int,
+                              enter_tol=0)
+            assert got[0] == ref[0]
+            assert all(type(x) is int for x in got[0].values())
+            assert got[1].tolist() == ref[1].tolist()
+            assert got[2].tolist() == ref[2].tolist()
+            assert got[3:] == ref[3:]
+            compared += 1
+        assert compared >= 20
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_bound_picks_the_dtype(self, monkeypatch, sign):
+        """Costs at the bound run on int64, one past it and one outside
+        int64 on object arrays; all match ``_solve_core`` on Fractions."""
+        n = m = 6
+        edge = (2 ** 63 - 1) // (2 * (n + m) + 1)   # largest top on int64
+        seen = []
+
+        def spy(cost, *args, **kwargs):
+            seen.append(cost.dtype)
+            return _solve_core(cost, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_solve_core", spy)
+        rng = np.random.default_rng(1011)
+        a = [Fraction(int(t), 21) for t in (1, 2, 3, 4, 5, 6)]
+        b = [Fraction(1, 6)] * 6
+        for top in (edge, edge + 1, 2 ** 63):
+            cost = [[Fraction(int(c) * (top // 1000)) for c in row]
+                    for row in rng.integers(-1000, 1001, (n, m))]
+            cost[0][0] = Fraction(sign * top)
+            masses, f, g, iterations = solve_exact(cost, a, b)
+            ref = _solve_core(np.array(cost, dtype=object), a, b,
+                              enter_tol=Fraction(0))
+            assert iterations == ref[4]
+            assert masses == {k: x for k, x in ref[0].items() if x > 0}
+            assert f == ref[1].tolist() and g == ref[2].tolist()
+        assert seen == [np.dtype(np.int64), np.dtype(object),
+                        np.dtype(object)]
 
 
 def _identity_face(mu, cost, f=None):
