@@ -145,7 +145,8 @@ def cmd_certify(args) -> int:
     code = {"unique": EXIT_OK, "non_unique": EXIT_NON_UNIQUE}.get(
         cert.verdict, EXIT_INCONCLUSIVE)
     if args.oracle == "on":
-        face = dual_face_oracle(result.plan, result.pair, result.cost_matrix)
+        face = dual_face_oracle(result.plan, result.pair,
+                                doc.cost.matrix(doc.mu, doc.nu))
         tight = tight_graph_connectivity_oracle(result)
         body["oracles"] = {
             "dual_face": {"unique": face.unique,

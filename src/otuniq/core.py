@@ -73,8 +73,9 @@ def component_labels(n_nodes: int, edges, strong: bool = False) -> np.ndarray:
     keys = np.sort(e[:, 0] * n_nodes + e[:, 1])
     keys = keys[np.diff(keys, prepend=-1) != 0]
     tails, heads = np.divmod(keys, n_nodes)
-    indptr = np.r_[0, np.cumsum(np.bincount(tails, minlength=n_nodes))]
-    adj = csr_matrix((np.ones(keys.size), heads, indptr),
+    # int32 index arrays spare scipy its scans of their contents
+    indptr = np.searchsorted(tails, np.arange(n_nodes + 1)).astype(np.int32)
+    adj = csr_matrix((np.ones(keys.size), heads.astype(np.int32), indptr),
                      shape=(n_nodes, n_nodes))
     _, labels = connected_components(adj, directed=True, connection="strong")
     _, first, inverse = np.unique(labels, return_index=True,
@@ -490,36 +491,34 @@ def subdifferential_of(pair: PotentialPair,
     return Subdifferential(tight_pairs=pairs, mask=mask)
 
 
-def tight_components(rows: np.ndarray, cols: np.ndarray, tight: np.ndarray,
-                     source_index: np.ndarray, target_index: np.ndarray):
+def tight_components(rows: np.ndarray, cols: np.ndarray, ti: np.ndarray,
+                     tj: np.ndarray, source_index: np.ndarray,
+                     target_index: np.ndarray) -> np.ndarray:
     """Strongly connected components of the tight residual graph.
 
     Nodes are the source groups 0..S-1 (``source_index[i]`` is the group
     of source point i) followed by the target groups S..S+T-1.  Each
-    pair (i, j) of the boolean (n, m) mask ``tight`` gives an arc from
-    the group of i to the group of j, each arc (``rows[k]``,
-    ``cols[k]``) of an optimal plan one back.  The caller decides
-    tightness, so any scalar type works: within a tolerance in float
-    mode, ``slack == 0`` on exact scalars; the mask should hold only pairs
-    of positive-weight points.  A tight pair carries mass in some
-    optimal plan iff it lies on a cycle of this graph (strict
-    complementarity, Goldman-Tucker), so two groups share a component
-    iff optimal plans glue their potentials together.  Returns
-    (labels, ti, tj): ``component_labels(..., strong=True)`` of the
-    graph, and the tight pairs.
+    tight pair (``ti[k]``, ``tj[k]``) gives an arc from the group of i to
+    the group of j, each arc (``rows[k]``, ``cols[k]``) of an optimal
+    plan one back.  The caller decides tightness, so any scalar type
+    works: within a tolerance in float mode, ``slack == 0`` on exact
+    scalars; the pairs should join positive-weight points only.  A tight
+    pair carries mass in some optimal plan iff it lies on a cycle of
+    this graph (strict complementarity, Goldman-Tucker), so two groups
+    share a component iff optimal plans glue their potentials together.
+    Returns ``component_labels(..., strong=True)`` of the graph.
     """
-    ti, tj = np.nonzero(tight)
     ns = int(np.max(source_index)) + 1
     tails = np.r_[source_index[ti], ns + target_index[cols]]
     heads = np.r_[ns + target_index[tj], source_index[rows]]
-    labels = component_labels(ns + int(np.max(target_index)) + 1,
-                              np.c_[tails, heads], strong=True)
-    return labels, ti, tj
+    return component_labels(ns + int(np.max(target_index)) + 1,
+                            np.c_[tails, heads], strong=True)
 
 
 @dataclass(frozen=True)
 class DualityReport:
-    """``verify_duality``'s verdict; ``tight`` is None if infeasible."""
+    """``verify_duality``'s verdict; ``tight_pairs`` is None if
+    infeasible."""
 
     primal_cost: float
     dual_value: float
@@ -528,8 +527,9 @@ class DualityReport:
     support_tight: bool
     optimal: bool
     tolerance: float
-    tight: Optional[np.ndarray] = field(default=None, repr=False,
-                                        compare=False)
+    # (rows, cols) of the tight pairs in row-major order, read-only
+    tight_pairs: Optional[tuple] = field(default=None, repr=False,
+                                         compare=False)
 
 
 def verify_duality(plan: TransportPlan, pair: PotentialPair,
@@ -538,8 +538,9 @@ def verify_duality(plan: TransportPlan, pair: PotentialPair,
 
     One pass builds the slack c - f - g in a single (n, m) buffer;
     feasibility is its minimum against -tau_tight.  The buffer becomes
-    the tight mask, read at the plan's arcs for support tightness and
-    kept read-only as ``tight`` for ``certify`` and the tight-graph oracle.
+    the tight mask, read at the plan's arcs for support tightness; its
+    ``np.nonzero`` index arrays are kept read-only as ``tight_pairs`` for
+    ``certify`` and the tight-graph oracle, and the mask goes.
     """
     cost_matrix = np.asarray(cost_matrix, dtype=float)
     if cost_matrix.shape != (plan.source.n, plan.target.n):
@@ -551,11 +552,16 @@ def verify_duality(plan: TransportPlan, pair: PotentialPair,
     gap = primal - dual
     tau_gap = TAU_GAP * (1.0 + abs(primal))
     try:
-        tight = _as_readonly(_tight_mask(pair, cost_matrix))
+        tight = _tight_mask(pair, cost_matrix)
     except InfeasiblePair:
         tight = None
     feasible = tight is not None
     support_tight = feasible and bool(np.all(tight[plan.rows, plan.cols]))
     optimal = feasible and support_tight and abs(gap) <= tau_gap
+    pairs = None
+    if feasible:
+        pairs = np.nonzero(tight)
+        for index in pairs:
+            index.setflags(write=False)
     return DualityReport(primal, dual, gap, feasible, support_tight, optimal,
-                         tau_gap, tight)
+                         tau_gap, pairs)

@@ -2,9 +2,8 @@
 
 Components are either taken verbatim from measure labels or built from
 the epsilon-proximity graph (two points share a component iff joined by
-a chain of hops of Euclidean length <= epsilon).  Either way each point
-gets a component id from ``core.component_labels``, so components are
-numbered by their smallest member.  Components are discrete stand-ins
+a chain of hops of Euclidean length <= epsilon).  Either way components
+are numbered by their smallest member.  Components are discrete stand-ins
 for the topological components of a continuum support; every
 downstream certificate flags that distinction.
 """
@@ -25,31 +24,29 @@ def _component_ids(measure: DiscreteMeasure, method: str,
                    epsilon: Optional[float]) -> np.ndarray:
     """Component id of each point, numbered by smallest member.
 
-    Explicit labels link each point to the next point with the same
-    label.  The epsilon graph takes its candidate pairs from a k-d tree
-    queried at a radius widened by 1e-9 relative: the tree compares
-    squared distances, whose rounding differs from the norm's, so an
-    unwidened query can miss a pair at exactly epsilon.  The norm test
-    ``|pts[i] - pts[j]| <= epsilon`` then decides each pair.
+    Explicit labels need no graph: each label is numbered by the rank of
+    its first occurrence.  The epsilon graph takes its candidate pairs
+    from a k-d tree queried at a radius widened by 1e-9 relative: the
+    tree compares squared distances, whose rounding differs from the
+    norm's, so an unwidened query can miss a pair at exactly epsilon.
+    The norm test ``|pts[i] - pts[j]| <= epsilon`` then decides each
+    pair, and ``core.component_labels`` numbers the components.
     """
     if method == "explicit_labels":
         if measure.labels is None:
             raise OTUniqError("measure carries no labels")
-        order = np.argsort(measure.labels, kind="stable")
-        lab = measure.labels[order]
-        same = lab[1:] == lab[:-1]
-        edges = np.column_stack([order[:-1][same], order[1:][same]])
-    elif method == "epsilon_graph":
-        if epsilon is None or not epsilon > 0:
-            raise BadEpsilon(f"epsilon must be positive, got {epsilon}")
-        pts = measure.points
-        pairs = cKDTree(pts).query_pairs(epsilon * (1 + 1e-9),
-                                         output_type="ndarray")
-        near = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-        edges = pairs[near <= epsilon]
-    else:
+        _, first, inverse = np.unique(measure.labels, return_index=True,
+                                      return_inverse=True)
+        return np.argsort(np.argsort(first))[inverse]
+    if method != "epsilon_graph":
         raise OTUniqError(f"unknown decomposition method {method!r}")
-    return component_labels(measure.n, edges)
+    if epsilon is None or not epsilon > 0:
+        raise BadEpsilon(f"epsilon must be positive, got {epsilon}")
+    pts = measure.points
+    pairs = cKDTree(pts).query_pairs(epsilon * (1 + 1e-9),
+                                     output_type="ndarray")
+    near = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+    return component_labels(measure.n, pairs[near <= epsilon])
 
 
 def _groups(ids: np.ndarray) -> list[list[int]]:

@@ -18,12 +18,13 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import csgraph_from_dense, dijkstra
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .core import (
     TAU_FACE_SCALE,
@@ -56,8 +57,6 @@ class SolveResult:
     basis: tuple  # (i, j) arcs, n + m - 1 of them, covering supp plan
     iterations: int
     duality: DualityReport
-    # the n x m cost matrix solved on, for callers that need it again
-    cost_matrix: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -331,7 +330,9 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure,
     The pair is c-concave (see ``_solve_core``) and normalized to f = 0
     at ``mu.anchor_index()``.  Plan arcs of mass at most tau_mass times
     the total mass are rounding residue of the pivots and are dropped.
-    Deterministic for a fixed input ordering.
+    Deterministic for a fixed input ordering.  The cost matrix is not
+    kept: a caller that needs it again builds it with ``CostSpec.matrix``
+    (for an explicit cost, that returns its values).
     """
     if abs(float(mu.weights.sum()) - float(nu.weights.sum())) > TAU_MASS:
         raise Unbalanced("source and target masses differ")
@@ -363,8 +364,7 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure,
               iterations, elapsed, 1e6 * elapsed / iterations if iterations
               else 0.0)
     return SolveResult(plan=plan, pair=pair, basis=tuple(sorted(basis)),
-                       iterations=iterations, duality=report,
-                       cost_matrix=mat)
+                       iterations=iterations, duality=report)
 
 
 def solve_exact(cost_rows: Sequence[Sequence[Fraction]],
@@ -428,10 +428,13 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
     alternates plan arcs x_i -> y_j of weight 0 and arcs y_j -> x_k of
     weight slack[k, j] >= 0, so it runs on the n sources: hop i -> k
     weighs the least slack[k, j] over i's plan columns j (bit for bit,
-    as rounding a + b is monotone in b).  Two Dijkstra runs from the
-    anchor, on the hops and their transpose, give all bounds, which do
-    not depend on the pair.  A zero hop is an arc, so ``null_value=inf``
-    marks the absent ones: ``dijkstra`` drops the zeros of a dense array.
+    as rounding a + b is monotone in b).  A source with plan arcs has a
+    hop to every source, one without has none, so the hop rows of the
+    plan's sources, each a ``np.minimum.reduceat`` over its gathered
+    slack columns, are the data of a CSR graph, and their transpose that
+    of the reverse graph.  Zero hops are stored entries, which
+    ``dijkstra`` keeps as arcs.  Two Dijkstra runs from the anchor, on
+    the two graphs, give all bounds, which do not depend on the pair.
     Coordinates no path reaches (zero-weight points) are +-inf, left out
     of the spread.
     """
@@ -443,12 +446,23 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
     f = pair.f
     slack = _slack(pair, mat)[0]
     np.maximum(slack, 0.0, out=slack)
-    hop = np.full((n, n), np.inf)
-    np.minimum.at(hop, plan.rows, slack.T[plan.cols])
-    del slack               # the graph build is the memory peak
-    graph = csgraph_from_dense(hop, null_value=np.inf)
+    order = np.argsort(plan.rows, kind="stable")
+    gathered = slack.T[plan.cols[order]]
+    del slack               # with the gathered columns, the memory peak
+    heads, start = np.unique(plan.rows[order], return_index=True)
+    hop = np.minimum.reduceat(gathered, start, axis=0)
+    del gathered
+    k = len(heads)
+    indptr = np.searchsorted(heads, np.arange(n + 1)) * n
+    graph = csr_matrix((hop.ravel(), np.tile(np.arange(n, dtype=np.int32), k),
+                        indptr.astype(np.int32)), shape=(n, n))
     d_out = dijkstra(graph, indices=anchor)
-    d_in = dijkstra(graph.T, indices=anchor)
+    del graph
+    reverse = csr_matrix((hop.T.ravel(), np.tile(heads.astype(np.int32), n),
+                          np.arange(0, n * k + 1, k, dtype=np.int32)),
+                         shape=(n, n))
+    del hop                 # the reverse graph holds its own copy
+    d_in = dijkstra(reverse, indices=anchor)
     f_max = f - f[anchor] + d_out
     f_min = f - f[anchor] - d_in
     tau = TAU_FACE_SCALE * (1.0 + float(np.max(mat)))
@@ -463,15 +477,18 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
 def tight_graph_connectivity_oracle(result: SolveResult) -> dict:
     """Classical dual-uniqueness criterion on the tight-edge graph.
 
-    ``tight_components`` on single points and ``result.duality.tight``:
-    a tight edge is usable when some optimal plan puts mass on it, i.e.
-    when its ends share a component.  Potentials are unique up to one
-    constant iff one component holds every positive-weight point.
+    ``tight_components`` on single points and the tight pairs of
+    ``result.duality`` between positive-weight points: a tight edge is
+    usable when some optimal plan puts mass on it, i.e. when its ends
+    share a component.  Potentials are unique up to one constant iff one
+    component holds every positive-weight point.
     """
     mu, nu = result.plan.source, result.plan.target
-    tight = result.duality.tight & np.outer(mu.weights > 0, nu.weights > 0)
-    labels, ti, tj = tight_components(result.plan.rows, result.plan.cols,
-                                      tight, np.arange(mu.n), np.arange(nu.n))
+    ti, tj = result.duality.tight_pairs
+    keep = (mu.weights[ti] > 0) & (nu.weights[tj] > 0)
+    ti, tj = ti[keep], tj[keep]
+    labels = tight_components(result.plan.rows, result.plan.cols, ti, tj,
+                              np.arange(mu.n), np.arange(nu.n))
     usable = labels[ti] == labels[mu.n + tj]
     live = np.concatenate([mu.weights, nu.weights]) > 0
     return {"unique": len(set(labels[live])) <= 1,

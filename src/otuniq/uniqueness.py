@@ -186,7 +186,7 @@ class UniquenessCertificate:
     solve_result: Optional[SolveResult] = None
 
 
-def _block_witness(result: SolveResult, src_block, tgt_block, left):
+def _block_witness(result: SolveResult, mat, src_block, tgt_block, left):
     """Two distinct optimal pairs from two or more tight-residual blocks.
 
     ``src_block``/``tgt_block`` give each point's block, and ``left``
@@ -197,9 +197,10 @@ def _block_witness(result: SolveResult, src_block, tgt_block, left):
     positive-weight sources to the other positive-weight targets, whose
     sub-block alone is computed.  Zero-weight points then take their
     c-transform values, as in ``solve``.  Returns None when no source
-    block qualifies or the shifted pair fails verification.
+    block qualifies or the shifted pair fails verification.  ``mat`` is
+    the cost matrix ``result`` was solved on.
     """
-    pair, mat = result.pair, result.cost_matrix
+    pair = result.pair
     pos_s, pos_t = pair.source.weights > 0, pair.target.weights > 0
     block = min(set(src_block[pos_s].tolist()) - set(left.tolist()),
                 default=None)
@@ -220,13 +221,15 @@ def _block_witness(result: SolveResult, src_block, tgt_block, left):
     return None
 
 
-def _blocks(rows, cols, tight, a, b, decomposition: ComponentDecomposition):
-    """The block rule on an optimal plan's arcs, the boolean mask of its
+def _blocks(rows, cols, ti, tj, a, b,
+            decomposition: ComponentDecomposition):
+    """The block rule on an optimal plan's arcs, the index arrays of its
     dual's tight pairs and the weights (float arrays, or object arrays of
     Python ints): component masses, the marginal test (skipped and
-    flagged past SUBSET_CAP), and the blocks of the tight residual graph.
-    Returns (source component masses, marginal or None, flags,
-    ``tight_components``'s (labels, ti, tj), ``_degeneracy``)."""
+    flagged past SUBSET_CAP), and the blocks of the tight residual graph
+    on the tight pairs between positive-weight points.  Returns (source
+    component masses, marginal or None, flags, (``tight_components``'s
+    labels, those pairs' ti, tj), ``_degeneracy``)."""
     ms, mt = decomposition.component_masses(a, b)
     flags: list[str] = []
     try:
@@ -241,10 +244,11 @@ def _blocks(rows, cols, tight, a, b, decomposition: ComponentDecomposition):
     except TooManyComponents:
         marginal = None
         flags.append("marginal degeneracy check skipped: component cap")
-    graph = tight_components(rows, cols, tight & np.outer(a > 0, b > 0),
-                             decomposition.source_index,
-                             decomposition.target_index)
-    return ms, marginal, flags, graph, _degeneracy(graph[0], ms, mt)
+    keep = (a > 0)[ti] & (b > 0)[tj]
+    ti, tj = ti[keep], tj[keep]
+    labels = tight_components(rows, cols, ti, tj, decomposition.source_index,
+                              decomposition.target_index)
+    return ms, marginal, flags, (labels, ti, tj), _degeneracy(labels, ms, mt)
 
 
 def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
@@ -265,9 +269,12 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     potential, which a flag records.  Two or more blocks yield a verified
     shift witness and verdict non_unique.
     """
-    result = solve(mu, nu, cost)
+    mat = cost.matrix(mu, nu)
+    # the witness reads the matrix again: solving it as an explicit cost
+    # builds it once
+    result = solve(mu, nu, CostSpec.explicit(mat))
     ms, marginal, flags, (labels, ti, tj), degeneracy = _blocks(
-        result.plan.rows, result.plan.cols, result.duality.tight,
+        result.plan.rows, result.plan.cols, *result.duality.tight_pairs,
         mu.weights, nu.weights, decomposition)
     live = [mass > TAU_MASS for mass in ms]
     comp_verdicts = [(k, "unique" if ok else "zero_mass")
@@ -294,7 +301,7 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     witness = None
     verdict = "unique" if freedom == 0 else "inconclusive"
     if freedom > 0:
-        witness = _block_witness(result, src_block, tgt_block,
+        witness = _block_witness(result, mat, src_block, tgt_block,
                                  src_block[ti[~glued]])
         if witness is not None:
             verdict = "non_unique"
@@ -323,8 +330,8 @@ def exact_blocks(cost, scale: int, a, b,
     rows, cols = np.array(list(masses), dtype=int).T
     w = np.array(scaled_integers(list(a) + list(b))[0], dtype=object)
     _, marginal, flags, _, degeneracy = _blocks(
-        rows, cols, cost == np.add.outer(kf, kg), w[:len(a)], w[len(a):],
-        decomposition)
+        rows, cols, *np.nonzero(cost == np.add.outer(kf, kg)), w[:len(a)],
+        w[len(a):], decomposition)
     blocks = len(degeneracy["blocks"])
     hit = marginal is not None and marginal["status"] == "colliding"
     section = {"plan_blocks": blocks, "plan_degenerate": blocks > 1,

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import csgraph_from_dense, dijkstra
 
 from otuniq.core import TAU_MASS, CostSpec, DiscreteMeasure
 
@@ -113,6 +114,27 @@ def lp_face_bounds(plan, cost_matrix, anchor):
             assert res.status in (0, 3), res.message
             out[k] = -sense * np.inf if res.status == 3 else sense * res.fun
     return f_min, f_max
+
+
+def dense_face_bounds(plan, pair, cost_matrix):
+    """(f_min, f_max) of the dual face from the dense hop array.
+
+    The reference for ``dual_face_oracle``'s graph build: an n x n array
+    of inf takes each plan arc's slack column by ``np.minimum.at``,
+    ``csgraph_from_dense`` with ``null_value=inf`` reads it, and the
+    reverse Dijkstra runs on its transpose.  The bounds must agree bit
+    for bit.
+    """
+    mat = np.asarray(cost_matrix, dtype=float)
+    n = mat.shape[0]
+    anchor = plan.source.anchor_index()
+    f = pair.f
+    slack = np.maximum(mat - f[:, None] - pair.g[None, :], 0.0)
+    hop = np.full((n, n), np.inf)
+    np.minimum.at(hop, plan.rows, slack.T[plan.cols])
+    graph = csgraph_from_dense(hop, null_value=np.inf)
+    return (f - f[anchor] - dijkstra(graph.T, indices=anchor),
+            f - f[anchor] + dijkstra(graph, indices=anchor))
 
 
 def direct_degeneracy(edge_masses: dict, n_source: int, n_target: int,

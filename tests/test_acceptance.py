@@ -145,7 +145,7 @@ class TestCriterion4ThreeWayAgreement:
                 rng, kind, max_points=30, p=p, q=q)
             dec = ComponentDecomposition.build(mu, nu, "epsilon_graph", eps)
             cert = certify(mu, nu, cost, dec)
-            face = dual_face_oracle(res.plan, res.pair, res.cost_matrix)
+            face = dual_face_oracle(res.plan, res.pair, cost.matrix(mu, nu))
             tight = tight_graph_connectivity_oracle(res)
             structural = cert.verdict == "unique"
             if face.unique == structural == tight["unique"] \

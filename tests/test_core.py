@@ -1,5 +1,6 @@
 """c-transform calculus and duality verification."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -21,6 +22,7 @@ from otuniq.core import (
     subdifferential_of,
     verify_duality,
 )
+from otuniq.decompose import ComponentDecomposition
 from otuniq.documents import parse_problem
 from otuniq.errors import (
     AllInfinite,
@@ -29,6 +31,7 @@ from otuniq.errors import (
     OTUniqError,
 )
 from otuniq.solver import dual_face_oracle, solve
+from otuniq.uniqueness import certify
 
 
 def _cost_matrices(max_side=8):
@@ -204,7 +207,7 @@ class TestVerifyDuality:
         rep = verify_duality(res.plan, bad, cost.matrix(mu, nu))
         assert not rep.optimal
 
-    def test_tight_mask_read_only_or_none(self):
+    def test_tight_pairs_read_only_or_none(self):
         rng = np.random.default_rng(9)
         mu = DiscreteMeasure(rng.uniform(0, 1, (5, 2)), np.full(5, 0.2))
         nu = DiscreteMeasure(rng.uniform(0, 1, (4, 2)), np.full(4, 0.25))
@@ -212,13 +215,17 @@ class TestVerifyDuality:
         res = solve(mu, nu, cost)
         mat = cost.matrix(mu, nu)
         rep = verify_duality(res.plan, res.pair, mat)
-        assert rep.optimal and not rep.tight.flags.writeable
-        assert np.array_equal(rep.tight,
-                              subdifferential_of(res.pair, mat).mask)
+        ti, tj = rep.tight_pairs
+        assert rep.optimal
+        assert not ti.flags.writeable and not tj.flags.writeable
+        # row-major, as np.nonzero of the mask
+        mask = subdifferential_of(res.pair, mat).mask
+        assert [np.array_equal(x, y) for x, y in
+                zip(rep.tight_pairs, np.nonzero(mask))] == [True, True]
         assert repr(rep).endswith(f"tolerance={rep.tolerance!r})")
         raised = PotentialPair(res.pair.f + 0.5, res.pair.g, mu, nu)
         bad = verify_duality(res.plan, raised, mat)
-        assert not bad.feasible and bad.tight is None
+        assert not bad.feasible and bad.tight_pairs is None
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(8)
@@ -477,7 +484,7 @@ class TestCostMatrixBlocks:
         mu, nu = _refinement_pair()
         cost = CostSpec.sq_euclidean()
         res = solve(mu, nu, cost)
-        mat = res.cost_matrix
+        mat = cost.matrix(mu, nu)
         assert _peak_bytes(lambda: cost.matrix(mu, nu)) <= 1.5 * mat.nbytes
         report = None
 
@@ -489,16 +496,79 @@ class TestCostMatrixBlocks:
         assert report == res.duality and report.optimal
 
     def test_dual_face_oracle_peak_at_most_six_matrices(self):
-        # the oracle's graph has the n sources as nodes; its build from
-        # the n x n hop array is the peak, about 4.3 matrices
+        # the oracle's graph has the n sources as nodes
         n = 400
         rng = np.random.default_rng(400)
         mu = DiscreteMeasure(rng.uniform(0, 1, (n, 2)), np.full(n, 1 / n))
         nu = DiscreteMeasure(rng.uniform(0, 1, (n, 2)), np.full(n, 1 / n))
-        res = solve(mu, nu, CostSpec.sq_euclidean())
-        mat = res.cost_matrix
+        cost = CostSpec.sq_euclidean()
+        res = solve(mu, nu, cost)
+        mat = cost.matrix(mu, nu)
         peak = _peak_bytes(lambda: dual_face_oracle(res.plan, res.pair, mat))
         assert peak <= 6 * mat.nbytes
+
+    def test_dual_face_oracle_peak_at_most_three_and_a_half_matrices(self):
+        # CSR rows of the hops, no n x n array of inf: the slack and its
+        # gathered plan columns are the peak (the dense build took 4.31)
+        n = 400
+        rng = np.random.default_rng(400)
+        mu = DiscreteMeasure(rng.uniform(0, 1, (n, 2)), np.full(n, 1 / n))
+        nu = DiscreteMeasure(rng.uniform(0, 1, (n, 2)), np.full(n, 1 / n))
+        cost = CostSpec.sq_euclidean()
+        res = solve(mu, nu, cost)
+        mat = cost.matrix(mu, nu)
+        peak = _peak_bytes(lambda: dual_face_oracle(res.plan, res.pair, mat))
+        assert peak <= 3.5 * mat.nbytes
+
+
+def _arrays(obj):
+    """Every ndarray reachable from ``obj`` through dataclass fields,
+    tuples, lists and dict values."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item)
+
+
+class TestResultFootprint:
+    """Results keep no n x m array: the cost matrix stays in its call,
+    and the tight pairs are index arrays."""
+
+    def test_no_matrix_sized_array_reachable(self):
+        rng = np.random.default_rng(60)
+        n = 60
+        pts = np.concatenate([rng.uniform(0, 1, (n // 2, 2)),
+                              rng.uniform(5, 6, (n // 2, 2))])
+        labels = [0] * (n // 2) + [1] * (n // 2)
+        mu = DiscreteMeasure(pts, np.full(n, 1 / n), labels)
+        nu = DiscreteMeasure(pts + 0.01, np.full(n, 1 / n), labels)
+        cost = CostSpec.sq_euclidean()
+        dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
+        cert = certify(mu, nu, cost, dec)
+        assert cert.verdict == "non_unique"
+        for result in (solve(mu, nu, cost), cert):
+            sizes = [a.size for a in _arrays(result)]
+            assert sizes and max(sizes) < n * n
+
+    def test_kept_solve_result_at_most_a_quarter_matrix(self):
+        mu, nu = _refinement_pair()
+        cost = CostSpec.sq_euclidean()
+        solve(mu, nu, cost)         # lazy imports and first-call caches
+        tracemalloc.start()
+        try:
+            res = solve(mu, nu, cost)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert res.duality.optimal
+        assert kept <= 0.25 * 8 * mu.n * nu.n
 
 
 class TestExactMatrix:

@@ -18,9 +18,10 @@ from otuniq.core import (
     TransportPlan,
     component_labels,
     subdifferential_of,
+    tight_components,
     verify_duality,
 )
-from otuniq.decompose import ComponentDecomposition, decompose
+from otuniq.decompose import ComponentDecomposition, _component_ids, decompose
 from otuniq.errors import BadEpsilon, OTUniqError
 from otuniq.solver import _solve_core, solve, solve_exact
 from otuniq.uniqueness import certify
@@ -35,7 +36,7 @@ def _measure(coords, weights=None, labels=None):
     return DiscreteMeasure(coords, np.asarray(weights), labels)
 
 
-def _restrict(res, component):
+def _restrict(res, cost, component):
     """The restricted problem on a source component, sliced from ``res``.
 
     The source is mu conditioned on the component, the target is the
@@ -56,13 +57,13 @@ def _restrict(res, component):
     plan = TransportPlan(np.searchsorted(comp, rows), sub_cols,
                          res.plan.masses[keep] / mass, sub_mu, sub_nu)
     pair = PotentialPair(res.pair.f[comp], res.pair.g[tgt], sub_mu, sub_nu)
-    return plan, pair, res.cost_matrix[np.ix_(comp, tgt)]
+    return plan, pair, cost.matrix(mu, nu)[np.ix_(comp, tgt)]
 
 
-def _assert_restriction_optimal(res, component):
+def _assert_restriction_optimal(res, cost, component):
     """The sliced pair is dual-optimal for the restricted problem, checked
     against the sliced plan and against a fresh solve of that problem."""
-    plan, pair, mat = _restrict(res, component)
+    plan, pair, mat = _restrict(res, cost, component)
     assert verify_duality(plan, pair, mat).optimal
     sub = solve(plan.source, plan.target, CostSpec.explicit(mat))
     assert sub.duality.primal_cost == pytest.approx(plan.primal_cost(mat),
@@ -213,24 +214,26 @@ class TestRestrictPartial:
         rng = np.random.default_rng(21)
         mu = _measure(rng.uniform(0, 1, 5), rng.dirichlet(np.ones(5)))
         nu = _measure(rng.uniform(0, 1, 4), rng.dirichlet(np.ones(4)))
-        res = solve(mu, nu, CostSpec.sq_euclidean())
-        plan, pair, mat = _restrict(res, range(5))
+        cost = CostSpec.sq_euclidean()
+        res = solve(mu, nu, cost)
+        plan, pair, mat = _restrict(res, cost, range(5))
         assert np.allclose(plan.source.weights, mu.weights)
         assert np.allclose(plan.target.weights, nu.weights, atol=1e-9)
         assert np.array_equal(plan.rows, res.plan.rows)
         assert np.array_equal(plan.cols, res.plan.cols)
         assert np.array_equal(pair.f, res.pair.f)
-        assert np.array_equal(mat, res.cost_matrix)
+        assert np.array_equal(mat, cost.matrix(mu, nu))
 
     def test_target_mass_arithmetic(self):
         mu = two_interval_instance(10, mass_left=0.3)
         nu = two_interval_instance(10, mass_left=0.5)
-        res = solve(mu, nu, CostSpec.sq_euclidean())
+        cost = CostSpec.sq_euclidean()
+        res = solve(mu, nu, cost)
         comp = list(range(10))
         # the plan's image of X_1 carries mu(X_1) before renormalizing
         image = res.plan.masses[np.isin(res.plan.rows, comp)]
         assert image.sum() == pytest.approx(0.3)
-        plan, _, _ = _restrict(res, comp)
+        plan, _, _ = _restrict(res, cost, comp)
         assert plan.target.weights.sum() == pytest.approx(1.0)
 
     def test_restricted_pair_stays_dual_optimal(self):
@@ -245,9 +248,10 @@ class TestRestrictPartial:
         ws2 = [rng.uniform(0.5, 1.5, 4) for _ in range(3)]
         nu = _measure(np.concatenate(pts2),
                       np.concatenate(ws2) / np.concatenate(ws2).sum())
-        res = solve(mu, nu, CostSpec.sq_euclidean())
+        cost = CostSpec.sq_euclidean()
+        res = solve(mu, nu, cost)
         for comp in ([0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]):
-            _assert_restriction_optimal(res, comp)
+            _assert_restriction_optimal(res, cost, comp)
 
 
 class TestRestrictFullMass:
@@ -323,7 +327,7 @@ class TestRestrictFullMass:
         assert np.allclose(res.pair.f[:2], red.pair.f, atol=1e-9)
         assert res.duality.primal_cost == pytest.approx(
             red.duality.primal_cost)
-        mat = res.cost_matrix
+        mat = cost.matrix(mu, nu)
         assert res.pair.g[2] == pytest.approx(
             np.min(mat[:2, 2] - res.pair.f[:2]))
         assert res.pair.f[2] == pytest.approx(np.min(mat[2] - res.pair.g))
@@ -343,11 +347,12 @@ class TestDecomposePotential:
     def test_two_components_each_optimal(self):
         mu = two_interval_instance(10, mass_left=0.3)
         nu = two_interval_instance(10, mass_left=0.5)
-        res = solve(mu, nu, CostSpec.sq_euclidean())
+        cost = CostSpec.sq_euclidean()
+        res = solve(mu, nu, cost)
         dec = ComponentDecomposition.build(mu, nu, "epsilon_graph", 0.5)
         assert len(dec.source_components) == 2
         for grp in dec.source_components:
-            _assert_restriction_optimal(res, grp)
+            _assert_restriction_optimal(res, cost, grp)
 
 
 def _closure_labels(n_nodes, edges, strong):
@@ -395,3 +400,62 @@ class TestComponentLabels:
         assert component_labels(4, edges, strong=strong).tolist() == want
         assert component_labels(4, [], strong=strong).tolist() \
             == [0, 1, 2, 3]
+
+
+class TestTightComponentsOnPairs:
+    """``tight_components`` on index pairs against the labelling of the
+    boolean mask they come from: one arc per masked pair and one back
+    per plan arc, between the groups, labelled by transitive closure."""
+
+    def test_matches_mask_closure(self):
+        rng = np.random.default_rng(910)
+        for _ in range(60):
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            src = rng.integers(0, int(rng.integers(1, n + 1)), n)
+            tgt = rng.integers(0, int(rng.integers(1, m + 1)), m)
+            # group ids 0..S-1 and 0..T-1, every one in use
+            src = np.unique(src, return_inverse=True)[1]
+            tgt = np.unique(tgt, return_inverse=True)[1]
+            mask = rng.random((n, m)) < rng.uniform(0.0, 0.6)
+            rows = rng.integers(0, n, int(rng.integers(1, n + m)))
+            cols = rng.integers(0, m, len(rows))
+            ns = int(src.max()) + 1
+            edges = [(src[i], ns + tgt[j]) for i, j in np.argwhere(mask)] \
+                + [(ns + tgt[j], src[i]) for i, j in zip(rows, cols)]
+            want = _closure_labels(ns + int(tgt.max()) + 1, edges, True)
+            got = tight_components(rows, cols, *np.nonzero(mask), src, tgt)
+            assert got.tolist() == want.tolist()
+
+
+def _chain_label_ids(labels):
+    """Component ids of explicit labels as numbered before: each point
+    linked to the next point with its label, then ``component_labels``."""
+    order = np.argsort(labels, kind="stable")
+    lab = labels[order]
+    same = lab[1:] == lab[:-1]
+    edges = np.column_stack([order[:-1][same], order[1:][same]])
+    return component_labels(len(labels), edges)
+
+
+class TestExplicitLabelIds:
+    """Explicit labels are numbered without a graph, by the rank of each
+    label's first occurrence, as the chain-edge labelling numbered them."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_chain_edges(self, seed):
+        rng = np.random.default_rng(930 + seed)
+        n = int(rng.integers(1, 40))
+        pool = np.concatenate([
+            rng.integers(-50, 50, 6) * int(rng.integers(1, 1000)),
+            [2 ** 62, 2 ** 62 - 1, -2 ** 62, -2 ** 62 + 1, 2 ** 63 - 1,
+             -2 ** 63, 0]])
+        labels = rng.choice(pool[rng.permutation(len(pool))[:int(
+            rng.integers(1, len(pool) + 1))]], n)
+        mu = DiscreteMeasure(np.arange(n, dtype=float)[:, None],
+                             np.full(n, 1.0 / n), labels.tolist())
+        got = _component_ids(mu, "explicit_labels", None)
+        assert got.tolist() == _chain_label_ids(mu.labels).tolist()
+        # numbered by first occurrence: the first point is in component 0
+        # and each new id is one past the largest before it
+        assert got[0] == 0
+        assert np.all(got <= np.maximum.accumulate(np.r_[-1, got[:-1]]) + 1)

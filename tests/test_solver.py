@@ -36,6 +36,7 @@ from otuniq.solver import (
 from otuniq.uniqueness import certify
 
 from helpers import (
+    dense_face_bounds,
     enumerate_vertices,
     lp_face_bounds,
     random_instance,
@@ -116,7 +117,7 @@ class TestSolve:
         nu = DiscreteMeasure(rng.uniform(0, 1, (5, 2)), np.full(5, 1 / 5))
         with caplog.at_level(logging.DEBUG, logger="otuniq"):
             res = solve(mu, nu, CostSpec.sq_euclidean())
-            corner = res.cost_matrix[:3, :3].tolist()
+            corner = CostSpec.sq_euclidean().matrix(mu, nu)[:3, :3].tolist()
             exact_pivots = solve_exact(corner, [Fraction(1, 3)] * 3,
                                        [Fraction(1, 3)] * 3)[3]
         lines = [r.getMessage() for r in caplog.records]
@@ -299,7 +300,7 @@ class TestPivotSequencePinned:
         mu, nu, cost = next((mu, nu, cost) for key, mu, nu, cost
                             in _pinned_instances() if key == name)
         res = solve(mu, nu, cost)
-        highs = _highs_optimum(res.cost_matrix, mu.weights, nu.weights)
+        highs = _highs_optimum(cost.matrix(mu, nu), mu.weights, nu.weights)
         assert abs(res.duality.primal_cost - highs) <= res.duality.tolerance
 
     def test_exact(self):
@@ -686,7 +687,7 @@ def _identity_face(mu, cost, f=None):
 
 def _solved_face(mu, nu, cost):
     res = solve(mu, nu, cost)
-    return res, dual_face_oracle(res.plan, res.pair, res.cost_matrix)
+    return res, dual_face_oracle(res.plan, res.pair, cost.matrix(mu, nu))
 
 
 def _assert_matches_lp(plan, mat, rep):
@@ -772,7 +773,7 @@ class TestDualFaceOracleAgainstLP:
                              _dyadic_ties(rng, m))
         cost = CostSpec.explicit(rng.integers(0, 3, (n, m)).astype(float))
         res, rep = _solved_face(mu, nu, cost)
-        _assert_matches_lp(res.plan, res.cost_matrix, rep)
+        _assert_matches_lp(res.plan, cost.matrix(mu, nu), rep)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_shuffled_plan_arcs(self, seed):
@@ -783,18 +784,20 @@ class TestDualFaceOracleAgainstLP:
         ws[rng.integers(1, n)] = 0.0        # a source without plan arcs
         mu = DiscreteMeasure(rng.uniform(0, 5, (n, 2)), ws / ws.sum())
         nu = DiscreteMeasure(rng.uniform(0, 5, (m, 2)), _dyadic_ties(rng, m))
-        res, rep = _solved_face(mu, nu, CostSpec.lp_norm_power(1.0, 1.0))
+        cost = CostSpec.lp_norm_power(1.0, 1.0)
+        res, rep = _solved_face(mu, nu, cost)
+        mat = cost.matrix(mu, nu)
         p = res.plan
         order = rng.permutation(len(p.rows))
         assert not np.array_equal(order, np.arange(len(order)))
         shuffled = TransportPlan(p.rows[order], p.cols[order],
                                  p.masses[order], mu, nu)
-        got = dual_face_oracle(shuffled, res.pair, res.cost_matrix)
+        got = dual_face_oracle(shuffled, res.pair, mat)
         for a, b in ((got.f_min, rep.f_min), (got.f_max, rep.f_max)):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
         assert (got.max_spread, got.unique, got.anchor) \
             == (rep.max_spread, rep.unique, rep.anchor)
-        _assert_matches_lp(shuffled, res.cost_matrix, got)
+        _assert_matches_lp(shuffled, mat, got)
 
     @pytest.mark.parametrize("anchor_weight", [0.25, 0.0])
     def test_zero_weight_points_unbounded(self, anchor_weight):
@@ -804,8 +807,9 @@ class TestDualFaceOracleAgainstLP:
         wt = np.array([0.0, 0.5, 0.25, 0.0, 0.25])
         mu = DiscreteMeasure(np.arange(6, dtype=float)[:, None], ws)
         nu = DiscreteMeasure(rng.uniform(0, 5, (5, 1)), wt)
-        res, rep = _solved_face(mu, nu, CostSpec.sq_euclidean())
-        _assert_matches_lp(res.plan, res.cost_matrix, rep)
+        cost = CostSpec.sq_euclidean()
+        res, rep = _solved_face(mu, nu, cost)
+        _assert_matches_lp(res.plan, cost.matrix(mu, nu), rep)
         # the anchor is the first point of positive weight
         assert rep.anchor == (0 if anchor_weight > 0 else 1)
         others = np.arange(6) != rep.anchor
@@ -819,8 +823,9 @@ class TestDualFaceOracleAgainstLP:
     def test_all_ones(self, k):
         mu = DiscreteMeasure(np.arange(k, dtype=float)[:, None],
                              np.full(k, 1.0 / k))
-        res, rep = _solved_face(mu, mu, CostSpec.explicit(np.ones((k, k))))
-        _assert_matches_lp(res.plan, res.cost_matrix, rep)
+        cost = CostSpec.explicit(np.ones((k, k)))
+        res, rep = _solved_face(mu, mu, cost)
+        _assert_matches_lp(res.plan, cost.matrix(mu, mu), rep)
         assert rep.max_spread == 0.0 and rep.unique
 
     def test_self_coupled_separated_clusters(self):
@@ -844,6 +849,75 @@ class TestDualFaceOracleAgainstLP:
                                         f=pts)
         assert np.sum(mat - pts[:, None] + pts[None, :] == 0) > n
         _assert_matches_lp(plan, mat, rep)
+
+
+def _same_bits(x, y) -> bool:
+    return np.array_equal(np.asarray(x).view(np.int64),
+                          np.asarray(y).view(np.int64))
+
+
+class TestDualFaceGraph:
+    """The oracle's CSR hop graphs against the dense hop array and
+    ``csgraph_from_dense`` build they replaced: bit-identical bounds."""
+
+    COSTS = (CostSpec.sq_euclidean(), CostSpec.lp_norm_power(1.0, 1.0),
+             None)                         # None: explicit integer costs
+
+    @staticmethod
+    def _assert_dense_bits(plan, pair, mat):
+        rep = dual_face_oracle(plan, pair, mat)
+        lo, hi = dense_face_bounds(plan, pair, mat)
+        assert _same_bits(rep.f_min, lo) and _same_bits(rep.f_max, hi)
+        return rep
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_solved_with_zero_weights_and_shuffled_arcs(self, seed):
+        rng = np.random.default_rng(760 + seed)
+        n, m = int(rng.integers(2, 25)), int(rng.integers(2, 25))
+        ws = np.array(_dyadic_ties(rng, n), dtype=float)
+        ws[rng.permutation(n)[:int(rng.integers(0, n))]] = 0.0
+        mu = DiscreteMeasure(rng.uniform(0, 3, (n, 2)), ws / ws.sum())
+        nu = DiscreteMeasure(rng.uniform(0, 3, (m, 2)), _dyadic_ties(rng, m))
+        cost = self.COSTS[seed % 3] or CostSpec.explicit(
+            rng.integers(0, 3, (n, m)).astype(float))
+        mat = cost.matrix(mu, nu)
+        res = solve(mu, nu, cost)
+        rep = self._assert_dense_bits(res.plan, res.pair, mat)
+        p = res.plan
+        order = rng.permutation(len(p.rows))
+        shuffled = TransportPlan(p.rows[order], p.cols[order],
+                                 p.masses[order], mu, nu)
+        got = self._assert_dense_bits(shuffled, res.pair, mat)
+        assert _same_bits(got.f_min, rep.f_min)
+        assert (got.max_spread, got.unique) == (rep.max_spread, rep.unique)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_self_coupled_zero_slack_arcs(self, seed):
+        # f = x, g = -x under |x - y| leaves every arc with y >= x at
+        # slack zero; zero-weight points have no plan arc, so no hop row
+        rng = np.random.default_rng(790 + seed)
+        n = int(rng.integers(3, 25))
+        pts = np.sort(rng.choice(60, n, replace=False)).astype(float)
+        w = rng.dirichlet(np.ones(n))
+        w[rng.permutation(n)[:int(rng.integers(0, n - 1))]] = 0.0
+        mu = DiscreteMeasure(pts[:, None], w / w.sum())
+        mat = CostSpec.lp_norm_power(1.0, 1.0).matrix(mu, mu)
+        idx = np.arange(n)[rng.permutation(n)]
+        plan = TransportPlan(idx, idx, mu.weights[idx], mu, mu)
+        self._assert_dense_bits(plan, PotentialPair(pts, -pts, mu, mu), mat)
+
+    def test_zero_weight_middle_source(self):
+        # sources 0, 5, 10 weighing 1/2, 0, 1/2 against targets 0 and
+        # 10: the middle source has an empty hop row and an unbounded f
+        mu = DiscreteMeasure(np.array([[0.0], [5.0], [10.0]]),
+                             np.array([0.5, 0.0, 0.5]))
+        nu = DiscreteMeasure(np.array([[0.0], [10.0]]), np.array([0.5, 0.5]))
+        cost = CostSpec.sq_euclidean()
+        mat = cost.matrix(mu, nu)
+        res = solve(mu, nu, cost)
+        rep = self._assert_dense_bits(res.plan, res.pair, mat)
+        _assert_matches_lp(res.plan, mat, rep)
+        assert np.isneginf(rep.f_min[1]) and not rep.unique
 
 
 class TestTightGraphOracle:
@@ -883,8 +957,7 @@ class TestTightGraphOracle:
         shifted = res.__class__(
             plan=res.plan, pair=pair, basis=res.basis,
             iterations=res.iterations,
-            duality=verify_duality(res.plan, pair, res.cost_matrix),
-            cost_matrix=res.cost_matrix)
+            duality=verify_duality(res.plan, pair, cost.matrix(mu, nu)))
         a = tight_graph_connectivity_oracle(res)
         b = tight_graph_connectivity_oracle(shifted)
         assert a["unique"] == b["unique"]

@@ -337,6 +337,26 @@ class TestCertify:
         cert = certify(mu, nu, cost, dec)
         assert any("degeneracy-margin" in fl for fl in cert.flags)
 
+    def test_builds_the_cost_matrix_once(self, monkeypatch):
+        # the witness reads the matrix the solve ran on: one build, then
+        # only its pass-through as an explicit cost
+        calls = []
+        matrix = CostSpec.matrix
+
+        def counted(spec, mu, nu):
+            out = matrix(spec, mu, nu)
+            calls.append((spec.kind, out))
+            return out
+
+        monkeypatch.setattr(CostSpec, "matrix", counted)
+        mu = two_interval_instance(6, mass_left=0.5)
+        dec = ComponentDecomposition.build(mu, mu, "epsilon_graph", 0.5)
+        cert = certify(mu, mu, CostSpec.sq_euclidean(), dec)
+        assert cert.verdict == "non_unique" and cert.witness is not None
+        assert [kind for kind, _ in calls] \
+            == ["lp_norm_power", "explicit_matrix"]
+        assert calls[1][1] is calls[0][1]
+
     def test_zero_weight_points_follow_the_witness_shift(self):
         # a zero-weight target tight with the shifted block would pin the
         # shift at 0 if its g stayed fixed; the face lets f_1 move in [0, 1]
@@ -348,8 +368,8 @@ class TestCertify:
         cert = certify(mu, nu, cost, dec)
         res = cert.solve_result
         assert cert.verdict == "non_unique"
-        assert not dual_face_oracle(res.plan, res.pair, res.cost_matrix).unique
-        mat = res.cost_matrix
+        mat = cost.matrix(mu, nu)
+        assert not dual_face_oracle(res.plan, res.pair, mat).unique
         for pair in cert.witness:
             assert verify_duality(res.plan, pair, mat).optimal
             assert np.array_equal(pair.g[[1, 2]],
@@ -382,7 +402,8 @@ class TestVerdictSoundness:
         dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
         cert = certify(mu, nu, cost, dec)
         res = cert.solve_result
-        face = dual_face_oracle(res.plan, res.pair, res.cost_matrix)
+        mat = cost.matrix(mu, nu)
+        face = dual_face_oracle(res.plan, res.pair, mat)
         tight = tight_graph_connectivity_oracle(res)["unique"]
         assert face.unique == tight
         # one point per component asserts nothing about a continuum, so
@@ -390,7 +411,7 @@ class TestVerdictSoundness:
         assert cert.flags == ()
         assert cert.verdict == ("unique" if tight else "non_unique")
         for pair in cert.witness or ():
-            assert verify_duality(res.plan, pair, res.cost_matrix).optimal
+            assert verify_duality(res.plan, pair, mat).optimal
 
 
 def _permuted(mu, nu, cost, rs, rt):
