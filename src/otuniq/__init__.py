@@ -27,9 +27,11 @@ from .solver import (
 from .uniqueness import (
     AmbiguityWitness,
     ComponentFlowGraph,
+    OracleCheck,
     UniquenessCertificate,
     ambiguity_witness,
     certify,
+    cross_check,
     exact_blocks,
     marginal_degeneracy_check,
     plan_degeneracy_check,
@@ -37,9 +39,7 @@ from .uniqueness import (
 from .regularity import (
     asymptotic_region,
     dominated_region,
-    escape_diagnostic,
     gradient_identity_check,
-    superlinearity_bound,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

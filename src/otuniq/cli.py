@@ -5,6 +5,8 @@ codes encode the outcome so shell pipelines can branch without parsing
 reports: 0 success or verdict unique, 2 parse or usage error, 3 solver
 error, 10 non_unique, 11 inconclusive, 20 oracle disagreement on an
 unflagged certificate.  Set OTUNIQ_LOG=debug|info|... for diagnostics.
+``certify`` builds the cost matrix once, for ``uniqueness.certify`` and
+for ``uniqueness.cross_check``, whose oracle outcome it renders.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import NEG_INF, c_transform
+from .core import NEG_INF, CostSpec, c_transform
 from .decompose import ComponentDecomposition
 from .documents import (
     ProblemDocument,
@@ -31,13 +33,8 @@ from .documents import (
 from .errors import (AllInfinite, BadEpsilon, DimensionMismatch,
                      OTUniqError, ProblemFormatError)
 from .regularity import _norm, asymptotic_region, dominated_region
-from .solver import (
-    dual_face_oracle,
-    solve,
-    solve_exact,
-    tight_graph_connectivity_oracle,
-)
-from .uniqueness import ambiguity_witness, certify, exact_blocks
+from .solver import solve, solve_exact
+from .uniqueness import ambiguity_witness, certify, cross_check, exact_blocks
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -118,7 +115,8 @@ def cmd_certify(args) -> int:
     doc = _load(args.problem, args.exact)
     scaled = doc.scaled_exact_problem() if doc.exact else None
     dec = _decomposition(doc, args)
-    cert = certify(doc.mu, doc.nu, doc.cost, dec)
+    mat = doc.cost.matrix(doc.mu, doc.nu)
+    cert = certify(doc.mu, doc.nu, CostSpec.explicit(mat), dec)
     result = cert.solve_result
     body = {
         "certificate": {
@@ -145,32 +143,26 @@ def cmd_certify(args) -> int:
     code = {"unique": EXIT_OK, "non_unique": EXIT_NON_UNIQUE}.get(
         cert.verdict, EXIT_INCONCLUSIVE)
     if args.oracle == "on":
-        face = dual_face_oracle(result.plan, result.pair,
-                                doc.cost.matrix(doc.mu, doc.nu))
-        tight = tight_graph_connectivity_oracle(result)
-        body["oracles"] = {
+        check = cross_check(cert, mat)
+        face = check.dual_face
+        oracles = body["oracles"] = {
             "dual_face": {"unique": face.unique,
                           "max_spread": face.max_spread,
                           "tolerance": face.tolerance},
-            "tight_graph": {"unique": tight["unique"],
-                            "n_usable_edges": len(tight["usable_edges"])},
+            "tight_graph": {"unique": check.tight_graph_unique,
+                            "n_usable_edges": check.n_usable_edges},
         }
-        continuum = any("continuum" in fl or "asserted" in fl
-                        for fl in cert.flags)
-        structural = {"unique": True, "non_unique": False}.get(cert.verdict)
-        differs = structural is not None and \
-            (face.unique != structural or tight["unique"] != structural)
-        if differs and not continuum:
+        if check.disagreement:
             code = EXIT_DISAGREEMENT
-            body["oracles"]["disagreement"] = {
+            oracles["disagreement"] = {
                 "structural": cert.verdict,
                 "dual_face": face.unique,
-                "tight_graph": tight["unique"],
+                "tight_graph": check.tight_graph_unique,
                 "note": "bug-report dump: oracles and certificate differ "
                         "on an unflagged instance",
             }
-        elif differs:
-            body["oracles"]["note"] = (
+        elif check.note:
+            oracles["note"] = (
                 "finite-scale oracle verdict differs from the structural "
                 "verdict on a continuum-flagged certificate; the oracles "
                 "see the discretized dual face only")

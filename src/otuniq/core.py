@@ -477,16 +477,11 @@ def _slack(pair: PotentialPair, cost_matrix: np.ndarray):
     return slack, tau
 
 
-def _tight_mask(pair: PotentialPair, cost_matrix: np.ndarray) -> np.ndarray:
-    """Boolean (n, m) mask of the tight pairs of a dual-feasible pair."""
-    slack, tau = _slack(pair, cost_matrix)
-    return np.abs(slack, out=slack) <= tau
-
-
 def subdifferential_of(pair: PotentialPair,
                        cost_matrix: np.ndarray) -> Subdifferential:
     """All tight pairs of a dual-feasible potential pair."""
-    mask = _tight_mask(pair, cost_matrix)
+    slack, tau = _slack(pair, cost_matrix)
+    mask = np.abs(slack, out=slack) <= tau
     pairs = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(mask)))
     return Subdifferential(tight_pairs=pairs, mask=mask)
 
@@ -532,15 +527,18 @@ class DualityReport:
                                          compare=False)
 
 
-def verify_duality(plan: TransportPlan, pair: PotentialPair,
-                   cost_matrix: np.ndarray) -> DualityReport:
-    """Primal/dual cross-check: gap, feasibility, support tightness.
+def _duality(plan: TransportPlan, pair: PotentialPair,
+             cost_matrix: np.ndarray, keep_slack: bool = False):
+    """(``DualityReport``, slack): gap, feasibility and support tightness
+    from one slack pass.
 
-    One pass builds the slack c - f - g in a single (n, m) buffer;
-    feasibility is its minimum against -tau_tight.  The buffer becomes
-    the tight mask, read at the plan's arcs for support tightness; its
-    ``np.nonzero`` index arrays are kept read-only as ``tight_pairs`` for
-    ``certify`` and the tight-graph oracle, and the mask goes.
+    ``_slack`` builds c - f - g in a single (n, m) buffer (feasibility)
+    and support tightness reads it at the plan's arcs.  By default the
+    buffer then becomes the tight mask, whose ``np.nonzero`` index
+    arrays are kept read-only as ``tight_pairs``, the mask goes, and the
+    slack comes back as None.  With ``keep_slack`` the report has no
+    tight pairs and the slack (None if the pair is infeasible) comes back
+    untouched, for ``dual_face_oracle`` to read as hop weights.
     """
     cost_matrix = np.asarray(cost_matrix, dtype=float)
     if cost_matrix.shape != (plan.source.n, plan.target.n):
@@ -552,16 +550,27 @@ def verify_duality(plan: TransportPlan, pair: PotentialPair,
     gap = primal - dual
     tau_gap = TAU_GAP * (1.0 + abs(primal))
     try:
-        tight = _tight_mask(pair, cost_matrix)
+        slack, tau = _slack(pair, cost_matrix)
     except InfeasiblePair:
-        tight = None
-    feasible = tight is not None
-    support_tight = feasible and bool(np.all(tight[plan.rows, plan.cols]))
-    optimal = feasible and support_tight and abs(gap) <= tau_gap
+        return DualityReport(primal, dual, gap, False, False, False,
+                             tau_gap), None
+    # feasible, so no entry lies below -tau: |slack| <= tau iff <= tau
+    support_tight = bool(np.all(slack[plan.rows, plan.cols] <= tau))
+    optimal = support_tight and abs(gap) <= tau_gap
     pairs = None
-    if feasible:
+    if not keep_slack:
+        tight = np.abs(slack, out=slack) <= tau
+        slack = None
         pairs = np.nonzero(tight)
         for index in pairs:
             index.setflags(write=False)
-    return DualityReport(primal, dual, gap, feasible, support_tight, optimal,
-                         tau_gap, pairs)
+    return DualityReport(primal, dual, gap, True, support_tight, optimal,
+                         tau_gap, pairs), slack
+
+
+def verify_duality(plan: TransportPlan, pair: PotentialPair,
+                   cost_matrix: np.ndarray) -> DualityReport:
+    """Primal/dual cross-check: gap, feasibility, support tightness, and
+    the tight pairs that ``certify`` and the tight-graph oracle read, on
+    one (n, m) slack buffer (``_duality``)."""
+    return _duality(plan, pair, cost_matrix)[0]

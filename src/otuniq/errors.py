@@ -53,10 +53,6 @@ class ProfileNotMonotone(OTUniqError):
     """Regularity diagnostics need a nondecreasing cost profile."""
 
 
-class ScheduleTooShort(OTUniqError):
-    """The escape diagnostic needs at least three truncation radii."""
-
-
 class NotAGrid(OTUniqError):
     """Finite differences need source points on a regular grid."""
 

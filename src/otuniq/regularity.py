@@ -1,31 +1,22 @@
 """Grid-scale regularity diagnostics.
 
 Everything here is a numerical diagnostic, not a proof: dominated-cost
-regions and their asymptotic limits, an escape diagnostic flagging
-source points whose transport partners run away under target
-truncations, and a finite-difference check of the gradient identity
-grad f(x) = grad_x c(x, y) at interior support points.
+regions and their asymptotic limits, and a finite-difference check of
+the gradient identity grad f(x) = grad_x c(x, y) at interior support
+points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .core import (SAMPLE_COUNT, SAMPLE_R_MAX, CostProfile, CostSpec,
-                   DiscreteMeasure)
-from .errors import (
-    DimensionMismatch,
-    NotAGrid,
-    OTUniqError,
-    ProfileNotMonotone,
-    ScheduleTooShort,
-)
-from .solver import SolveResult, solve
-
-ESCAPE_GROWTH_FACTOR = 2.0   # flag when partner distance ever doubles
+from .core import CostSpec
+from .errors import (DimensionMismatch, NotAGrid, OTUniqError,
+                     ProfileNotMonotone)
+from .solver import SolveResult
 
 
 @dataclass(frozen=True)
@@ -104,56 +95,6 @@ def asymptotic_region(x, direction, cost: CostSpec, radii, grid
     return AsymptoticRegion(direction=u, frequency=member.mean(axis=0),
                             tail_frequency=tail.mean(axis=0),
                             tail_member=tail.all(axis=0))
-
-
-@dataclass(frozen=True)
-class EscapeDiagnostic:
-    """Partner-distance growth across a target truncation schedule."""
-
-    partner_distance: np.ndarray   # (n_radii, n_sources) max per source
-    escape_score: np.ndarray       # max over the schedule
-    flagged: np.ndarray            # growth ever doubled
-
-
-def escape_diagnostic(mu: DiscreteMeasure,
-                      nu_family: Sequence[DiscreteMeasure],
-                      cost: CostSpec) -> EscapeDiagnostic:
-    """Flag source points whose partners escape under truncation growth.
-
-    Solves each truncated problem and records, per source point, the
-    largest distance to a plan partner.  A point is flagged when that
-    distance at some later truncation is at least twice its value at an
-    earlier one; adding truncations can only add flags.
-    """
-    if len(nu_family) < 3:
-        raise ScheduleTooShort("need at least three truncation radii")
-    dist = np.zeros((len(nu_family), mu.n))
-    for k, nu in enumerate(nu_family):
-        plan = solve(mu, nu, cost).plan
-        np.maximum.at(dist[k], plan.rows, np.linalg.norm(
-            mu.points[plan.rows] - nu.points[plan.cols], axis=1))
-    tiny = 1e-12 * (1.0 + float(np.max(dist)))
-    running_min = np.minimum.accumulate(np.maximum(dist, tiny), axis=0)
-    flagged = np.any(dist[1:] >= ESCAPE_GROWTH_FACTOR * running_min[:-1],
-                     axis=0)
-    return EscapeDiagnostic(partner_distance=dist,
-                            escape_score=dist.max(axis=0), flagged=flagged)
-
-
-def superlinearity_bound(profile, a: float) -> float:
-    """g(a) = inf over b >= a of h'(b), sampled numerically.
-
-    ``profile`` is either a CostProfile or an lp_norm_power CostSpec;
-    h' -> infinity (g unbounded in a) is the superlinearity hypothesis
-    of the interior-regularity theorem.
-    """
-    bs = np.linspace(a, max(SAMPLE_R_MAX, a + 1.0), SAMPLE_COUNT)
-    if isinstance(profile, CostProfile):
-        return float(np.min(profile.derivative(bs)))
-    if isinstance(profile, CostSpec) and profile.kind == "lp_norm_power":
-        p = profile.p
-        return float(np.min(p * np.maximum(bs, 0.0) ** (p - 1.0)))
-    raise OTUniqError("need a profile or an lp_norm_power cost")
 
 
 def _grid_structure(points: np.ndarray):

@@ -3,8 +3,9 @@
 The simplex (``_transport_simplex``, run by ``_solve_core`` on the
 positive-weight points) is generic over the scalar type, so the same
 code runs in float mode and, on scaled integers (int64 or Python ints),
-in exact mode.  Two oracles cross-validate certificates produced
-elsewhere:
+in exact mode.  Two oracles check a solved pair independently of the
+block rule; ``uniqueness.cross_check`` runs both on a certificate's
+solve result and compares them with its verdict:
 
 * ``dual_face_oracle`` bounds each dual coordinate over the optimal
   face by two shortest-path runs on the n source nodes;
@@ -34,7 +35,7 @@ from .core import (
     DualityReport,
     PotentialPair,
     TransportPlan,
-    _slack,
+    _duality,
     scaled_integers,
     tight_components,
     verify_duality,
@@ -436,15 +437,16 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
     ``dijkstra`` keeps as arcs.  Two Dijkstra runs from the anchor, on
     the two graphs, give all bounds, which do not depend on the pair.
     Coordinates no path reaches (zero-weight points) are +-inf, left out
-    of the spread.
+    of the spread.  The optimality gate is ``verify_duality``'s test,
+    ``core._duality``, on the very slack the hops read, so the oracle
+    makes one n x m slack pass.
     """
-    if not verify_duality(plan, pair, cost_matrix).optimal:
+    report, slack = _duality(plan, pair, cost_matrix, keep_slack=True)
+    if not report.optimal:
         raise InfeasibleOptimum("the pair is not optimal for the plan")
-    mat = np.asarray(cost_matrix, dtype=float)
-    n = mat.shape[0]
+    n = plan.source.n
     anchor = plan.source.anchor_index()
     f = pair.f
-    slack = _slack(pair, mat)[0]
     np.maximum(slack, 0.0, out=slack)
     order = np.argsort(plan.rows, kind="stable")
     gathered = slack.T[plan.cols[order]]
@@ -465,7 +467,7 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
     d_in = dijkstra(reverse, indices=anchor)
     f_max = f - f[anchor] + d_out
     f_min = f - f[anchor] - d_in
-    tau = TAU_FACE_SCALE * (1.0 + float(np.max(mat)))
+    tau = TAU_FACE_SCALE * (1.0 + float(np.max(cost_matrix)))
     live = plan.source.weights > 0
     spreads = f_max[live] - f_min[live]
     max_spread = float(np.max(spreads)) if spreads.size else 0.0

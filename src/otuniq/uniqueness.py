@@ -1,8 +1,10 @@
 """Structural uniqueness machinery for Kantorovich potentials.
 
 Degeneracy tests on component masses and on component flow graphs, the
-certification pipeline on the tight residual graph, and the explicit
-f_{a, b} ambiguity witness family for separated self-coupled instances.
+certification pipeline on the tight residual graph, the oracle
+cross-check of a certificate with its disagreement rule, and the
+explicit f_{a, b} ambiguity witness family for separated self-coupled
+instances.
 
 One block rule, ``_blocks``, serves both scalar modes: ``certify`` runs
 it on floats with tightness within tau, ``exact_blocks`` (the ``exact``
@@ -38,7 +40,14 @@ from .errors import (
     TooManyComponents,
     WrongComponentCount,
 )
-from .solver import SolveResult, dual_face_oracle, solve, solve_exact
+from .solver import (
+    DualFaceReport,
+    SolveResult,
+    dual_face_oracle,
+    solve,
+    solve_exact,
+    tight_graph_connectivity_oracle,
+)
 
 SUBSET_CAP = 26          # |I| + |J| bound for subset enumeration
 MARGIN_FACTOR = 10.0     # knife-edge warning threshold, times tau_mass
@@ -269,10 +278,11 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     potential, which a flag records.  Two or more blocks yield a verified
     shift witness and verdict non_unique.
     """
-    mat = cost.matrix(mu, nu)
-    # the witness reads the matrix again: solving it as an explicit cost
-    # builds it once
-    result = solve(mu, nu, CostSpec.explicit(mat))
+    if cost.kind != "explicit_matrix":
+        # the witness reads the matrix again: solving it as an explicit
+        # cost builds it once
+        cost = CostSpec.explicit(cost.matrix(mu, nu))
+    result = solve(mu, nu, cost)
     ms, marginal, flags, (labels, ti, tj), degeneracy = _blocks(
         result.plan.rows, result.plan.cols, *result.duality.tight_pairs,
         mu.weights, nu.weights, decomposition)
@@ -301,7 +311,7 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     witness = None
     verdict = "unique" if freedom == 0 else "inconclusive"
     if freedom > 0:
-        witness = _block_witness(result, mat, src_block, tgt_block,
+        witness = _block_witness(result, cost.values, src_block, tgt_block,
                                  src_block[ti[~glued]])
         if witness is not None:
             verdict = "non_unique"
@@ -312,6 +322,41 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
         verdict=verdict, degeneracy=degeneracy, marginal_degeneracy=marginal,
         freedom_dim=max(freedom, 0), witness=witness, flags=tuple(flags),
         component_verdicts=tuple(comp_verdicts), solve_result=result)
+
+
+@dataclass(frozen=True)
+class OracleCheck:
+    """Both oracles on a certificate's optimal pair, and how they compare
+    with its verdict."""
+
+    dual_face: DualFaceReport
+    tight_graph_unique: bool
+    n_usable_edges: int
+    disagreement: bool       # an oracle differs from an unflagged verdict
+    note: bool               # one differs from a continuum-flagged verdict
+
+
+def cross_check(cert: UniquenessCertificate, cost_matrix) -> OracleCheck:
+    """Run ``dual_face_oracle`` and ``tight_graph_connectivity_oracle`` on
+    ``cert.solve_result``; ``cost_matrix`` is the matrix it was solved on.
+
+    Only a ``unique`` or ``non_unique`` verdict is compared, and the
+    outcome differs when either oracle differs from it.  The oracles see
+    the finite dual face only, so a difference on a certificate with a
+    flag containing "continuum" or "asserted" is a note; on any other it
+    is a disagreement (exit 20 of ``otuniq certify``).
+    """
+    result = cert.solve_result
+    face = dual_face_oracle(result.plan, result.pair, cost_matrix)
+    tight = tight_graph_connectivity_oracle(result)
+    structural = {"unique": True, "non_unique": False}.get(cert.verdict)
+    differs = structural is not None and \
+        (face.unique != structural or tight["unique"] != structural)
+    continuum = any("continuum" in fl or "asserted" in fl
+                    for fl in cert.flags)
+    return OracleCheck(face, tight["unique"], len(tight["usable_edges"]),
+                       disagreement=differs and not continuum,
+                       note=differs and continuum)
 
 
 def exact_blocks(cost, scale: int, a, b,

@@ -20,11 +20,12 @@ from otuniq.core import (
 )
 from otuniq.decompose import ComponentDecomposition
 from otuniq.regularity import asymptotic_region, gradient_identity_check
-from otuniq.solver import dual_face_oracle, solve, tight_graph_connectivity_oracle
+from otuniq.solver import solve
 from otuniq.uniqueness import (
     ComponentFlowGraph,
     ambiguity_witness,
     certify,
+    cross_check,
     plan_degeneracy_check,
 )
 
@@ -141,15 +142,15 @@ class TestCriterion4ThreeWayAgreement:
             kind = "unique" if k % 2 == 0 else "non_unique"
             p = [1.0, 2.0, 3.0][k % 3]
             q = [2.0, 1.0][(k // 3) % 2]
-            mu, nu, cost, eps, expect, res = generic_instance(
+            mu, nu, cost, eps, expect, _ = generic_instance(
                 rng, kind, max_points=30, p=p, q=q)
             dec = ComponentDecomposition.build(mu, nu, "epsilon_graph", eps)
             cert = certify(mu, nu, cost, dec)
-            face = dual_face_oracle(res.plan, res.pair, cost.matrix(mu, nu))
-            tight = tight_graph_connectivity_oracle(res)
+            # each oracle's own verdict, whatever the flags
+            check = cross_check(cert, cost.matrix(mu, nu))
             structural = cert.verdict == "unique"
-            if face.unique == structural == tight["unique"] \
-                    and structural == expect:
+            if check.dual_face.unique == structural \
+                    == check.tight_graph_unique and structural == expect:
                 agree += 1
         elapsed = time.perf_counter() - t0
         assert agree == total

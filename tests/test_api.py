@@ -16,6 +16,7 @@ PUBLIC = [
     "CostSpec",
     "DiscreteMeasure",
     "DualFaceReport",
+    "OracleCheck",
     "PotentialPair",
     "SolveResult",
     "Subdifferential",
@@ -26,12 +27,12 @@ PUBLIC = [
     "c_transform",
     "certify",
     "core",
+    "cross_check",
     "decompose",
     "dominated_region",
     "double_transform_residual",
     "dual_face_oracle",
     "errors",
-    "escape_diagnostic",
     "exact_blocks",
     "gradient_identity_check",
     "marginal_degeneracy_check",
@@ -41,7 +42,6 @@ PUBLIC = [
     "solve_exact",
     "solver",
     "subdifferential_of",
-    "superlinearity_bound",
     "tight_graph_connectivity_oracle",
     "uniqueness",
     "verify_duality",

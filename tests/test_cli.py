@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -519,12 +520,13 @@ class TestWitness:
 
 class TestSlackPasses:
     """One n x m slack pass per verified pair: ``verify_duality`` keeps
-    its tight mask, which ``certify`` and the tight-graph oracle read,
-    and the witness takes the slack of one sub-block only."""
+    its tight pairs, which ``certify`` and the tight-graph oracle read,
+    the witness takes the slack of one sub-block only, and the dual-face
+    oracle gates on the slack it reads."""
 
     @staticmethod
     def _counted(monkeypatch):
-        from otuniq import core, solver
+        from otuniq import core
         calls = []
         original = core._slack
 
@@ -532,9 +534,8 @@ class TestSlackPasses:
             calls.append(args)
             return original(*args)
 
-        # solver holds its own reference, bound at import
+        # every slack pass goes through core's own reference
         monkeypatch.setattr(core, "_slack", counted)
-        monkeypatch.setattr(solver, "_slack", counted)
         return calls
 
     @pytest.mark.parametrize("offset, verdict, passes",
@@ -557,7 +558,69 @@ class TestSlackPasses:
         calls = self._counted(monkeypatch)
         code, err = _run(["certify", path, "--oracle", "on"])
         assert code == 10, err
-        assert len(calls) == 4
+        # the solve's verification, the witness's and the dual-face oracle
+        assert len(calls) == 3
+
+
+class TestCertifyOracles:
+    """``otuniq certify`` builds the matrix once and renders
+    ``cross_check``'s outcome."""
+
+    def test_builds_the_cost_matrix_once(self, tmp_path, monkeypatch):
+        _, _, path = _two_clusters(tmp_path)
+        kinds = []
+        matrix = CostSpec.matrix
+
+        def counted(spec, mu, nu):
+            kinds.append(spec.kind)
+            return matrix(spec, mu, nu)
+
+        monkeypatch.setattr(CostSpec, "matrix", counted)
+        code, err = _run(["certify", path, "--oracle", "on"])
+        assert code == 10, err
+        assert kinds.count("lp_norm_power") == 1
+
+    def test_planted_fault_exits_20(self, tmp_path, monkeypatch, capsys):
+        from otuniq import cli
+        path = _write(tmp_path, {
+            "schema": "1",
+            "source": {"points": [[0.0], [1.0]], "weights": [0.5, 0.5],
+                       "labels": [0, 1]},
+            "target": {"points": [[0.0], [1.0]], "weights": [0.5, 0.5],
+                       "labels": [0, 1]},
+            "cost": {"kind": "explicit_matrix",
+                     "values": [[0.0, 1.0], [1.0, 0.0]]},
+        })
+        assert main(["certify", path, "--labels"]) == 10
+        honest = json.loads(capsys.readouterr().out)["oracles"]
+        assert "disagreement" not in honest and "note" not in honest
+
+        def planted(*args):
+            return dataclasses.replace(certify(*args), verdict="unique")
+
+        monkeypatch.setattr(cli, "certify", planted)
+        assert main(["certify", path, "--labels"]) == 20
+        oracles = json.loads(capsys.readouterr().out)["oracles"]
+        assert oracles["disagreement"] == {
+            "structural": "unique", "dual_face": False, "tight_graph": False,
+            "note": "bug-report dump: oracles and certificate differ on an "
+                    "unflagged instance"}
+        assert "note" not in oracles
+
+    def test_continuum_flag_gives_a_note(self, tmp_path, capsys):
+        pts = [[0.0], [1.0], [2.0], [3.0]]
+        path = _write(tmp_path, {
+            "schema": "1",
+            "source": {"points": pts,
+                       "weights": [0.125, 0.125, 0.375, 0.375]},
+            "target": {"points": pts, "weights": [0.25] * 4},
+            "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
+        })
+        assert main(["certify", path, "--epsilon", "1"]) == 0
+        oracles = json.loads(capsys.readouterr().out)["oracles"]
+        assert oracles["dual_face"]["max_spread"] == 2.0
+        assert "disagreement" not in oracles
+        assert oracles["note"].startswith("finite-scale oracle verdict")
 
 
 class TestRegularityCommand:

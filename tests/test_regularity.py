@@ -1,4 +1,4 @@
-"""Dominated regions, asymptotic limits, escape and gradient diagnostics."""
+"""Dominated regions, asymptotic limits and gradient diagnostics."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,11 @@ from otuniq.errors import (
     NotAGrid,
     OTUniqError,
     ProfileNotMonotone,
-    ScheduleTooShort,
 )
 from otuniq.regularity import (
     asymptotic_region,
     dominated_region,
-    escape_diagnostic,
     gradient_identity_check,
-    superlinearity_bound,
 )
 from otuniq.solver import solve
 
@@ -171,81 +168,6 @@ class TestAsymptoticRegion:
         with pytest.raises(ProfileNotMonotone):
             asymptotic_region([0.0], [1.0], cost, [1.0, 2.0, 4.0],
                               _grid_1d(-1, 1, 5))
-
-
-class TestEscapeDiagnostic:
-    def _truncations(self, partner_schedule):
-        # one source atom at 0 plus a sink; each truncation places the
-        # second target at the scheduled distance
-        mu = DiscreteMeasure(np.array([[0.0], [100.0]]),
-                             np.array([0.5, 0.5]))
-        family = []
-        for d in partner_schedule:
-            family.append(DiscreteMeasure(np.array([[d], [100.0]]),
-                                          np.array([0.5, 0.5])))
-        return mu, family
-
-    def test_stable_schedule_unflagged(self):
-        mu, fam = self._truncations([1.0, 1.1, 0.9, 1.05])
-        out = escape_diagnostic(mu, fam, CostSpec.sq_euclidean())
-        assert not out.flagged[0]
-
-    def test_partner_distance_doubling_flagged(self):
-        mu, fam = self._truncations([1.0, 1.2, 2.6, 1.1])
-        out = escape_diagnostic(mu, fam, CostSpec.sq_euclidean())
-        assert out.flagged[0]
-        assert out.escape_score[0] == pytest.approx(2.6)
-
-    def test_flags_monotone_in_schedule_extension(self):
-        sched = [1.0, 1.3, 0.8, 1.9, 0.7]
-        mu, fam = self._truncations(sched)
-        short = escape_diagnostic(mu, fam[:3], CostSpec.sq_euclidean())
-        full = escape_diagnostic(mu, fam, CostSpec.sq_euclidean())
-        assert np.all(full.flagged >= short.flagged)
-
-    def test_matches_per_entry_loop_in_2d(self):
-        rng = np.random.default_rng(43)
-        mu = DiscreteMeasure(rng.uniform(-1, 1, (6, 2)), np.full(6, 1 / 6))
-        family = [DiscreteMeasure(rng.uniform(-r, r, (5, 2)),
-                                  np.full(5, 1 / 5)) for r in (1, 2, 4, 8)]
-        cost = CostSpec.sq_euclidean()
-        out = escape_diagnostic(mu, family, cost)
-        dist = np.zeros((len(family), mu.n))
-        for k, nu in enumerate(family):
-            for i, j, _ in solve(mu, nu, cost).plan.entries:
-                dist[k, i] = max(dist[k, i], float(np.linalg.norm(
-                    mu.points[i] - nu.points[j])))
-        assert np.allclose(out.partner_distance, dist, rtol=1e-15, atol=0)
-        tiny = 1e-12 * (1.0 + dist.max())
-        for i in range(mu.n):
-            running_min = np.minimum.accumulate(np.maximum(dist[:, i], tiny))
-            assert out.flagged[i] == bool(np.any(
-                dist[1:, i] >= 2.0 * running_min[:-1]))
-
-    def test_too_short_schedule(self):
-        mu, fam = self._truncations([1.0, 1.0])
-        with pytest.raises(ScheduleTooShort):
-            escape_diagnostic(mu, fam, CostSpec.sq_euclidean())
-
-
-class TestSuperlinearityBound:
-    def test_power_profile_bound_at_positive_anchor(self):
-        # h(r) = r^3 has h'(r) = 3 r^2, increasing, so the inf over
-        # [a, r_max] is attained at a
-        cost = CostSpec.lp_norm_power(2.0, 3.0)
-        assert superlinearity_bound(cost, 2.0) == pytest.approx(12.0,
-                                                                rel=1e-6)
-
-    def test_linear_profile_constant_bound(self):
-        prof = CostProfile(coeffs=[0.0, 1.0])
-        assert superlinearity_bound(prof, 0.0) == pytest.approx(1.0)
-        assert superlinearity_bound(prof, 50.0) == pytest.approx(1.0)
-
-    def test_bound_monotone_in_anchor_for_convex_profile(self):
-        cost = CostSpec.lp_norm_power(2.0, 2.0)
-        lo = superlinearity_bound(cost, 1.0)
-        hi = superlinearity_bound(cost, 3.0)
-        assert hi > lo
 
 
 class TestGradientIdentity:

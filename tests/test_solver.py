@@ -23,7 +23,7 @@ from otuniq.core import (
     verify_duality,
 )
 from otuniq.decompose import ComponentDecomposition
-from otuniq.errors import InfeasibleOptimum, Unbalanced
+from otuniq.errors import DimensionMismatch, InfeasibleOptimum, Unbalanced
 from otuniq.solver import (
     _entering,
     _scan,
@@ -748,6 +748,20 @@ class TestDualFaceOracle:
         # f = g = 0 is feasible but leaves the support arc (1, 1) slack
         with pytest.raises(InfeasibleOptimum):
             _identity_face(mu, cost)
+        # f = 1, g = 0 exceeds c at (0, 0): infeasible, so not optimal
+        idx = np.arange(2)
+        plan = TransportPlan(idx, idx, mu.weights, mu, mu)
+        pair = PotentialPair(np.ones(2), np.zeros(2), mu, mu)
+        with pytest.raises(InfeasibleOptimum):
+            dual_face_oracle(plan, pair, cost.matrix(mu, mu))
+
+    def test_shape_mismatch_rejected(self):
+        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        idx = np.arange(2)
+        plan = TransportPlan(idx, idx, mu.weights, mu, mu)
+        pair = PotentialPair(np.zeros(2), np.zeros(2), mu, mu)
+        with pytest.raises(DimensionMismatch):
+            dual_face_oracle(plan, pair, np.zeros((2, 3)))
 
     def test_bounds_independent_of_the_optimal_pair(self):
         pts = np.concatenate([np.arange(4) * 0.1,

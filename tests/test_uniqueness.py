@@ -1,5 +1,6 @@
 """Degeneracy tests, component flow graphs, certificates, witnesses."""
 
+import dataclasses
 import time
 import tracemalloc
 from fractions import Fraction
@@ -16,15 +17,12 @@ from otuniq.errors import (
     TooManyComponents,
     WrongComponentCount,
 )
-from otuniq.solver import (
-    dual_face_oracle,
-    solve,
-    tight_graph_connectivity_oracle,
-)
+from otuniq.solver import dual_face_oracle, solve
 from otuniq.uniqueness import (
     ComponentFlowGraph,
     ambiguity_witness,
     certify,
+    cross_check,
     marginal_degeneracy_check,
     plan_degeneracy_check,
 )
@@ -401,17 +399,76 @@ class TestVerdictSoundness:
         mu, nu, cost = instance
         dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
         cert = certify(mu, nu, cost, dec)
-        res = cert.solve_result
         mat = cost.matrix(mu, nu)
-        face = dual_face_oracle(res.plan, res.pair, mat)
-        tight = tight_graph_connectivity_oracle(res)["unique"]
-        assert face.unique == tight
+        check = cross_check(cert, mat)
+        tight = check.tight_graph_unique
+        assert check.dual_face.unique == tight
         # one point per component asserts nothing about a continuum, so
         # the certificate is unflagged and must match the oracles
         assert cert.flags == ()
         assert cert.verdict == ("unique" if tight else "non_unique")
+        assert not check.disagreement and not check.note
         for pair in cert.witness or ():
-            assert verify_duality(res.plan, pair, mat).optimal
+            assert verify_duality(cert.solve_result.plan, pair, mat).optimal
+
+
+class TestCrossCheck:
+    """The disagreement rule: an oracle that differs from a unique or
+    non_unique verdict is a disagreement, or a note when a flag says
+    that the verdict asserts a continuum."""
+
+    def test_two_interval_split_is_a_note(self):
+        # criterion 1's 0.4/0.5 instance: unique on the continuum reading,
+        # not on the finite dual face
+        mu = two_interval_instance(20, mass_left=0.4)
+        nu = two_interval_instance(20, mass_left=0.5)
+        dec = ComponentDecomposition.build(mu, nu, "epsilon_graph", 0.2)
+        cost = CostSpec.sq_euclidean()
+        cert = certify(mu, nu, cost, dec)
+        assert cert.verdict == "unique"
+        assert any("continuum" in fl for fl in cert.flags)
+        check = cross_check(cert, cost.matrix(mu, nu))
+        assert not check.dual_face.unique and not check.tight_graph_unique
+        assert check.note and not check.disagreement
+
+    def test_four_point_component_is_a_note(self):
+        pts = np.arange(4.0)
+        mu = _measure(pts, [0.125, 0.125, 0.375, 0.375])
+        nu = _measure(pts, np.full(4, 0.25))
+        dec = ComponentDecomposition.build(mu, nu, "epsilon_graph", 1.0)
+        cost = CostSpec.sq_euclidean()
+        cert = certify(mu, nu, cost, dec)
+        assert cert.verdict == "unique" and cert.flags
+        check = cross_check(cert, cost.matrix(mu, nu))
+        assert check.dual_face.max_spread == 2.0
+        assert not check.dual_face.unique and not check.tight_graph_unique
+        assert check.note and not check.disagreement
+
+    @staticmethod
+    def _non_unique_labelled():
+        mu = _measure([0.0, 1.0], [0.5, 0.5], labels=[0, 1])
+        cost = CostSpec.explicit([[0.0, 1.0], [1.0, 0.0]])
+        dec = ComponentDecomposition.build(mu, mu, "explicit_labels")
+        return certify(mu, mu, cost, dec), cost.values
+
+    def test_agreement(self):
+        cert, mat = self._non_unique_labelled()
+        assert cert.verdict == "non_unique" and cert.flags == ()
+        check = cross_check(cert, mat)
+        assert not check.dual_face.unique and not check.tight_graph_unique
+        assert check.n_usable_edges == 2
+        assert not check.disagreement and not check.note
+
+    def test_planted_fault_is_a_disagreement(self):
+        cert, mat = self._non_unique_labelled()
+        check = cross_check(dataclasses.replace(cert, verdict="unique"), mat)
+        assert check.disagreement and not check.note
+
+    def test_inconclusive_is_not_compared(self):
+        cert, mat = self._non_unique_labelled()
+        check = cross_check(dataclasses.replace(cert, verdict="inconclusive"),
+                            mat)
+        assert not check.disagreement and not check.note
 
 
 def _permuted(mu, nu, cost, rs, rt):
