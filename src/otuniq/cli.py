@@ -180,8 +180,8 @@ def cmd_witness(args) -> int:
     body = {"witness": {
         "delta": wit.delta,
         "oracle_spread_second_component": wit.oracle_spread,
-        "samples": [{"a": a, "b": b, "f": list(p.f), "g": list(p.g)}
-                    for (a, b), p in zip(wit.samples, wit.pairs)],
+        "samples": [{"a": a, "b": b, "f": f.tolist(), "g": (-f).tolist()}
+                    for (a, b), f in zip(wit.samples, wit.f)],
     }}
     _emit(render_report(body, doc.digest, args.seed), args.out)
     return EXIT_OK

@@ -402,13 +402,18 @@ class PotentialPair:
     @property
     def dual_value(self) -> float:
         """mu f + nu g; -inf values only count where they carry weight."""
-        terms_f = np.where(self.source.weights > 0, self.f, 0.0)
-        terms_g = np.where(self.target.weights > 0, self.g, 0.0)
-        return float(self.source.weights @ terms_f
-                     + self.target.weights @ terms_g)
+        return float(_dual_value(self.f, self.g, self.source, self.target))
 
     def shifted(self, s: float) -> "PotentialPair":
         return PotentialPair(self.f + s, self.g - s, self.source, self.target)
+
+
+def _dual_value(f: np.ndarray, g: np.ndarray, source: DiscreteMeasure,
+                target: DiscreteMeasure):
+    """``PotentialPair.dual_value`` row-wise over the leading axes of
+    f (..., n) and g (..., m)."""
+    a, b = source.weights, target.weights
+    return np.where(a > 0, f, 0.0) @ a + np.where(b > 0, g, 0.0) @ b
 
 
 @dataclass(frozen=True)
@@ -455,32 +460,34 @@ def double_transform_residual(f: np.ndarray, cost_matrix: np.ndarray) -> float:
     return float(np.max(diff))
 
 
-def _slack(pair: PotentialPair, cost_matrix: np.ndarray):
-    """(c - f - g, tau_tight): the slack as one new (n, m) array,
-    computed in place, and the tightness tolerance.
+def _slack(f: np.ndarray, g: np.ndarray, cost_matrix: np.ndarray):
+    """(c - f - g, tau_tight, feasible) for potentials f (..., n) and
+    g (..., m), row-wise over their leading axes: the slack as one new
+    (..., n, m) array, computed in place, the tightness tolerance, and
+    whether no entry of each (n, m) slice lies below -tau_tight.
 
-    Raises InfeasiblePair when an entry lies below -tau_tight.  NaN
-    entries (only from NaN costs) count as infinitely slack: they never
-    fail feasibility and are never tight.
+    NaN entries (only from NaN costs) count as infinitely slack: they
+    never fail feasibility and are never tight.
     """
     tau = TAU_TIGHT_SCALE * (1.0 + float(np.max(cost_matrix)))
     with np.errstate(invalid="ignore"):
-        slack = np.subtract(cost_matrix, pair.f[:, None])
-        slack -= pair.g[None, :]
+        slack = np.subtract(cost_matrix, f[..., :, None])
+        slack -= g[..., None, :]
     # fmin skips NaN, as the minimum over NaN replaced by inf would
-    if np.fmin.reduce(slack, axis=None) < -tau:
+    return slack, tau, ~(np.fmin.reduce(slack, axis=(-2, -1)) < -tau)
+
+
+def subdifferential_of(pair: PotentialPair,
+                       cost_matrix: np.ndarray) -> Subdifferential:
+    """All tight pairs of a dual-feasible potential pair; raises
+    InfeasiblePair when an entry of c - f - g lies below -tau_tight."""
+    slack, tau, feasible = _slack(pair.f, pair.g, cost_matrix)
+    if not feasible:
         worst = np.where(np.isnan(slack), np.inf, slack)
         i, j = np.unravel_index(int(np.argmin(worst)), slack.shape)
         raise InfeasiblePair(
             f"f({i}) + g({j}) exceeds c by {-float(slack[i, j]):.3e}"
         )
-    return slack, tau
-
-
-def subdifferential_of(pair: PotentialPair,
-                       cost_matrix: np.ndarray) -> Subdifferential:
-    """All tight pairs of a dual-feasible potential pair."""
-    slack, tau = _slack(pair, cost_matrix)
     mask = np.abs(slack, out=slack) <= tau
     pairs = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(mask)))
     return Subdifferential(tight_pairs=pairs, mask=mask)
@@ -527,44 +534,59 @@ class DualityReport:
                                          compare=False)
 
 
+def _checks(plan: TransportPlan, f: np.ndarray, g: np.ndarray, dual,
+            cost_matrix: np.ndarray):
+    """``verify_duality``'s feasibility, support and gap tests, row-wise
+    over the leading axes of potentials f (..., n), g (..., m) and their
+    dual values mu f + nu g (...), from one ``_slack`` pass.
+
+    Returns ((primal, dual, gap, feasible, support_tight, optimal,
+    tau_gap), slack, tau), the tuple in ``DualityReport``'s field order.
+    Support tightness reads the slack at the plan's arcs as
+    ``slack <= tau``, which is |slack| <= tau on a feasible row; an
+    infeasible row is not support tight.
+    """
+    primal = plan.primal_cost(cost_matrix)
+    tau_gap = TAU_GAP * (1.0 + abs(primal))
+    gap = primal - dual
+    slack, tau, feasible = _slack(f, g, cost_matrix)
+    support_tight = feasible & np.all(slack[..., plan.rows, plan.cols] <= tau,
+                                      axis=-1)
+    optimal = support_tight & (np.abs(gap) <= tau_gap)
+    return (primal, dual, gap, feasible, support_tight, optimal,
+            tau_gap), slack, tau
+
+
 def _duality(plan: TransportPlan, pair: PotentialPair,
              cost_matrix: np.ndarray, keep_slack: bool = False):
-    """(``DualityReport``, slack): gap, feasibility and support tightness
-    from one slack pass.
+    """(``DualityReport``, slack): ``_checks`` on one pair.
 
-    ``_slack`` builds c - f - g in a single (n, m) buffer (feasibility)
-    and support tightness reads it at the plan's arcs.  By default the
-    buffer then becomes the tight mask, whose ``np.nonzero`` index
-    arrays are kept read-only as ``tight_pairs``, the mask goes, and the
-    slack comes back as None.  With ``keep_slack`` the report has no
-    tight pairs and the slack (None if the pair is infeasible) comes back
-    untouched, for ``dual_face_oracle`` to read as hop weights.
+    ``_slack`` builds c - f - g in a single (n, m) buffer.  By default
+    the tight mask ``slack <= tau`` (|slack| <= tau, the pair being
+    feasible) gives the ``np.nonzero`` index arrays kept read-only as
+    ``tight_pairs``, and the slack comes back as None.  With
+    ``keep_slack`` the report has no tight pairs and the slack (None if
+    the pair is infeasible) comes back untouched, for
+    ``dual_face_oracle`` to read as hop weights.
     """
     cost_matrix = np.asarray(cost_matrix, dtype=float)
     if cost_matrix.shape != (plan.source.n, plan.target.n):
         raise DimensionMismatch("cost matrix does not match the plan")
     if pair.source.n != plan.source.n or pair.target.n != plan.target.n:
         raise DimensionMismatch("pair does not match the plan's measures")
-    primal = plan.primal_cost(cost_matrix)
-    dual = pair.dual_value
-    gap = primal - dual
-    tau_gap = TAU_GAP * (1.0 + abs(primal))
-    try:
-        slack, tau = _slack(pair, cost_matrix)
-    except InfeasiblePair:
-        return DualityReport(primal, dual, gap, False, False, False,
-                             tau_gap), None
-    # feasible, so no entry lies below -tau: |slack| <= tau iff <= tau
-    support_tight = bool(np.all(slack[plan.rows, plan.cols] <= tau))
-    optimal = support_tight and abs(gap) <= tau_gap
+    fields, slack, tau = _checks(plan, pair.f, pair.g, pair.dual_value,
+                                 cost_matrix)
+    primal, dual, gap, *tests, tau_gap = fields
+    feasible, support_tight, optimal = map(bool, tests)
     pairs = None
-    if not keep_slack:
-        tight = np.abs(slack, out=slack) <= tau
+    if not feasible:
         slack = None
-        pairs = np.nonzero(tight)
+    elif not keep_slack:
+        pairs = np.nonzero(slack <= tau)
+        slack = None
         for index in pairs:
             index.setflags(write=False)
-    return DualityReport(primal, dual, gap, True, support_tight, optimal,
+    return DualityReport(primal, dual, gap, feasible, support_tight, optimal,
                          tau_gap, pairs), slack
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import logging
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -28,6 +29,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .core import (
+    _BLOCK,
     TAU_FACE_SCALE,
     TAU_MASS,
     CostSpec,
@@ -433,7 +435,11 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
     hop to every source, one without has none, so the hop rows of the
     plan's sources, each a ``np.minimum.reduceat`` over its gathered
     slack columns, are the data of a CSR graph, and their transpose that
-    of the reverse graph.  Zero hops are stored entries, which
+    of the reverse graph.  The columns are gathered for blocks of whole
+    sources, each block holding at most ``_BLOCK`` entries (or one
+    source's columns, if those hold more), and reduced straight into
+    the preallocated hop rows, so the slack and the hop rows are the
+    memory peak.  Zero hops are stored entries, which
     ``dijkstra`` keeps as arcs.  Two Dijkstra runs from the anchor, on
     the two graphs, give all bounds, which do not depend on the pair.
     Coordinates no path reaches (zero-weight points) are +-inf, left out
@@ -449,21 +455,30 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
     f = pair.f
     np.maximum(slack, 0.0, out=slack)
     order = np.argsort(plan.rows, kind="stable")
-    gathered = slack.T[plan.cols[order]]
-    del slack               # with the gathered columns, the memory peak
+    cols = plan.cols[order]
     heads, start = np.unique(plan.rows[order], return_index=True)
-    hop = np.minimum.reduceat(gathered, start, axis=0)
-    del gathered
     k = len(heads)
+    bounds = [*start.tolist(), len(cols)]
+    hop = np.empty((k, n))
+    h = 0
+    while h < k:
+        # sources h..stop-1, whose gathered columns fit in _BLOCK entries
+        lo = bounds[h]
+        stop = max(h + 1, bisect_right(bounds, lo + _BLOCK // n) - 1)
+        np.minimum.reduceat(slack.T[cols[lo:bounds[stop]]],
+                            start[h:stop] - lo, axis=0, out=hop[h:stop])
+        h = stop
+    del slack
     indptr = np.searchsorted(heads, np.arange(n + 1)) * n
     graph = csr_matrix((hop.ravel(), np.tile(np.arange(n, dtype=np.int32), k),
                         indptr.astype(np.int32)), shape=(n, n))
     d_out = dijkstra(graph, indices=anchor)
     del graph
-    reverse = csr_matrix((hop.T.ravel(), np.tile(heads.astype(np.int32), n),
+    data = hop.T.ravel()
+    del hop                 # before the reverse graph's indices
+    reverse = csr_matrix((data, np.tile(heads.astype(np.int32), n),
                           np.arange(0, n * k + 1, k, dtype=np.int32)),
                          shape=(n, n))
-    del hop                 # the reverse graph holds its own copy
     d_in = dijkstra(reverse, indices=anchor)
     f_max = f - f[anchor] + d_out
     f_min = f - f[anchor] - d_in

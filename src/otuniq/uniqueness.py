@@ -21,12 +21,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    _BLOCK,
     TAU_MASS,
     TAU_TIGHT_SCALE,
     CostSpec,
     DiscreteMeasure,
     PotentialPair,
     TransportPlan,
+    _checks,
+    _dual_value,
     component_labels,
     scaled_integers,
     tight_components,
@@ -387,9 +390,12 @@ def exact_blocks(cost, scale: int, a, b,
 
 @dataclass(frozen=True)
 class AmbiguityWitness:
+    """Row s of the read-only (k, n) array ``f`` is sample s's f; its
+    optimal pair is (f[s], -f[s])."""
+
     delta: float
     samples: tuple               # ((a, b), ...) parameters
-    pairs: tuple                 # matching PotentialPairs, all optimal
+    f: np.ndarray
     oracle_spread: float
 
 
@@ -402,10 +408,18 @@ def ambiguity_witness(mu: DiscreteMeasure, cost: CostSpec,
     exactly two source components.  Delta is the minimal cross-component
     cost; every emitted pair f = a on the first component, b on the
     second, g = -f with |a - b| <= Delta is verified optimal for the
-    identity plan of cost zero.  ``oracle_spread`` is the widest range
-    of f over the second component's points on the whole optimal face,
-    from ``dual_face_oracle`` on the identity plan and the zero pair.
+    identity plan of cost zero.  The ``n_samples`` rows of f are checked
+    as stacks by ``verify_duality``'s own tests (``core._checks``), each
+    stack holding at most ``_BLOCK`` slack entries, or one pair if that
+    holds more; the first failing sample raises ``OTUniqError``.
+    ``oracle_spread`` is the widest range of f over the second
+    component's points on the whole optimal face, from
+    ``dual_face_oracle`` on the identity plan and the zero pair.
     """
+    if isinstance(n_samples, bool) or \
+            not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise OTUniqError(f"n_samples must be a positive integer, got "
+                          f"{n_samples!r}")
     if len(decomposition.source_components) != 2:
         raise WrongComponentCount(
             f"need exactly 2 source components, got "
@@ -422,21 +436,22 @@ def ambiguity_witness(mu: DiscreteMeasure, cost: CostSpec,
     delta = float(np.min(mat[np.ix_(list(grp1), list(grp2))]))
     idx = np.arange(mu.n)
     plan = TransportPlan(idx, idx, mu.weights.copy(), mu, mu)
-    samples = []
-    pairs = []
-    for b in np.linspace(-delta, delta, n_samples):
-        f = np.zeros(mu.n)
-        f[list(grp2)] = b
-        pair = PotentialPair(f, -f, mu, mu)
-        rep = verify_duality(plan, pair, mat)
-        if not rep.optimal:
-            raise OTUniqError(
-                f"f_(0, {b}) failed verification, gap {rep.gap:.3e}"
-            )
-        samples.append((0.0, float(b)))
-        pairs.append(pair)
+    bs = np.linspace(-delta, delta, n_samples)
+    f = np.zeros((n_samples, mu.n))
+    f[:, list(grp2)] = bs[:, None]
+    step = max(1, _BLOCK // mu.n ** 2)
+    for s in range(0, n_samples, step):
+        rows = f[s:s + step]
+        (_, _, gap, _, _, optimal, _), _, _ = _checks(
+            plan, rows, -rows, _dual_value(rows, -rows, mu, mu), mat)
+        bad = np.flatnonzero(~optimal)
+        if bad.size:
+            raise OTUniqError(f"f_(0, {bs[s + bad[0]]}) failed "
+                              f"verification, gap {gap[bad[0]]:.3e}")
+    f.setflags(write=False)
     zero = np.zeros(mu.n)
     face = dual_face_oracle(plan, PotentialPair(zero, zero, mu, mu), mat)
     spread = float(np.max(face.f_max[list(grp2)] - face.f_min[list(grp2)]))
-    return AmbiguityWitness(delta=delta, samples=tuple(samples),
-                            pairs=tuple(pairs), oracle_spread=spread)
+    return AmbiguityWitness(delta=delta,
+                            samples=tuple((0.0, float(b)) for b in bs),
+                            f=f, oracle_spread=spread)

@@ -112,21 +112,21 @@ class TestCriterion3WitnessFamily:
         cost = CostSpec.sq_euclidean()
         dec = ComponentDecomposition.build(mu, mu, "epsilon_graph", 0.1)
         wit = ambiguity_witness(mu, cost, dec, n_samples=25)
-        assert len(wit.pairs) >= 25
+        assert wit.f.shape == (25, 10) and len(wit.samples) == 25
         mat = cost.matrix(mu, mu)
-        from otuniq.core import TransportPlan
+        from otuniq.core import PotentialPair, TransportPlan
         idx = np.arange(10)
         plan = TransportPlan(idx, idx, mu.weights, mu, mu)
         worst_gap = 0.0
-        for pair in wit.pairs:
-            rep = verify_duality(plan, pair, mat)
+        for row in wit.f:
+            rep = verify_duality(plan, PotentialPair(row, -row, mu, mu), mat)
             assert rep.optimal
             worst_gap = max(worst_gap, abs(rep.gap))
         assert worst_gap <= TAU_GAP * (1.0 + abs(plan.primal_cost(mat)))
         tau_face = 1e-6 * (1.0 + float(np.max(mat)))
         err = abs(wit.oracle_spread - 2 * wit.delta)
         assert err <= tau_face
-        with _criterion(3, f"witness family: {len(wit.pairs)} samples "
+        with _criterion(3, f"witness family: {len(wit.f)} samples "
                            f"verified (worst gap {worst_gap:.2e}), oracle "
                            f"spread within {err:.2e} of 2*delta"):
             pass

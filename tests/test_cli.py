@@ -1247,6 +1247,10 @@ class TestReportWriter:
 
 _PIN_SIDE = {"points": [[0.0], [0.001], [0.002], [1.0], [1.001], [1.002]],
              "weights": [1 / 6] * 6}
+# 30 points give stacks of 36 witness samples, so 40 samples take two
+_PIN_SIDE_30 = {"points": [[k / 1000] for k in range(15)]
+                + [[1 + k / 1000] for k in range(15)],
+                "weights": [1 / 30] * 30}
 _PIN_EXACT = {
     "schema": "1",
     "source": {"points": [[0], [1], [3]], "weights": [0.25, 0.25, 0.5],
@@ -1265,6 +1269,10 @@ _PIN_DOCS = {
     "separated": {"schema": "1", "source": _PIN_SIDE, "target": _PIN_SIDE,
                   "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
                   "options": {"epsilon": 0.1}},
+    "separated-30": {"schema": "1", "source": _PIN_SIDE_30,
+                     "target": _PIN_SIDE_30,
+                     "cost": {"kind": "lp_norm_power", "q": 2, "p": 2},
+                     "options": {"epsilon": 0.1}},
     "exact": _PIN_EXACT,
 }
 
@@ -1290,6 +1298,11 @@ class TestPinnedReports:
         "witness": (["witness", "separated", "--samples", "5"], 0,
                     "39a1391d4fbc91155c2445c4f0eddd36"
                     "08709475525ae03283685b094384bc0f"),
+        # recorded with one PotentialPair and verify_duality per sample
+        "witness two stacks": (["witness", "separated-30", "--samples",
+                                "40"], 0,
+                               "c5f376169ce95a2c69835db38a0f5624"
+                               "d5db0e3ed8c99a9735c3c45befacd6ca"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))

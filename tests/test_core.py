@@ -236,6 +236,70 @@ class TestVerifyDuality:
             verify_duality(res.plan, res.pair, np.ones((2, 2)))
 
 
+class TestStackedChecks:
+    """``core._checks`` on a stack of pairs, as ``ambiguity_witness``
+    runs it, gives each row ``verify_duality``'s verdict on that pair."""
+
+    @staticmethod
+    def _rows(rng, res, mat, k):
+        """k perturbations of the optimal pair, each feasible and
+        optimal, infeasible at one entry, off the support, or past the
+        gap tolerance, some within a fraction of tau of the threshold."""
+        mu, nu = res.plan.source, res.plan.target
+        tau = 1e-7 * (1.0 + float(np.max(mat)))
+        slack = mat - res.pair.f[:, None] - res.pair.g[None, :]
+        free_j = np.flatnonzero(nu.weights == 0)
+        live_i = np.flatnonzero(mu.weights > 0)
+        fs, gs = [], []
+        for _ in range(k):
+            f, g = res.pair.f.copy(), res.pair.g.copy()
+            kind = rng.integers(5)
+            if kind == 0:
+                s = rng.uniform(-1, 1)
+                f, g = f + s, g - s
+            elif kind == 1:
+                # a zero-weight target has no plan arc: raising its g
+                # past its least slack makes only that entry infeasible
+                j = rng.choice(free_j)
+                g[j] += slack[:, j].min() + rng.uniform(0.9, 2.0) * tau
+            elif kind == 2:
+                f[rng.choice(live_i)] -= rng.uniform(0.5, 3.0) * tau
+            elif kind == 3:
+                f -= rng.uniform(0.5, 1.0) * tau
+            else:
+                f[mu.weights == 0] = -np.inf
+            fs.append(f)
+            gs.append(g)
+        return np.array(fs), np.array(gs)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_match_verify_duality(self, seed):
+        from otuniq import core
+        rng = np.random.default_rng(2700 + seed)
+        a, b = rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(7))
+        a[0], b[[1, 4]] = 0.0, 0.0
+        mu = DiscreteMeasure(rng.uniform(0, 3, (6, 2)), a / a.sum())
+        nu = DiscreteMeasure(rng.uniform(0, 3, (7, 2)), b / b.sum())
+        cost = CostSpec.sq_euclidean()
+        res = solve(mu, nu, cost)
+        mat = cost.matrix(mu, nu)
+        f, g = self._rows(rng, res, mat, 60)
+        (_, _, gap, feasible, support, optimal, _), slack, _ = core._checks(
+            res.plan, f, g, core._dual_value(f, g, mu, nu), mat)
+        assert slack.shape == (60, 6, 7)
+        seen = set()
+        for r in range(60):
+            rep = verify_duality(res.plan, PotentialPair(f[r], g[r], mu, nu),
+                                 mat)
+            assert (feasible[r], support[r], optimal[r]) \
+                == (rep.feasible, rep.support_tight, rep.optimal)
+            assert gap[r] == pytest.approx(rep.gap, rel=1e-12, abs=1e-15)
+            seen.add((rep.feasible, rep.support_tight, rep.optimal))
+        # optimal, infeasible, off the support, and gap-violating rows
+        assert seen == {(True, True, True), (False, False, False),
+                        (True, False, False), (True, True, False)}
+
+
 class TestDomainTypes:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(OTUniqError):
@@ -519,6 +583,24 @@ class TestCostMatrixBlocks:
         mat = cost.matrix(mu, nu)
         peak = _peak_bytes(lambda: dual_face_oracle(res.plan, res.pair, mat))
         assert peak <= 3.5 * mat.nbytes
+
+    @pytest.mark.parametrize("weights", ["uniform", "dirichlet"])
+    def test_dual_face_oracle_peak_at_most_two_and_a_half_matrices(
+            self, weights):
+        # hop rows reduced from blocks of gathered columns: the slack and
+        # the hop rows are the peak (2.22 and 2.22 here; 2.53 and 3.01,
+        # with 400 and 799 plan arcs, when all columns were gathered)
+        n = 400
+        rng = np.random.default_rng(400)
+        pts = rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (n, 2))
+        a, b = (np.full(n, 1 / n),) * 2 if weights == "uniform" else \
+            (rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)))
+        mu, nu = DiscreteMeasure(pts[0], a), DiscreteMeasure(pts[1], b)
+        cost = CostSpec.sq_euclidean()
+        res = solve(mu, nu, cost)
+        mat = cost.matrix(mu, nu)
+        peak = _peak_bytes(lambda: dual_face_oracle(res.plan, res.pair, mat))
+        assert peak <= 2.5 * mat.nbytes
 
 
 def _arrays(obj):

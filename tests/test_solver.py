@@ -920,6 +920,25 @@ class TestDualFaceGraph:
         plan = TransportPlan(idx, idx, mu.weights[idx], mu, mu)
         self._assert_dense_bits(plan, PotentialPair(pts, -pts, mu, mu), mat)
 
+    @pytest.mark.parametrize("heavy", [False, True])
+    def test_blocks_of_gathered_columns(self, heavy):
+        # n = 400 gathers at most 81 plan columns a block, so the hop rows
+        # come from several blocks; a source weighing one half ships to
+        # about 200 targets and makes a block of its own beyond the cap
+        n = 400
+        rng = np.random.default_rng(2701)
+        a = rng.dirichlet(np.ones(n))
+        if heavy:
+            a = np.r_[1.0, a[1:] / a[1:].sum()] / 2
+        mu = DiscreteMeasure(rng.uniform(0, 1, (n, 2)), a)
+        nu = DiscreteMeasure(rng.uniform(0, 1, (n, 2)), np.full(n, 1 / n))
+        cost = CostSpec.sq_euclidean()
+        res = solve(mu, nu, cost)
+        counts = np.bincount(res.plan.rows, minlength=n)
+        assert counts.sum() * n > 2 * 32768
+        assert (counts.max() * n > 32768) == heavy
+        self._assert_dense_bits(res.plan, res.pair, cost.matrix(mu, nu))
+
     def test_zero_weight_middle_source(self):
         # sources 0, 5, 10 weighing 1/2, 0, 1/2 against targets 0 and
         # 10: the middle source has an empty hop row and an unbounded f

@@ -1,6 +1,7 @@
 """Degeneracy tests, component flow graphs, certificates, witnesses."""
 
 import dataclasses
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -9,11 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from otuniq.core import CostSpec, DiscreteMeasure, verify_duality
+from otuniq import core
+from otuniq.core import (
+    CostSpec,
+    DiscreteMeasure,
+    PotentialPair,
+    TransportPlan,
+    verify_duality,
+)
 from otuniq.decompose import ComponentDecomposition
 from otuniq.errors import (
     NotSelfCoupled,
     NotSymmetric,
+    OTUniqError,
     TooManyComponents,
     WrongComponentCount,
 )
@@ -519,8 +528,13 @@ class TestAmbiguityWitness:
         cost = CostSpec.sq_euclidean()
         dec = ComponentDecomposition.build(mu, mu, "epsilon_graph", 0.1)
         wit = ambiguity_witness(mu, cost, dec, n_samples=7)
-        assert len(wit.pairs) == 7
+        assert wit.f.shape == (7, 10) and not wit.f.flags.writeable
         mat = cost.matrix(mu, mu)
+        idx = np.arange(10)
+        plan = TransportPlan(idx, idx, mu.weights, mu, mu)
+        for row in wit.f:
+            pair = PotentialPair(row, -row, mu, mu)
+            assert verify_duality(plan, pair, mat).optimal
         tau_face = 1e-6 * (1 + float(np.max(mat)))
         assert wit.oracle_spread == pytest.approx(2 * wit.delta,
                                                   abs=tau_face)
@@ -534,8 +548,58 @@ class TestAmbiguityWitness:
         cost = CostSpec.sq_euclidean()
         dec = ComponentDecomposition.build(mu, mu, "epsilon_graph", 0.1)
         wit = ambiguity_witness(mu, cost, dec, n_samples=7)
-        mid = wit.pairs[3]
-        assert np.allclose(mid.f, 0.0) and np.allclose(mid.g, 0.0)
+        assert wit.samples[3] == (0.0, 0.0) and not np.any(wit.f[3])
+
+    @pytest.mark.parametrize("n_samples", [0, -1, 2.5, True])
+    def test_sample_count_not_a_positive_integer(self, n_samples):
+        mu = self._clusters()
+        dec = ComponentDecomposition.build(mu, mu, "epsilon_graph", 0.1)
+        with pytest.raises(OTUniqError, match="n_samples"):
+            ambiguity_witness(mu, CostSpec.sq_euclidean(), dec,
+                              n_samples=n_samples)
+
+    def test_first_failing_sample_named(self, monkeypatch):
+        # 10 points give stacks of 327 rows, so samples 350 and 390 sit
+        # in the second stack; a slack of 1 on the plan arc (5, 5) fails
+        # their support test
+        mu = self._clusters()
+        cost = CostSpec.sq_euclidean()
+        dec = ComponentDecomposition.build(mu, mu, "epsilon_graph", 0.1)
+        bs = [b for _, b in
+              ambiguity_witness(mu, cost, dec, n_samples=400).samples]
+        original = core._slack
+
+        def planted(f, g, cost_matrix):
+            slack, tau, feasible = original(f, g, cost_matrix)
+            for r, row in enumerate(f):
+                if row[5] in (bs[350], bs[390]):
+                    slack[r, 5, 5] = 1.0
+            return slack, tau, feasible
+
+        monkeypatch.setattr(core, "_slack", planted)
+        with pytest.raises(OTUniqError,
+                           match=re.escape(f"f_(0, {bs[350]}) failed")):
+            ambiguity_witness(mu, cost, dec, n_samples=400)
+
+    def test_peak_memory_no_higher_than_unstacked(self):
+        # two clusters of 200 points, 25 samples: one pair a stack, so
+        # the peak stays below the 3.67 matrices of a PotentialPair and a
+        # verify_duality per sample (3.30 with the stacks)
+        rng = np.random.default_rng(27)
+        pts = np.concatenate([rng.uniform(0, 1, (200, 2)),
+                              rng.uniform(5, 6, (200, 2))])
+        mu = DiscreteMeasure(pts, np.full(400, 1 / 400), np.repeat([0, 1], 200))
+        cost = CostSpec.sq_euclidean()
+        dec = ComponentDecomposition.build(mu, mu, "explicit_labels")
+        ambiguity_witness(mu, cost, dec, n_samples=2)
+        tracemalloc.start()
+        try:
+            wit = ambiguity_witness(mu, cost, dec, n_samples=25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert wit.f.shape == (25, 400)
+        assert peak <= 3.67 * 8 * 400 ** 2
 
     def test_asymmetric_cost_rejected(self):
         mu = _measure([0.0, 1.0], [0.5, 0.5], labels=[0, 1])
