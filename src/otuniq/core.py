@@ -8,7 +8,7 @@ lifting works on plain numpy arrays.  Potentials may take the value -inf
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
@@ -356,6 +356,16 @@ class TransportPlan:
         masses = np.asarray(self.masses, dtype=float).ravel()
         if not (rows.shape == cols.shape == masses.shape):
             raise DimensionMismatch("plan triples have inconsistent lengths")
+        bad = np.flatnonzero((rows < 0) | (rows >= self.source.n)
+                             | (cols < 0) | (cols >= self.target.n))
+        if bad.size:
+            raise DimensionMismatch(
+                f"arc {bad[0]} is ({rows[bad[0]]}, {cols[bad[0]]}), outside "
+                f"the {self.source.n} x {self.target.n} measures")
+        bad = np.flatnonzero(~(np.isfinite(masses) & (masses >= 0)))
+        if bad.size:
+            raise OTUniqError(f"arc {bad[0]} has mass {masses[bad[0]]}, "
+                              "not in [0, inf)")
         keep = masses > 0.0
         rows, cols, masses = rows[keep], cols[keep], masses[keep]
         object.__setattr__(self, "rows", _as_readonly(rows))
@@ -421,7 +431,6 @@ class Subdifferential:
     """Pairs where f(x) + g(y) = c(x, y) within the tightness tolerance."""
 
     tight_pairs: frozenset
-    mask: np.ndarray  # boolean (n, m)
 
 
 def c_transform(values: np.ndarray, cost_matrix: np.ndarray,
@@ -434,6 +443,10 @@ def c_transform(values: np.ndarray, cost_matrix: np.ndarray,
     """
     values = np.asarray(values, dtype=float).ravel()
     cost_matrix = np.asarray(cost_matrix, dtype=float)
+    bad = np.flatnonzero(np.isnan(values) | np.isposinf(values))
+    if bad.size:
+        raise OTUniqError(f"value {bad[0]} is {values[bad[0]]}, expected "
+                          "finite or -inf")
     if np.all(np.isneginf(values)):
         raise AllInfinite("all dual values are -inf")
     if direction not in ("to_source", "to_target"):
@@ -464,11 +477,15 @@ def _slack(f: np.ndarray, g: np.ndarray, cost_matrix: np.ndarray):
     """(c - f - g, tau_tight, feasible) for potentials f (..., n) and
     g (..., m), row-wise over their leading axes: the slack as one new
     (..., n, m) array, computed in place, the tightness tolerance, and
-    whether no entry of each (n, m) slice lies below -tau_tight.
+    whether no entry of each (n, m) slice lies below -tau_tight.  Every
+    slack pass checks here that the cost matrix is (n, m).
 
     NaN entries (only from NaN costs) count as infinitely slack: they
     never fail feasibility and are never tight.
     """
+    if np.shape(cost_matrix) != (f.shape[-1], g.shape[-1]):
+        raise DimensionMismatch(f"cost matrix is {np.shape(cost_matrix)}, "
+                                f"potentials are {(f.shape[-1], g.shape[-1])}")
     tau = TAU_TIGHT_SCALE * (1.0 + float(np.max(cost_matrix)))
     with np.errstate(invalid="ignore"):
         slack = np.subtract(cost_matrix, f[..., :, None])
@@ -479,8 +496,9 @@ def _slack(f: np.ndarray, g: np.ndarray, cost_matrix: np.ndarray):
 
 def subdifferential_of(pair: PotentialPair,
                        cost_matrix: np.ndarray) -> Subdifferential:
-    """All tight pairs of a dual-feasible potential pair; raises
-    InfeasiblePair when an entry of c - f - g lies below -tau_tight."""
+    """All tight pairs of a dual-feasible potential pair, ``slack <= tau``
+    as in ``verify_duality``; raises InfeasiblePair when an entry of
+    c - f - g lies below -tau_tight."""
     slack, tau, feasible = _slack(pair.f, pair.g, cost_matrix)
     if not feasible:
         worst = np.where(np.isnan(slack), np.inf, slack)
@@ -488,9 +506,8 @@ def subdifferential_of(pair: PotentialPair,
         raise InfeasiblePair(
             f"f({i}) + g({j}) exceeds c by {-float(slack[i, j]):.3e}"
         )
-    mask = np.abs(slack, out=slack) <= tau
-    pairs = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(mask)))
-    return Subdifferential(tight_pairs=pairs, mask=mask)
+    ti, tj = np.nonzero(slack <= tau)
+    return Subdifferential(frozenset(zip(ti.tolist(), tj.tolist())))
 
 
 def tight_components(rows: np.ndarray, cols: np.ndarray, ti: np.ndarray,
@@ -536,63 +553,41 @@ class DualityReport:
 
 def _checks(plan: TransportPlan, f: np.ndarray, g: np.ndarray, dual,
             cost_matrix: np.ndarray):
-    """``verify_duality``'s feasibility, support and gap tests, row-wise
-    over the leading axes of potentials f (..., n), g (..., m) and their
-    dual values mu f + nu g (...), from one ``_slack`` pass.
-
-    Returns ((primal, dual, gap, feasible, support_tight, optimal,
-    tau_gap), slack, tau), the tuple in ``DualityReport``'s field order.
-    Support tightness reads the slack at the plan's arcs as
-    ``slack <= tau``, which is |slack| <= tau on a feasible row; an
-    infeasible row is not support tight.
+    """(``DualityReport``, slack, tau): ``verify_duality``'s feasibility,
+    support and gap tests on potentials f (..., n), g (..., m) and their
+    dual values mu f + nu g (...), from one ``_slack`` pass.  The test
+    fields are arrays over the leading axes (0-d for one pair), and the
+    report has no tight pairs.  Support tightness reads the slack at the
+    plan's arcs as ``slack <= tau``, which is |slack| <= tau on a
+    feasible row; an infeasible row is not support tight.
     """
+    cost_matrix = np.asarray(cost_matrix, dtype=float)
+    if (f.shape[-1], g.shape[-1]) != (plan.source.n, plan.target.n):
+        raise DimensionMismatch("pair does not match the plan's measures")
+    slack, tau, feasible = _slack(f, g, cost_matrix)
     primal = plan.primal_cost(cost_matrix)
     tau_gap = TAU_GAP * (1.0 + abs(primal))
     gap = primal - dual
-    slack, tau, feasible = _slack(f, g, cost_matrix)
     support_tight = feasible & np.all(slack[..., plan.rows, plan.cols] <= tau,
                                       axis=-1)
     optimal = support_tight & (np.abs(gap) <= tau_gap)
-    return (primal, dual, gap, feasible, support_tight, optimal,
-            tau_gap), slack, tau
-
-
-def _duality(plan: TransportPlan, pair: PotentialPair,
-             cost_matrix: np.ndarray, keep_slack: bool = False):
-    """(``DualityReport``, slack): ``_checks`` on one pair.
-
-    ``_slack`` builds c - f - g in a single (n, m) buffer.  By default
-    the tight mask ``slack <= tau`` (|slack| <= tau, the pair being
-    feasible) gives the ``np.nonzero`` index arrays kept read-only as
-    ``tight_pairs``, and the slack comes back as None.  With
-    ``keep_slack`` the report has no tight pairs and the slack (None if
-    the pair is infeasible) comes back untouched, for
-    ``dual_face_oracle`` to read as hop weights.
-    """
-    cost_matrix = np.asarray(cost_matrix, dtype=float)
-    if cost_matrix.shape != (plan.source.n, plan.target.n):
-        raise DimensionMismatch("cost matrix does not match the plan")
-    if pair.source.n != plan.source.n or pair.target.n != plan.target.n:
-        raise DimensionMismatch("pair does not match the plan's measures")
-    fields, slack, tau = _checks(plan, pair.f, pair.g, pair.dual_value,
-                                 cost_matrix)
-    primal, dual, gap, *tests, tau_gap = fields
-    feasible, support_tight, optimal = map(bool, tests)
-    pairs = None
-    if not feasible:
-        slack = None
-    elif not keep_slack:
-        pairs = np.nonzero(slack <= tau)
-        slack = None
-        for index in pairs:
-            index.setflags(write=False)
     return DualityReport(primal, dual, gap, feasible, support_tight, optimal,
-                         tau_gap, pairs), slack
+                         tau_gap), slack, tau
 
 
 def verify_duality(plan: TransportPlan, pair: PotentialPair,
                    cost_matrix: np.ndarray) -> DualityReport:
     """Primal/dual cross-check: gap, feasibility, support tightness, and
-    the tight pairs that ``certify`` and the tight-graph oracle read, on
-    one (n, m) slack buffer (``_duality``)."""
-    return _duality(plan, pair, cost_matrix)[0]
+    the tight pairs that ``certify`` and the tight-graph oracle read,
+    ``slack <= tau`` on ``_checks``' one (n, m) slack buffer, kept as
+    read-only ``np.nonzero`` index arrays."""
+    report, slack, tau = _checks(plan, pair.f, pair.g, pair.dual_value,
+                                 cost_matrix)
+    pairs = None
+    if report.feasible:
+        pairs = np.nonzero(slack <= tau)
+        for index in pairs:
+            index.setflags(write=False)
+    return replace(report, feasible=bool(report.feasible),
+                   support_tight=bool(report.support_tight),
+                   optimal=bool(report.optimal), tight_pairs=pairs)

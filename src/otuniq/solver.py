@@ -37,7 +37,7 @@ from .core import (
     DualityReport,
     PotentialPair,
     TransportPlan,
-    _duality,
+    _checks,
     scaled_integers,
     tight_components,
     verify_duality,
@@ -444,10 +444,11 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
     the two graphs, give all bounds, which do not depend on the pair.
     Coordinates no path reaches (zero-weight points) are +-inf, left out
     of the spread.  The optimality gate is ``verify_duality``'s test,
-    ``core._duality``, on the very slack the hops read, so the oracle
+    ``core._checks``, on the very slack the hops read, so the oracle
     makes one n x m slack pass.
     """
-    report, slack = _duality(plan, pair, cost_matrix, keep_slack=True)
+    report, slack, _ = _checks(plan, pair.f, pair.g, pair.dual_value,
+                               cost_matrix)
     if not report.optimal:
         raise InfeasibleOptimum("the pair is not optimal for the plan")
     n = plan.source.n

@@ -442,12 +442,12 @@ def ambiguity_witness(mu: DiscreteMeasure, cost: CostSpec,
     step = max(1, _BLOCK // mu.n ** 2)
     for s in range(0, n_samples, step):
         rows = f[s:s + step]
-        (_, _, gap, _, _, optimal, _), _, _ = _checks(
-            plan, rows, -rows, _dual_value(rows, -rows, mu, mu), mat)
-        bad = np.flatnonzero(~optimal)
+        report, _, _ = _checks(plan, rows, -rows,
+                               _dual_value(rows, -rows, mu, mu), mat)
+        bad = np.flatnonzero(~report.optimal)
         if bad.size:
             raise OTUniqError(f"f_(0, {bs[s + bad[0]]}) failed "
-                              f"verification, gap {gap[bad[0]]:.3e}")
+                              f"verification, gap {report.gap[bad[0]]:.3e}")
     f.setflags(write=False)
     zero = np.zeros(mu.n)
     face = dual_face_oracle(plan, PotentialPair(zero, zero, mu, mu), mat)

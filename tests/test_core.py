@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -71,6 +72,20 @@ class TestCTransform:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             c_transform(np.zeros(3), np.ones((2, 2)), "to_source")
+
+    @pytest.mark.parametrize("values, shown",
+                             [([np.inf, 0.0], "value 0 is inf"),
+                              ([0.0, np.nan], "value 1 is nan")])
+    def test_nan_and_plus_infinity_refused(self, values, shown):
+        mat = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for direction in ("to_source", "to_target"):
+            with pytest.raises(OTUniqError, match=shown):
+                c_transform(values, mat, direction)
+
+    def test_residual_refuses_nan(self):
+        with pytest.raises(OTUniqError, match="value 0 is nan"):
+            double_transform_residual([np.nan, 0.0],
+                                      np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     @given(_cost_matrices())
     @settings(max_examples=60, deadline=None)
@@ -179,6 +194,15 @@ class TestSubdifferential:
         sub2 = subdifferential_of(PotentialPair(f2, g2, mu, nu), mat)
         assert sub1.tight_pairs == sub2.tight_pairs
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_pair_not_matching_the_matrix(self, k):
+        # a 1-point pair would broadcast over the 3 x 3 matrix, a
+        # 2-point one would not broadcast at all
+        mu = DiscreteMeasure(np.arange(float(k))[:, None], np.full(k, 1 / k))
+        pair = PotentialPair(np.zeros(k), np.zeros(k), mu, mu)
+        with pytest.raises(DimensionMismatch, match=r"\(3, 3\)"):
+            subdifferential_of(pair, np.ones((3, 3)))
+
 
 class TestVerifyDuality:
     def test_solver_output_has_small_gap(self):
@@ -218,10 +242,9 @@ class TestVerifyDuality:
         ti, tj = rep.tight_pairs
         assert rep.optimal
         assert not ti.flags.writeable and not tj.flags.writeable
-        # row-major, as np.nonzero of the mask
-        mask = subdifferential_of(res.pair, mat).mask
-        assert [np.array_equal(x, y) for x, y in
-                zip(rep.tight_pairs, np.nonzero(mask))] == [True, True]
+        # row-major, and the pairs subdifferential_of finds
+        assert list(zip(ti.tolist(), tj.tolist())) == \
+            sorted(subdifferential_of(res.pair, mat).tight_pairs)
         assert repr(rep).endswith(f"tolerance={rep.tolerance!r})")
         raised = PotentialPair(res.pair.f + 0.5, res.pair.g, mu, nu)
         bad = verify_duality(res.plan, raised, mat)
@@ -234,6 +257,11 @@ class TestVerifyDuality:
         res = solve(mu, mu, cost)
         with pytest.raises(DimensionMismatch):
             verify_duality(res.plan, res.pair, np.ones((2, 2)))
+        # a 2-point plan under a 3-point pair and its own 3 x 3 matrix
+        two = DiscreteMeasure(np.arange(2.0)[:, None], np.full(2, 0.5))
+        plan = TransportPlan([0, 1], [0, 1], [0.5, 0.5], two, two)
+        with pytest.raises(DimensionMismatch, match="plan's measures"):
+            verify_duality(plan, res.pair, cost.matrix(mu, mu))
 
 
 class TestStackedChecks:
@@ -284,16 +312,18 @@ class TestStackedChecks:
         res = solve(mu, nu, cost)
         mat = cost.matrix(mu, nu)
         f, g = self._rows(rng, res, mat, 60)
-        (_, _, gap, feasible, support, optimal, _), slack, _ = core._checks(
+        stack, slack, _ = core._checks(
             res.plan, f, g, core._dual_value(f, g, mu, nu), mat)
         assert slack.shape == (60, 6, 7)
         seen = set()
         for r in range(60):
             rep = verify_duality(res.plan, PotentialPair(f[r], g[r], mu, nu),
                                  mat)
-            assert (feasible[r], support[r], optimal[r]) \
+            assert (stack.feasible[r], stack.support_tight[r],
+                    stack.optimal[r]) \
                 == (rep.feasible, rep.support_tight, rep.optimal)
-            assert gap[r] == pytest.approx(rep.gap, rel=1e-12, abs=1e-15)
+            assert stack.gap[r] == pytest.approx(rep.gap, rel=1e-12,
+                                                 abs=1e-15)
             seen.add((rep.feasible, rep.support_tight, rep.optimal))
         # optimal, infeasible, off the support, and gap-violating rows
         assert seen == {(True, True, True), (False, False, False),
@@ -372,6 +402,20 @@ class TestDomainTypes:
         plan = TransportPlan(np.array([0, 1, 0]), np.array([0, 1, 1]),
                              np.array([0.5, 0.5, 0.0]), mu, mu)
         assert len(plan.entries) == 2
+
+    @pytest.mark.parametrize("rows, cols, bad", [([0, 2], [0, 1], "(2, 1)"),
+                                                 ([0, 1], [0, -1], "(1, -1)")])
+    def test_plan_refuses_arc_outside_measures(self, rows, cols, bad):
+        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape(f"arc 1 is {bad}, outside")):
+            TransportPlan(rows, cols, [0.5, 0.5], mu, mu)
+
+    @pytest.mark.parametrize("mass", [-1e-7, np.nan, np.inf])
+    def test_plan_refuses_bad_mass(self, mass):
+        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        with pytest.raises(OTUniqError, match=f"arc 2 has mass {mass}, not"):
+            TransportPlan([0, 1, 0], [0, 1, 1], [0.5, 0.5, mass], mu, mu)
 
     def test_potential_rejects_nan(self):
         mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
@@ -635,9 +679,13 @@ class TestResultFootprint:
         dec = ComponentDecomposition.build(mu, nu, "explicit_labels")
         cert = certify(mu, nu, cost, dec)
         assert cert.verdict == "non_unique"
-        for result in (solve(mu, nu, cost), cert):
+        res = solve(mu, nu, cost)
+        for result in (res, cert):
             sizes = [a.size for a in _arrays(result)]
             assert sizes and max(sizes) < n * n
+        # a Subdifferential holds only its set of tight pairs
+        sub = subdifferential_of(res.pair, cost.matrix(mu, nu))
+        assert sub.tight_pairs and not list(_arrays(sub))
 
     def test_kept_solve_result_at_most_a_quarter_matrix(self):
         mu, nu = _refinement_pair()
