@@ -351,17 +351,20 @@ class TransportPlan:
     target: DiscreteMeasure
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=int).ravel()
-        cols = np.asarray(self.cols, dtype=int).ravel()
+        rows = np.asarray(self.rows).ravel()
+        cols = np.asarray(self.cols).ravel()
         masses = np.asarray(self.masses, dtype=float).ravel()
         if not (rows.shape == cols.shape == masses.shape):
             raise DimensionMismatch("plan triples have inconsistent lengths")
         bad = np.flatnonzero((rows < 0) | (rows >= self.source.n)
-                             | (cols < 0) | (cols >= self.target.n))
+                             | (cols < 0) | (cols >= self.target.n)
+                             | (rows != np.floor(rows))
+                             | (cols != np.floor(cols)))
         if bad.size:
             raise DimensionMismatch(
                 f"arc {bad[0]} is ({rows[bad[0]]}, {cols[bad[0]]}), outside "
-                f"the {self.source.n} x {self.target.n} measures")
+                f"the {self.source.n} x {self.target.n} index grid")
+        rows, cols = rows.astype(int), cols.astype(int)
         bad = np.flatnonzero(~(np.isfinite(masses) & (masses >= 0)))
         if bad.size:
             raise OTUniqError(f"arc {bad[0]} has mass {masses[bad[0]]}, "

@@ -45,8 +45,7 @@ class AsymptoticRegion:
     """Membership frequencies of C(x_n~, y_n) along an escaping ray."""
 
     direction: np.ndarray
-    frequency: np.ndarray      # over the whole schedule
-    tail_frequency: np.ndarray  # over the tail half only
+    tail_frequency: np.ndarray  # over the tail half of the schedule
     tail_member: np.ndarray    # member at every radius in the tail half
 
 
@@ -92,8 +91,7 @@ def asymptotic_region(x, direction, cost: CostSpec, radii, grid
         x_n = x + u / np.sqrt(r)
         member[k] = dominated_region(x_n, y_n, cost, grid).member
     tail = member[len(radii) // 2:]
-    return AsymptoticRegion(direction=u, frequency=member.mean(axis=0),
-                            tail_frequency=tail.mean(axis=0),
+    return AsymptoticRegion(direction=u, tail_frequency=tail.mean(axis=0),
                             tail_member=tail.all(axis=0))
 
 

@@ -16,7 +16,6 @@ solve result and compares them with its verdict:
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
 from bisect import bisect_right
@@ -53,11 +52,10 @@ log = logging.getLogger("otuniq")
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Optimal plan with its dual pair and the simplex basis tree."""
+    """Optimal plan with its dual pair and the simplex pivot count."""
 
     plan: TransportPlan
     pair: PotentialPair
-    basis: tuple  # (i, j) arcs, n + m - 1 of them, covering supp plan
     iterations: int
     duality: DualityReport
 
@@ -151,7 +149,9 @@ def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
     ``np.concatenate`` and one slice assignment), and only its duals
     shift.  Which preorder the tree keeps does not change a pivot: the
     pivots read only ``parent``, ``size``, ``flow`` and the duals.
-    Returns (masses dict, u, v, basis, iterations).
+    Returns the tree's n + m - 1 arcs, one from each node but the root
+    to its parent, as source and target index arrays, their masses as a
+    list, u and the pivot count.
     """
     n, m = cost.shape
     zero = a[0] * 0
@@ -282,48 +282,37 @@ def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
             flow[x], prev_flow = prev_flow, flow[x]
         # the subtree's duals move by rc so the entering arc becomes tight
         p[block[at:at + cut]] += shift
-    basis = [(x, parent[x] - n) if x < n else (parent[x], x - n)
-             for x in range(1, n + m)]
-    masses = dict(zip(basis, flow[1:]))
-    return masses, p[:n], -p[n:], basis, iterations
+    x, up = nodes[1:], np.array(parent)[1:]
+    return (np.where(x < n, x, up), np.where(x < n, up, x) - n, flow[1:],
+            p[:n], iterations)
 
 
 def _solve_core(cost, a, b, *, enter_tol):
-    """Optimal masses, a c-concave pair and a tight basis tree.
+    """Optimal tree arcs with their masses, and a c-concave pair.
 
     The simplex runs on the positive-weight rows and columns alone, on
     ``cost`` itself when every weight is positive.  Zero-weight points
     get their potentials by c-transform (g from the positive sources,
-    then f from all of g, so f = u on the positive sources) and join the
-    tree by a tight arc of no mass: a target to its argmin positive
-    source, a source to its argmin target.  Returns (masses, f, g, basis
-    of n + m - 1 arcs, iterations) in the original indices after at most
-    50 (n + m) max(n, m) pivots; generic over the scalar type.
+    then f from all of g, so f = u on the positive sources) and no arc.
+    Returns (sources, targets, masses, f, g, iterations): the n+ + m+ - 1
+    arcs of the final basis tree on the positive-weight points, as index
+    arrays in the original indices, their masses as a list, and the pair,
+    after at most 50 (n + m) max(n, m) pivots; generic over the scalar
+    type.
     """
     n, m = cost.shape
-    rows = [i for i, x in enumerate(a) if x > 0]
-    cols = [j for j, x in enumerate(b) if x > 0]
+    rows = np.flatnonzero([x > 0 for x in a])
+    cols = np.flatnonzero([x > 0 for x in b])
     live = cost if len(rows) == n else cost[rows]
-    masses, u, _, basis, iterations = _transport_simplex(
+    src, tgt, flows, u, iterations = _transport_simplex(
         live if len(cols) == m else live[:, cols], [a[i] for i in rows],
         [b[j] for j in cols], enter_tol=enter_tol,
         max_iter=50 * (n + m) * max(n, m))
     slack = live - u[:, None]
     g = slack.min(axis=0)
-    if len(rows) == n and len(cols) == m:
-        # every point is in the tree; one n x m buffer serves both passes
-        f = np.subtract(cost, g, out=slack).min(axis=1)
-        return masses, f, g, basis, iterations
-    f = (cost - g).min(axis=1)
-    zero_t = [j for j, x in enumerate(b) if not x > 0]
-    zero_s = [i for i, x in enumerate(a) if not x > 0]
-    hang_t = slack[:, zero_t].argmin(axis=0).tolist()
-    hang_s = (cost[zero_s] - g).argmin(axis=1).tolist()
-    basis = [(rows[i], cols[j]) for i, j in basis] \
-        + [(rows[k], j) for j, k in zip(zero_t, hang_t)] \
-        + list(zip(zero_s, hang_s))
-    masses = {(rows[i], cols[j]): x for (i, j), x in masses.items()}
-    return masses, f, g, basis, iterations
+    # with every source in the tree, one n x m buffer serves both passes
+    f = np.subtract(cost, g, out=slack if len(rows) == n else None).min(axis=1)
+    return rows[src], cols[tgt], flows, f, g, iterations
 
 
 def solve(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -342,19 +331,16 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure,
     t0 = time.perf_counter()
     mat = cost.matrix(mu, nu)
     scale = float(np.max(mat)) if mat.size else 0.0
-    masses, f, g, basis, iterations = _solve_core(
+    src, tgt, flows, f, g, iterations = _solve_core(
         np.asarray(mat, dtype=float), mu.weights.tolist(),
         nu.weights.tolist(), enter_tol=1e-12 * (1.0 + scale))
     shift = f[mu.anchor_index()]
     f, g = f - shift, g + shift
-    floor = TAU_MASS * float(mu.weights.sum())
-    arcs = np.fromiter(itertools.chain.from_iterable(masses), dtype=int,
-                       count=2 * len(masses)).reshape(-1, 2)
-    mass = np.fromiter(masses.values(), dtype=float, count=len(masses))
-    keep = mass > floor
-    arcs, mass = arcs[keep], mass[keep]
-    order = np.lexsort((arcs[:, 1], arcs[:, 0]))     # by (i, j)
-    plan = TransportPlan(arcs[order, 0], arcs[order, 1], mass[order], mu, nu)
+    mass = np.array(flows, dtype=float)
+    keep = mass > TAU_MASS * float(mu.weights.sum())
+    src, tgt, mass = src[keep], tgt[keep], mass[keep]
+    order = np.lexsort((tgt, src))                   # by (i, j)
+    plan = TransportPlan(src[order], tgt[order], mass[order], mu, nu)
     pair = PotentialPair(f, g, mu, nu)
     report = verify_duality(plan, pair, mat)
     if not report.optimal:
@@ -366,8 +352,8 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure,
     log.debug("solve: n=%d m=%d pivots=%d %.4f s %.1f us/pivot", mu.n, nu.n,
               iterations, elapsed, 1e6 * elapsed / iterations if iterations
               else 0.0)
-    return SolveResult(plan=plan, pair=pair, basis=tuple(sorted(basis)),
-                       iterations=iterations, duality=report)
+    return SolveResult(plan=plan, pair=pair, iterations=iterations,
+                       duality=report)
 
 
 def solve_exact(cost_rows: Sequence[Sequence[Fraction]],
@@ -409,12 +395,13 @@ def solve_exact(cost_rows: Sequence[Sequence[Fraction]],
             cost = fixed
     except OverflowError:                   # an entry outside int64
         pass
-    masses, f, g, _, iterations = _solve_core(cost, a, b, enter_tol=0)
+    src, tgt, flows, f, g, iterations = _solve_core(cost, a, b, enter_tol=0)
     elapsed = time.perf_counter() - t0
     log.debug("solve_exact: n=%d m=%d pivots=%d %.4f s %.1f us/pivot", n, m,
               iterations, elapsed, 1e6 * elapsed / iterations if iterations
               else 0.0)
-    return ({k: Fraction(x, mass_scale) for k, x in masses.items() if x > 0},
+    return ({(i, j): Fraction(x, mass_scale) for i, j, x
+             in zip(src.tolist(), tgt.tolist(), flows) if x > 0},
             [Fraction(u, cost_scale) for u in f.tolist()],
             [Fraction(v, cost_scale) for v in g.tolist()], iterations)
 

@@ -205,12 +205,12 @@ def _block_witness(result: SolveResult, mat, src_block, tgt_block, left):
     the blocks that some tight arc leaves.  The blocks form a DAG, so
     not every block is left; the first such block's sources are shifted
     up by s and its targets down by s.  It is mass balanced, so the dual
-    value is unchanged, and s is half the least slack from its
-    positive-weight sources to the other positive-weight targets, whose
-    sub-block alone is computed.  Zero-weight points then take their
-    c-transform values, as in ``solve``.  Returns None when no source
-    block qualifies or the shifted pair fails verification.  ``mat`` is
-    the cost matrix ``result`` was solved on.
+    value is unchanged, and s is min(least slack, 1) / 2, the least slack
+    taken from its positive-weight sources to the other positive-weight
+    targets, whose sub-block alone is computed.  Zero-weight points then
+    take their c-transform values, as in ``solve``.  Returns None when no
+    source block qualifies or the shifted pair fails verification.
+    ``mat`` is the cost matrix ``result`` was solved on.
     """
     pair = result.pair
     pos_s, pos_t = pair.source.weights > 0, pair.target.weights > 0

@@ -11,7 +11,13 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import csgraph_from_dense, dijkstra
 
-from otuniq.core import TAU_MASS, CostSpec, DiscreteMeasure
+from otuniq.core import (
+    TAU_MASS,
+    CostSpec,
+    DiscreteMeasure,
+    component_labels,
+)
+from otuniq.solver import _solve_core
 
 
 def enumerate_vertices(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -326,3 +332,26 @@ def marginal_degeneracy_reference(ms, mt) -> dict:
         return {"status": "colliding", "I": hit[0], "J": hit[1],
                 "min_gap": best_gap}
     return {"status": "nondegenerate", "min_gap": best_gap}
+
+
+def float_core(mu, nu, cost):
+    """``_solve_core`` on the float problem, called as ``solve`` calls it:
+    (sources, targets, masses, f, g, iterations), the pair not anchored."""
+    mat = np.asarray(cost.matrix(mu, nu), dtype=float)
+    return _solve_core(mat, mu.weights.tolist(), nu.weights.tolist(),
+                       enter_tol=1e-12 * (1.0 + float(np.max(mat))))
+
+
+def assert_tight_tree(src, tgt, a, b, is_tight, support):
+    """The arcs ``src``/``tgt`` are a spanning tree of the positive-weight
+    points of the weights ``a``, ``b``: n+ + m+ - 1 tight arcs between
+    them, joining them all and covering the pairs of ``support``."""
+    n, m = len(a), len(b)
+    live = np.array([x > 0 for x in list(a) + list(b)])
+    arcs = list(zip(src.tolist(), tgt.tolist()))
+    assert len(arcs) == live.sum() - 1
+    assert all(live[i] and live[n + j] for i, j in arcs)
+    tree = component_labels(n + m, [(i, n + j) for i, j in arcs])
+    assert len(set(tree[live].tolist())) == 1
+    assert all(is_tight(i, j) for i, j in arcs)
+    assert set(support) <= set(arcs)

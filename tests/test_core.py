@@ -404,7 +404,9 @@ class TestDomainTypes:
         assert len(plan.entries) == 2
 
     @pytest.mark.parametrize("rows, cols, bad", [([0, 2], [0, 1], "(2, 1)"),
-                                                 ([0, 1], [0, -1], "(1, -1)")])
+                                                 ([0, 1], [0, -1], "(1, -1)"),
+                                                 ([0, 1.4], [0, 1.6],
+                                                  "(1.4, 1.6)")])
     def test_plan_refuses_arc_outside_measures(self, rows, cols, bad):
         mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
         with pytest.raises(DimensionMismatch,

@@ -26,7 +26,7 @@ from otuniq.errors import BadEpsilon, OTUniqError
 from otuniq.solver import _solve_core, solve, solve_exact
 from otuniq.uniqueness import certify
 
-from helpers import two_interval_instance
+from helpers import assert_tight_tree, float_core, two_interval_instance
 
 
 def _measure(coords, weights=None, labels=None):
@@ -83,14 +83,6 @@ def _padded(rng, integer: bool):
     cost = rng.integers(0, 3, (n, m)) if integer \
         else rng.integers(0, 1000, (n, m)) / 100
     return cost, sides[0], sides[1]
-
-
-def _assert_tight_tree(basis, n, m, is_tight):
-    """``basis`` is a spanning tree of n + m - 1 tight arcs."""
-    assert len(basis) == n + m - 1
-    tree = component_labels(n + m, [(i, n + j) for i, j in basis])
-    assert len(set(tree.tolist())) == 1
-    assert all(is_tight(i, j) for i, j in basis)
 
 
 def _epsilon_reference(pts, epsilon):
@@ -285,7 +277,9 @@ class TestRestrictFullMass:
                                (cost[a == 0] - g[None, :]).min(axis=1),
                                atol=1e-12)
             tight = subdifferential_of(res.pair, cost).tight_pairs
-            _assert_tight_tree(res.basis, n, m, lambda i, j: (i, j) in tight)
+            src, tgt, *_ = float_core(mu, nu, CostSpec.explicit(cost))
+            assert_tight_tree(src, tgt, a, b, lambda i, j: (i, j) in tight,
+                              res.plan.support_pairs())
 
     def test_padded_zero_weight_points_dropped_exact(self):
         rng = np.random.default_rng(25)
@@ -309,11 +303,11 @@ class TestRestrictFullMass:
                 assert g[j] == min(rat[i][j] - f[i] for i in rows)
             for i in np.flatnonzero(a == 0):
                 assert f[i] == min(rat[i][j] - g[j] for j in range(len(b)))
-            _, cf, cg, basis, _ = _solve_core(
+            src, tgt, _, cf, cg, _ = _solve_core(
                 np.array(rat, dtype=object), sa, sb, enter_tol=Fraction(0))
             assert (cf.tolist(), cg.tolist()) == (f, g)
-            _assert_tight_tree(basis, *cost.shape,
-                               lambda i, j: f[i] + g[j] == rat[i][j])
+            assert_tight_tree(src, tgt, sa, sb,
+                              lambda i, j: f[i] + g[j] == rat[i][j], masses)
 
     def test_extension_reproduces_f_on_kept_points(self):
         mu = DiscreteMeasure(np.array([[0.0], [1.0], [9.0]]),

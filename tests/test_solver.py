@@ -18,7 +18,6 @@ from otuniq.core import (
     DiscreteMeasure,
     PotentialPair,
     TransportPlan,
-    component_labels,
     scaled_integers,
     verify_duality,
 )
@@ -36,8 +35,10 @@ from otuniq.solver import (
 from otuniq.uniqueness import certify
 
 from helpers import (
+    assert_tight_tree,
     dense_face_bounds,
     enumerate_vertices,
+    float_core,
     lp_face_bounds,
     random_instance,
 )
@@ -83,9 +84,15 @@ class TestSolve:
                              np.array([9, 8, 1, 2, 0]) / 20)
         nu = DiscreteMeasure(np.arange(4.0)[:, None] + 0.5,
                              np.array([8, 1, 9, 8]) / 26)
-        res = solve(mu, nu, CostSpec.sq_euclidean())
+        cost = CostSpec.sq_euclidean()
+        res = solve(mu, nu, cost)
         assert res.duality.optimal
-        assert len(res.basis) == 5 + 4 - 1
+        src, tgt, *_ = float_core(mu, nu, cost)
+        assert len(src) == 4 + 4 - 1
+        tight = set(zip(*res.duality.tight_pairs))
+        assert_tight_tree(src, tgt, mu.weights, nu.weights,
+                          lambda i, j: (i, j) in tight,
+                          res.plan.support_pairs())
 
     def test_basis_is_spanning_tree_covering_support(self):
         rng = np.random.default_rng(10)
@@ -93,9 +100,14 @@ class TestSolve:
                              rng.dirichlet(np.ones(6)))
         nu = DiscreteMeasure(rng.uniform(0, 1, (5, 1)),
                              rng.dirichlet(np.ones(5)))
-        res = solve(mu, nu, CostSpec.sq_euclidean())
-        assert len(res.basis) == 6 + 5 - 1
-        assert res.plan.support_pairs() <= set(res.basis)
+        cost = CostSpec.sq_euclidean()
+        res = solve(mu, nu, cost)
+        src, tgt, *_ = float_core(mu, nu, cost)
+        assert len(src) == 6 + 5 - 1
+        tight = set(zip(*res.duality.tight_pairs))
+        assert_tight_tree(src, tgt, mu.weights, nu.weights,
+                          lambda i, j: (i, j) in tight,
+                          res.plan.support_pairs())
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_brute_force_vertices(self, seed):
@@ -219,12 +231,12 @@ def _pinned_instances():
            CostSpec.sq_euclidean())
 
 
-def _digest(basis, masses, f, g) -> str:
-    """SHA-256 of the exact values: floats by ``float.hex``, Fractions
-    as ``p/q``."""
+def _digest(core, masses, f, g) -> str:
+    """SHA-256 of the exact values: the tree arcs of the ``_solve_core``
+    result ``core``, then floats by ``float.hex``, Fractions as ``p/q``."""
     def text(x):
         return x.hex() if isinstance(x, float) else str(x)
-    parts = [repr(sorted(basis))]
+    parts = [repr(sorted(zip(core[0].tolist(), core[1].tolist())))]
     parts += [f"{i},{j}:{text(x)}" for (i, j), x in sorted(masses.items())]
     parts += [text(x) for x in list(f) + list(g)]
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
@@ -257,11 +269,12 @@ def _pinned_rational_instance():
 
 
 class TestPivotSequencePinned:
-    """Pivot count, basis, plan and pair of fixed instances, pinned bit for
-    bit: a change to how the simplex stores its basis tree must leave
-    every pivot where it was.  Values recorded under row-block queue
-    pricing (``solver.BLOCK_ARCS`` arcs a block); each optimum is checked
-    against HiGHS by ``test_float_optimum_matches_highs``."""
+    """Pivot count, basis tree (``_solve_core``'s arcs), plan and pair of
+    fixed instances, pinned bit for bit: a change to how the simplex
+    stores its basis tree must leave every pivot where it was.  Values
+    recorded under row-block queue pricing (``solver.BLOCK_ARCS`` arcs a
+    block); each optimum is checked against HiGHS by
+    ``test_float_optimum_matches_highs``."""
 
     PINNED = {
         "uniform 2-d n=60": (577, "8b4a97f7df80e2f8a372de70dcbb9a1d"
@@ -270,8 +283,8 @@ class TestPivotSequencePinned:
                                "9215a5197899254801bf870b1c9825f0"),
         "all-ones 8x8": (0, "16dbca16f55fd3a404ffe7d87472f3b3"
                             "21086c84e7bd4315b020dd5a480685e3"),
-        "zero-weight padded 10x8": (8, "ed96e4458247e649b8c31d14f7908338"
-                                       "b59e9edece0149caea342ccd759205b5"),
+        "zero-weight padded 10x8": (8, "d91a6919069e6f9f6918dfbfaaf411cd"
+                                       "8bc04a1808c1b99349c35e13f8a562c8"),
         "tall 30x7": (36, "0809ddd3d72f175cc1ce3e721eaec7d9"
                           "b236ad69cc0932c528b2ad57c6a1ca40"),
         "clustered ladder n=100": (287, "0edc6104814424c7f7748c258579e12c"
@@ -289,9 +302,10 @@ class TestPivotSequencePinned:
         mu, nu, cost = next((mu, nu, cost) for key, mu, nu, cost
                             in _pinned_instances() if key == name)
         res = solve(mu, nu, cost)
+        core = float_core(mu, nu, cost)
+        assert core[5] == res.iterations
         masses = {(int(i), int(j)): float(x) for i, j, x in res.plan.entries}
-        assert (res.iterations, _digest(res.basis, masses,
-                                        res.pair.f.tolist(),
+        assert (res.iterations, _digest(core, masses, res.pair.f.tolist(),
                                         res.pair.g.tolist())) \
             == self.PINNED[name]
 
@@ -306,20 +320,20 @@ class TestPivotSequencePinned:
     def test_exact(self):
         cost, a, b = _pinned_exact_instance()
         masses, f, g, iterations = solve_exact(cost, a, b)
-        basis = _solve_core(np.array(cost, dtype=object), a, b,
-                            enter_tol=Fraction(0))[3]
+        core = _solve_core(np.array(cost, dtype=object), a, b,
+                           enter_tol=Fraction(0))
         assert iterations == 32
-        assert _digest(basis, masses, f, g) \
+        assert _digest(core, masses, f, g) \
             == ("293ae815b1c373a4cceeeb0145b966fc"
                 "eab00986e3bdc8c48c9d9addccfd42f5")
 
     def test_exact_rational(self):
         cost, a, b = _pinned_rational_instance()
         masses, f, g, iterations = solve_exact(cost, a, b)
-        basis = _solve_core(np.array(cost, dtype=object), a, b,
-                            enter_tol=Fraction(0))[3]
+        core = _solve_core(np.array(cost, dtype=object), a, b,
+                           enter_tol=Fraction(0))
         assert iterations == 96
-        assert _digest(basis, masses, f, g) \
+        assert _digest(core, masses, f, g) \
             == ("c4ff3b030dc9252eda2ba874c6394806"
                 "d9634f5b4f8f2d94af4dd6024fab40ce")
 
@@ -436,8 +450,9 @@ def _dyadic_ties(rng, k: int) -> list:
 class TestDegenerateDifferential:
     """The pivoting simplex on degenerate inputs: the float optimum must
     equal the exact and the HiGHS optimum, the pivots must stop well
-    short of the cycling guard, and the basis must stay a spanning tree
-    that covers the plan."""
+    short of the cycling guard, and the basis (``_solve_core``'s arcs)
+    must stay a tight spanning tree of the positive-weight points that
+    covers the plan."""
 
     @staticmethod
     def _check(cost: np.ndarray, a: list, b: list):
@@ -456,10 +471,12 @@ class TestDegenerateDifferential:
         assert highs == pytest.approx(float(exact), abs=1e-9)
         assert res.iterations < 50 * (n + m) * max(n, m)
         assert exact_pivots < 200 * (n + m) * max(n, m)
-        assert len(res.basis) == n + m - 1
-        tree = component_labels(n + m, [(i, n + j) for i, j in res.basis])
-        assert len(set(tree.tolist())) == 1
-        assert res.plan.support_pairs() <= set(res.basis)
+        src, tgt, *_, core_pivots = float_core(
+            mu, nu, CostSpec.explicit(cost.astype(float)))
+        assert core_pivots == res.iterations
+        tight = set(zip(*res.duality.tight_pairs))
+        assert_tight_tree(src, tgt, a, b, lambda i, j: (i, j) in tight,
+                          res.plan.support_pairs())
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 13])
     def test_all_ones(self, k):
@@ -588,6 +605,14 @@ def _rational_instance(seed: int):
     return cost, weights(n), weights(m)
 
 
+def _positive_masses(core) -> dict:
+    """The {(i, j): mass} arcs of positive mass of a ``_solve_core``
+    result, as ``solve_exact`` keys them."""
+    src, tgt, flows = core[:3]
+    return {(i, j): x for i, j, x in zip(src.tolist(), tgt.tolist(), flows)
+            if x > 0}
+
+
 class TestSolveExactDifferential:
     """``solve_exact`` runs on integers scaled by one LCM per side; it must
     return what ``_solve_core`` gives on the Fraction array itself: the
@@ -597,10 +622,11 @@ class TestSolveExactDifferential:
     def test_matches_fraction_core(self, seed):
         cost, a, b = _rational_instance(seed)
         masses, f, g, iterations = solve_exact(cost, a, b)
-        ref_masses, ref_f, ref_g, _, ref_iterations = _solve_core(
-            np.array(cost, dtype=object), a, b, enter_tol=Fraction(0))
+        ref = _solve_core(np.array(cost, dtype=object), a, b,
+                          enter_tol=Fraction(0))
+        ref_f, ref_g, ref_iterations = ref[3:]
         assert iterations == ref_iterations
-        assert masses == {k: x for k, x in ref_masses.items() if x > 0}
+        assert masses == _positive_masses(ref)
         assert f == ref_f.tolist() and g == ref_g.tolist()
         assert all(type(v) is Fraction
                    for v in list(masses.values()) + f + g)
@@ -636,11 +662,13 @@ class TestMachineIntegers:
             ref = _solve_core(wide, a_int, b_int, enter_tol=0)
             got = _solve_core(wide.astype(np.int64), a_int, b_int,
                               enter_tol=0)
-            assert got[0] == ref[0]
-            assert all(type(x) is int for x in got[0].values())
-            assert got[1].tolist() == ref[1].tolist()
-            assert got[2].tolist() == ref[2].tolist()
-            assert got[3:] == ref[3:]
+            for k in range(2):          # the tree arcs
+                assert got[k].tolist() == ref[k].tolist()
+            assert got[2] == ref[2]
+            assert all(type(x) is int for x in got[2])
+            assert got[3].tolist() == ref[3].tolist()
+            assert got[4].tolist() == ref[4].tolist()
+            assert got[5] == ref[5]
             compared += 1
         assert compared >= 20
 
@@ -667,9 +695,9 @@ class TestMachineIntegers:
             masses, f, g, iterations = solve_exact(cost, a, b)
             ref = _solve_core(np.array(cost, dtype=object), a, b,
                               enter_tol=Fraction(0))
-            assert iterations == ref[4]
-            assert masses == {k: x for k, x in ref[0].items() if x > 0}
-            assert f == ref[1].tolist() and g == ref[2].tolist()
+            assert iterations == ref[5]
+            assert masses == _positive_masses(ref)
+            assert f == ref[3].tolist() and g == ref[4].tolist()
         assert seen == [np.dtype(np.int64), np.dtype(object),
                         np.dtype(object)]
 
@@ -988,8 +1016,7 @@ class TestTightGraphOracle:
         # the oracle reads the tight mask off the report, so the shifted
         # result carries the shifted pair's own verification
         shifted = res.__class__(
-            plan=res.plan, pair=pair, basis=res.basis,
-            iterations=res.iterations,
+            plan=res.plan, pair=pair, iterations=res.iterations,
             duality=verify_duality(res.plan, pair, cost.matrix(mu, nu)))
         a = tight_graph_connectivity_oracle(res)
         b = tight_graph_connectivity_oracle(shifted)

@@ -277,6 +277,20 @@ class TestCertify:
         diff = (a.f - b.f)
         assert np.max(diff) - np.min(diff) > 1e-6  # non-constant
 
+    def test_witness_shift_is_capped(self):
+        # the shifted block's least slack is 200, from source 0 to target
+        # 1, but the shift is min(least slack, 1) / 2
+        mu = _measure([0.0, 10.0], [0.5, 0.5])
+        cost = CostSpec.sq_euclidean()
+        dec = ComponentDecomposition.build(mu, mu, "epsilon_graph", 1.0)
+        cert = certify(mu, mu, cost, dec)
+        assert cert.verdict == "non_unique"
+        a, b = cert.witness
+        slack = cost.matrix(mu, mu) - a.f[:, None] - a.g[None, :]
+        assert slack[0, 1] == 200.0
+        assert (b.f - a.f).tolist() == [0.5, 0.0]
+        assert (b.g - a.g).tolist() == [-0.5, 0.0]
+
     def test_two_interval_asymmetric_unique(self):
         mu = two_interval_instance(20, mass_left=0.4)
         nu = two_interval_instance(20, mass_left=0.5)
