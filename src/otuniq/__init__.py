@@ -8,14 +8,13 @@ from .core import (
     CostSpec,
     DiscreteMeasure,
     PotentialPair,
-    Subdifferential,
     TransportPlan,
     c_transform,
     double_transform_residual,
     subdifferential_of,
     verify_duality,
 )
-from .decompose import ComponentDecomposition, decompose
+from .decompose import ComponentDecomposition
 from .solver import (
     DualFaceReport,
     SolveResult,

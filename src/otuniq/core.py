@@ -56,6 +56,13 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _first_occurrence_ids(keys: np.ndarray) -> np.ndarray:
+    """Each entry's key numbered by the rank of its first occurrence."""
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
 def component_labels(n_nodes: int, edges, strong: bool = False) -> np.ndarray:
     """Connected-component id of each node of a directed graph.
 
@@ -78,9 +85,7 @@ def component_labels(n_nodes: int, edges, strong: bool = False) -> np.ndarray:
     adj = csr_matrix((np.ones(keys.size), heads.astype(np.int32), indptr),
                      shape=(n_nodes, n_nodes))
     _, labels = connected_components(adj, directed=True, connection="strong")
-    _, first, inverse = np.unique(labels, return_index=True,
-                                  return_inverse=True)
-    return np.argsort(np.argsort(first))[inverse]
+    return _first_occurrence_ids(labels)
 
 
 @dataclass(frozen=True)
@@ -429,13 +434,6 @@ def _dual_value(f: np.ndarray, g: np.ndarray, source: DiscreteMeasure,
     return np.where(a > 0, f, 0.0) @ a + np.where(b > 0, g, 0.0) @ b
 
 
-@dataclass(frozen=True)
-class Subdifferential:
-    """Pairs where f(x) + g(y) = c(x, y) within the tightness tolerance."""
-
-    tight_pairs: frozenset
-
-
 def c_transform(values: np.ndarray, cost_matrix: np.ndarray,
                 direction: Literal["to_source", "to_target"]) -> np.ndarray:
     """c-transform of dual values across one side of the cost matrix.
@@ -497,11 +495,21 @@ def _slack(f: np.ndarray, g: np.ndarray, cost_matrix: np.ndarray):
     return slack, tau, ~(np.fmin.reduce(slack, axis=(-2, -1)) < -tau)
 
 
+def _tight_pairs(slack: np.ndarray, tau: float) -> tuple:
+    """(rows, cols) of the pairs with ``slack <= tau``: the row-major
+    ``np.nonzero`` index arrays, made read-only in place."""
+    pairs = np.nonzero(slack <= tau)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def subdifferential_of(pair: PotentialPair,
-                       cost_matrix: np.ndarray) -> Subdifferential:
-    """All tight pairs of a dual-feasible potential pair, ``slack <= tau``
-    as in ``verify_duality``; raises InfeasiblePair when an entry of
-    c - f - g lies below -tau_tight."""
+                       cost_matrix: np.ndarray) -> tuple:
+    """All tight pairs of a dual-feasible potential pair, as
+    ``verify_duality``'s ``tight_pairs``: the same read-only (rows, cols)
+    index arrays of ``slack <= tau``.  Raises InfeasiblePair when an entry
+    of c - f - g lies below -tau_tight."""
     slack, tau, feasible = _slack(pair.f, pair.g, cost_matrix)
     if not feasible:
         worst = np.where(np.isnan(slack), np.inf, slack)
@@ -509,8 +517,7 @@ def subdifferential_of(pair: PotentialPair,
         raise InfeasiblePair(
             f"f({i}) + g({j}) exceeds c by {-float(slack[i, j]):.3e}"
         )
-    ti, tj = np.nonzero(slack <= tau)
-    return Subdifferential(frozenset(zip(ti.tolist(), tj.tolist())))
+    return _tight_pairs(slack, tau)
 
 
 def tight_components(rows: np.ndarray, cols: np.ndarray, ti: np.ndarray,
@@ -582,15 +589,10 @@ def verify_duality(plan: TransportPlan, pair: PotentialPair,
                    cost_matrix: np.ndarray) -> DualityReport:
     """Primal/dual cross-check: gap, feasibility, support tightness, and
     the tight pairs that ``certify`` and the tight-graph oracle read,
-    ``slack <= tau`` on ``_checks``' one (n, m) slack buffer, kept as
-    read-only ``np.nonzero`` index arrays."""
+    ``_tight_pairs`` of ``_checks``' one (n, m) slack buffer."""
     report, slack, tau = _checks(plan, pair.f, pair.g, pair.dual_value,
                                  cost_matrix)
-    pairs = None
-    if report.feasible:
-        pairs = np.nonzero(slack <= tau)
-        for index in pairs:
-            index.setflags(write=False)
+    pairs = _tight_pairs(slack, tau) if report.feasible else None
     return replace(report, feasible=bool(report.feasible),
                    support_tight=bool(report.support_tight),
                    optimal=bool(report.optimal), tight_pairs=pairs)

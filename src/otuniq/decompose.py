@@ -16,7 +16,8 @@ from typing import Literal, Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import DiscreteMeasure, _as_readonly, component_labels
+from .core import (DiscreteMeasure, _as_readonly, _first_occurrence_ids,
+                   component_labels)
 from .errors import BadEpsilon, OTUniqError
 
 
@@ -35,9 +36,7 @@ def _component_ids(measure: DiscreteMeasure, method: str,
     if method == "explicit_labels":
         if measure.labels is None:
             raise OTUniqError("measure carries no labels")
-        _, first, inverse = np.unique(measure.labels, return_index=True,
-                                      return_inverse=True)
-        return np.argsort(np.argsort(first))[inverse]
+        return _first_occurrence_ids(measure.labels)
     if method != "epsilon_graph":
         raise OTUniqError(f"unknown decomposition method {method!r}")
     if epsilon is None or not epsilon > 0:
@@ -49,19 +48,11 @@ def _component_ids(measure: DiscreteMeasure, method: str,
     return component_labels(measure.n, pairs[near <= epsilon])
 
 
-def _groups(ids: np.ndarray) -> list[list[int]]:
-    """Point indices of each component, in id order."""
+def _groups(ids: np.ndarray) -> tuple:
+    """Point indices of each component as tuples, in id order."""
     bounds = np.cumsum(np.bincount(ids))[:-1]
-    return [g.tolist() for g in np.split(np.argsort(ids, kind="stable"),
-                                         bounds)]
-
-
-def decompose(measure: DiscreteMeasure,
-              method: Literal["explicit_labels", "epsilon_graph"],
-              epsilon: Optional[float] = None) -> list[list[int]]:
-    """Components as lists of point indices in increasing order, ordered
-    by smallest member: equal labels, or chains of hops <= epsilon."""
-    return _groups(_component_ids(measure, method, epsilon))
+    return tuple(tuple(g.tolist())
+                 for g in np.split(np.argsort(ids, kind="stable"), bounds))
 
 
 @dataclass(frozen=True)
@@ -84,8 +75,7 @@ class ComponentDecomposition:
               epsilon: Optional[float] = None) -> "ComponentDecomposition":
         src = _as_readonly(_component_ids(mu, method, epsilon))
         tgt = _as_readonly(_component_ids(nu, method, epsilon))
-        return cls(src, tgt, tuple(map(tuple, _groups(src))),
-                   tuple(map(tuple, _groups(tgt))))
+        return cls(src, tgt, _groups(src), _groups(tgt))
 
     def component_masses(self, a: np.ndarray, b: np.ndarray):
         """Per-component weight sums: floats on float arrays (bit for bit

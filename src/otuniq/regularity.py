@@ -9,13 +9,11 @@ points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .core import CostSpec
-from .errors import (DimensionMismatch, NotAGrid, OTUniqError,
-                     ProfileNotMonotone)
+from .errors import NotAGrid, OTUniqError, ProfileNotMonotone
 from .solver import SolveResult
 
 
@@ -128,30 +126,21 @@ class GradientCheckReport:
     interior: np.ndarray
 
 
-def gradient_identity_check(result: SolveResult, cost: CostSpec,
-                            interior: Optional[np.ndarray] = None
-                            ) -> GradientCheckReport:
+def gradient_identity_check(result: SolveResult,
+                            cost: CostSpec) -> GradientCheckReport:
     """Check grad f(x) = grad_x c(x, y) at interior support points.
 
-    f is differenced centrally on the source grid; the comparison is
-    made per plan pair and, in the summary, against the mass-weighted
-    average partner gradient (the finite stand-in for the continuum
-    partner).  Deviations are reported, never thresholded away.
+    f is differenced centrally at the source grid's inner points (the
+    report's ``interior`` mask); the comparison is made per plan pair
+    and, in the summary, against the mass-weighted average partner
+    gradient (the finite stand-in for the continuum partner).  Deviations
+    are reported, never thresholded away.
     """
     plan = result.plan
     mu = plan.source
     axes, index = _grid_structure(mu.points)
     shape = [len(a) for a in axes]
-    inner = np.all((index > 0) & (index < np.array(shape) - 1), axis=1)
-    interior = inner if interior is None else np.asarray(interior, dtype=bool)
-    if interior.shape != inner.shape:
-        raise DimensionMismatch(
-            f"interior mask has {interior.size} entries for {mu.n} grid "
-            f"points (first bad index {min(interior.size, mu.n)})")
-    bad = np.flatnonzero(interior & ~inner)
-    if bad.size:
-        raise OTUniqError(f"interior mask marks point {bad[0]}, which lies "
-                          "on the grid boundary")
+    interior = np.all((index > 0) & (index < np.array(shape) - 1), axis=1)
     at = np.empty(mu.n, dtype=int)      # point id at each lattice position
     at[np.ravel_multi_index(index.T, shape)] = np.arange(mu.n)
     f = result.pair.f

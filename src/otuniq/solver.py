@@ -36,6 +36,7 @@ from .core import (
     DualityReport,
     PotentialPair,
     TransportPlan,
+    _as_readonly,
     _checks,
     scaled_integers,
     tight_components,
@@ -238,25 +239,22 @@ def _transport_simplex(cost, a, b, *, enter_tol, max_iter: int):
                 flow[x] += theta
         # the subtree T cut off by the leaving arc, re-rooted at e_in:
         # its preorder is each stem node's old block minus the block of
-        # the stem node below it, two slices per stem arc, or one slice
-        # when the stem is the one arc; sizes on the stem are suffix sums
-        # of the segment lengths
+        # the stem node below it, two slices per stem arc (e_in's block
+        # alone when the stem is the one arc); sizes on the stem are
+        # suffix sums of the segment lengths
         leaving = path[-1]
         cut = size[leaving]                       # |T|
         lo = pos.item(leaving)
-        if len(path) == 1:
-            segments = [order[lo:lo + cut]]
-        else:
-            first = [pos.item(x) for x in path]
-            segments = [order[first[0]:first[0] + size[e_in]]]
-            for k in range(1, len(path)):
-                segments.append(order[first[k]:first[k - 1]])
-                segments.append(order[first[k - 1] + size[path[k - 1]]:
-                                      first[k] + size[path[k]]])
-            stem = [cut - size[x] for x in path[:-1]]
-            size[e_in] = cut
-            for x, s in zip(path[1:], stem):
-                size[x] = s
+        first = [pos.item(x) for x in path]
+        segments = [order[first[0]:first[0] + size[e_in]]]
+        for k in range(1, len(path)):
+            segments.append(order[first[k]:first[k - 1]])
+            segments.append(order[first[k - 1] + size[path[k - 1]]:
+                                  first[k] + size[path[k]]])
+        stem = [cut - size[x] for x in path[:-1]]
+        size[e_in] = cut
+        for x, s in zip(path[1:], stem):
+            size[x] = s
         # below the apex, the cycle loses |T| above the leaving arc and
         # gains it from e_out up
         for x in above:
@@ -330,7 +328,7 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise Unbalanced("source and target masses differ")
     t0 = time.perf_counter()
     mat = cost.matrix(mu, nu)
-    scale = float(np.max(mat)) if mat.size else 0.0
+    scale = float(np.max(mat))
     src, tgt, flows, f, g, iterations = _solve_core(
         np.asarray(mat, dtype=float), mu.weights.tolist(),
         nu.weights.tolist(), enter_tol=1e-12 * (1.0 + scale))
@@ -472,8 +470,7 @@ def dual_face_oracle(plan: TransportPlan, pair: PotentialPair,
     f_min = f - f[anchor] - d_in
     tau = TAU_FACE_SCALE * (1.0 + float(np.max(cost_matrix)))
     live = plan.source.weights > 0
-    spreads = f_max[live] - f_min[live]
-    max_spread = float(np.max(spreads)) if spreads.size else 0.0
+    max_spread = float(np.max(f_max[live] - f_min[live]))
     return DualFaceReport(f_min=f_min, f_max=f_max, anchor=anchor,
                           unique=bool(max_spread <= tau),
                           max_spread=max_spread, tolerance=tau)
@@ -486,7 +483,8 @@ def tight_graph_connectivity_oracle(result: SolveResult) -> dict:
     ``result.duality`` between positive-weight points: a tight edge is
     usable when some optimal plan puts mass on it, i.e. when its ends
     share a component.  Potentials are unique up to one constant iff one
-    component holds every positive-weight point.
+    component holds every positive-weight point.  The usable edges are
+    read-only (rows, cols) index arrays in row-major order.
     """
     mu, nu = result.plan.source, result.plan.target
     ti, tj = result.duality.tight_pairs
@@ -497,5 +495,5 @@ def tight_graph_connectivity_oracle(result: SolveResult) -> dict:
     usable = labels[ti] == labels[mu.n + tj]
     live = np.concatenate([mu.weights, nu.weights]) > 0
     return {"unique": len(set(labels[live])) <= 1,
-            "usable_edges": list(zip(ti[usable].tolist(),
-                                     tj[usable].tolist()))}
+            "usable_edges": (_as_readonly(ti[usable]),
+                             _as_readonly(tj[usable]))}

@@ -323,7 +323,7 @@ def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
                          "shift; witness construction failed")
     return UniquenessCertificate(
         verdict=verdict, degeneracy=degeneracy, marginal_degeneracy=marginal,
-        freedom_dim=max(freedom, 0), witness=witness, flags=tuple(flags),
+        freedom_dim=freedom, witness=witness, flags=tuple(flags),
         component_verdicts=tuple(comp_verdicts), solve_result=result)
 
 
@@ -357,7 +357,7 @@ def cross_check(cert: UniquenessCertificate, cost_matrix) -> OracleCheck:
         (face.unique != structural or tight["unique"] != structural)
     continuum = any("continuum" in fl or "asserted" in fl
                     for fl in cert.flags)
-    return OracleCheck(face, tight["unique"], len(tight["usable_edges"]),
+    return OracleCheck(face, tight["unique"], len(tight["usable_edges"][0]),
                        disagreement=differs and not continuum,
                        note=differs and continuum)
 

@@ -19,7 +19,6 @@ PUBLIC = [
     "OracleCheck",
     "PotentialPair",
     "SolveResult",
-    "Subdifferential",
     "TransportPlan",
     "UniquenessCertificate",
     "ambiguity_witness",
@@ -50,6 +49,12 @@ PUBLIC = [
 
 def test_public_names():
     assert sorted(otuniq.__all__) == PUBLIC
+
+
+def test_decompose_is_the_module():
+    # no function of the package shadows its ``decompose`` submodule
+    assert otuniq.decompose.ComponentDecomposition \
+        is otuniq.ComponentDecomposition
 
 
 def test_readme_library_example():

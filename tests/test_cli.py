@@ -607,6 +607,19 @@ class TestCertifyOracles:
                     "unflagged instance"}
         assert "note" not in oracles
 
+    def test_every_tight_pair_usable_on_all_ones(self, tmp_path, capsys):
+        # all 100 x 100 pairs of an all-ones cost are tight and usable
+        n = 100
+        block = {"points": [[float(k)] for k in range(n)],
+                 "weights": [1 / n] * n}
+        path = _write(tmp_path, {
+            "schema": "1", "source": block, "target": block,
+            "cost": {"kind": "explicit_matrix", "values": [[1.0] * n] * n},
+        })
+        assert main(["certify", path, "--epsilon", "0.5"]) == 0
+        tight = json.loads(capsys.readouterr().out)["oracles"]["tight_graph"]
+        assert tight == {"unique": True, "n_usable_edges": n * n}
+
     def test_continuum_flag_gives_a_note(self, tmp_path, capsys):
         pts = [[0.0], [1.0], [2.0], [3.0]]
         path = _write(tmp_path, {

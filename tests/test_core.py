@@ -31,7 +31,8 @@ from otuniq.errors import (
     InfeasiblePair,
     OTUniqError,
 )
-from otuniq.solver import dual_face_oracle, solve
+from otuniq.solver import (dual_face_oracle, solve,
+                           tight_graph_connectivity_oracle)
 from otuniq.uniqueness import certify
 
 
@@ -153,9 +154,9 @@ class TestSubdifferential:
         mu = DiscreteMeasure(pts, np.full(4, 0.25))
         mat = CostSpec.sq_euclidean().matrix(mu, mu)
         pair = PotentialPair(np.zeros(4), np.zeros(4), mu, mu)
-        sub = subdifferential_of(pair, mat)
+        ti, tj = subdifferential_of(pair, mat)
         for i in range(4):
-            assert (i, i) in sub.tight_pairs
+            assert np.any((ti == i) & (tj == i))
 
     def test_infeasible_pair_raises(self):
         pts = np.arange(3.0)[:, None]
@@ -172,11 +173,11 @@ class TestSubdifferential:
         g = c_transform(f, mat, "to_target")
         mu = DiscreteMeasure(rng.uniform(0, 1, (3, 1)), np.full(3, 1 / 3))
         pair = PotentialPair(f, g, mu, mu)
-        sub = subdifferential_of(pair, mat)
+        ti, tj = subdifferential_of(pair, mat)
         tau = 1e-7 * (1 + mat.max())
-        expected = {(i, j) for i in range(3) for j in range(3)
-                    if abs(f[i] + g[j] - mat[i, j]) <= tau}
-        assert sub.tight_pairs == expected
+        expected = [(i, j) for i in range(3) for j in range(3)
+                    if abs(f[i] + g[j] - mat[i, j]) <= tau]
+        assert list(zip(ti.tolist(), tj.tolist())) == expected
 
     def test_tight_set_stable_under_retransform(self):
         # finite analogue of closedness: recomputing g = f^c, f = g^c
@@ -192,7 +193,8 @@ class TestSubdifferential:
         g2 = c_transform(f, mat, "to_target")
         f2 = c_transform(g2, mat, "to_source")
         sub2 = subdifferential_of(PotentialPair(f2, g2, mu, nu), mat)
-        assert sub1.tight_pairs == sub2.tight_pairs
+        for a, b in zip(sub1, sub2):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_pair_not_matching_the_matrix(self, k):
@@ -242,9 +244,16 @@ class TestVerifyDuality:
         ti, tj = rep.tight_pairs
         assert rep.optimal
         assert not ti.flags.writeable and not tj.flags.writeable
-        # row-major, and the pairs subdifferential_of finds
-        assert list(zip(ti.tolist(), tj.tolist())) == \
-            sorted(subdifferential_of(res.pair, mat).tight_pairs)
+        # row-major, and the very arrays subdifferential_of returns,
+        # read-only too
+        pairs = list(zip(ti.tolist(), tj.tolist()))
+        assert pairs == sorted(pairs)
+        sub = subdifferential_of(res.pair, mat)
+        assert len(sub) == 2
+        for mine, theirs in zip(sub, rep.tight_pairs):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
+            assert not mine.flags.writeable
         assert repr(rep).endswith(f"tolerance={rep.tolerance!r})")
         raised = PotentialPair(res.pair.f + 0.5, res.pair.g, mu, nu)
         bad = verify_duality(res.plan, raised, mat)
@@ -685,9 +694,32 @@ class TestResultFootprint:
         for result in (res, cert):
             sizes = [a.size for a in _arrays(result)]
             assert sizes and max(sizes) < n * n
-        # a Subdifferential holds only its set of tight pairs
-        sub = subdifferential_of(res.pair, cost.matrix(mu, nu))
-        assert sub.tight_pairs and not list(_arrays(sub))
+        # the tight pairs are two index arrays, shorter than n * n
+        ti, tj = subdifferential_of(res.pair, cost.matrix(mu, nu))
+        assert 0 < ti.size == tj.size < n * n
+
+    def test_all_tight_pair_sets_kept_as_index_arrays(self):
+        # every pair of an all-ones cost is tight; subdifferential_of and
+        # the tight-graph oracle keep them as two int64 index arrays, two
+        # matrices' worth, not as Python tuples
+        n = 300
+        mu = DiscreteMeasure(np.arange(float(n))[:, None], np.full(n, 1 / n))
+        cost = CostSpec.explicit(np.ones((n, n)))
+        res = solve(mu, mu, cost)
+        mat = cost.matrix(mu, mu)
+        oracle = tight_graph_connectivity_oracle
+        for call in (lambda: subdifferential_of(res.pair, mat),
+                     lambda: oracle(res)["usable_edges"]):
+            call()                  # lazy imports and first-call caches
+            tracemalloc.start()
+            try:
+                rows, cols = call()
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert rows.size == cols.size == n * n
+            assert not rows.flags.writeable and not cols.flags.writeable
+            assert kept <= 2.5 * mat.nbytes
 
     def test_kept_solve_result_at_most_a_quarter_matrix(self):
         mu, nu = _refinement_pair()

@@ -21,7 +21,7 @@ from otuniq.core import (
     tight_components,
     verify_duality,
 )
-from otuniq.decompose import ComponentDecomposition, _component_ids, decompose
+from otuniq.decompose import ComponentDecomposition, _component_ids
 from otuniq.errors import BadEpsilon, OTUniqError
 from otuniq.solver import _solve_core, solve, solve_exact
 from otuniq.uniqueness import certify
@@ -96,18 +96,25 @@ def _epsilon_reference(pts, epsilon):
             for k in range(max(keys) + 1)]
 
 
+def _components(measure, method, epsilon=None):
+    """The source components of ``ComponentDecomposition.build`` on the
+    measure against itself, as lists."""
+    dec = ComponentDecomposition.build(measure, measure, method, epsilon)
+    return [list(g) for g in dec.source_components]
+
+
 class TestDecompose:
     def test_chain_hops(self):
         m = _measure([0.1, 0.5, 2.2, 2.9])
-        assert decompose(m, "epsilon_graph", 0.8) == [[0, 1], [2, 3]]
+        assert _components(m, "epsilon_graph", 0.8) == [[0, 1], [2, 3]]
 
     def test_single_label_single_component(self):
         m = _measure([0.0, 1.0, 2.0], labels=[7, 7, 7])
-        assert decompose(m, "explicit_labels") == [[0, 1, 2]]
+        assert _components(m, "explicit_labels") == [[0, 1, 2]]
 
     def test_two_interval_forty_points(self):
         m = two_interval_instance(20)
-        parts = decompose(m, "epsilon_graph", 0.2)
+        parts = _components(m, "epsilon_graph", 0.2)
         assert len(parts) == 2
         assert parts[0] == list(range(20))
         assert parts[1] == list(range(20, 40))
@@ -115,12 +122,12 @@ class TestDecompose:
     def test_epsilon_must_be_positive(self):
         m = _measure([0.0, 1.0])
         with pytest.raises(BadEpsilon):
-            decompose(m, "epsilon_graph", 0.0)
+            _components(m, "epsilon_graph", 0.0)
 
     def test_nan_epsilon_rejected(self):
         m = _measure([0.0, 1.0])
         with pytest.raises(BadEpsilon):
-            decompose(m, "epsilon_graph", float("nan"))
+            _components(m, "epsilon_graph", float("nan"))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 9])
     def test_matches_per_row_reference(self, d):
@@ -142,7 +149,7 @@ class TestDecompose:
         pts = np.array(sorted(pts))[rng.permutation(600)]
         m = DiscreteMeasure(pts, np.full(600, 1 / 600))
         for eps in (np.nextafter(1.25, 0.0), 1.25, 1.8, 2.5):
-            assert decompose(m, "epsilon_graph", eps) \
+            assert _components(m, "epsilon_graph", eps) \
                 == _epsilon_reference(m.points, eps)
 
     def test_epsilon_at_a_pair_distance(self):
@@ -158,7 +165,7 @@ class TestDecompose:
             dist = np.linalg.norm(m.points[i] - m.points[j])
             for eps in (np.nextafter(dist, 0), dist,
                         np.nextafter(dist, np.inf)):
-                assert decompose(m, "epsilon_graph", eps) \
+                assert _components(m, "epsilon_graph", eps) \
                     == _epsilon_reference(m.points, eps)
 
     def test_arbitrary_integer_labels(self):
@@ -172,9 +179,9 @@ class TestDecompose:
             for idx, key in enumerate(np.asarray(labels).tolist()):
                 buckets.setdefault(key, []).append(idx)
             want = sorted(buckets.values(), key=lambda g: g[0])
-            assert decompose(m, "explicit_labels") == want
             dec = ComponentDecomposition.build(m, m, "explicit_labels")
-            assert dec.target_components == tuple(map(tuple, want))
+            assert dec.source_components == dec.target_components \
+                == tuple(map(tuple, want))
             assert not dec.source_index.flags.writeable
             for i in range(len(labels)):
                 assert i in want[dec.source_index[i]]
@@ -182,14 +189,14 @@ class TestDecompose:
     def test_missing_labels(self):
         m = _measure([0.0, 1.0])
         with pytest.raises(OTUniqError):
-            decompose(m, "explicit_labels")
+            _components(m, "explicit_labels")
 
     def test_monotone_in_epsilon(self):
         rng = np.random.default_rng(20)
         m = _measure(np.sort(rng.uniform(0, 10, 15)))
         prev = None
         for eps in (0.1, 0.3, 0.8, 2.0, 11.0):
-            parts = decompose(m, "epsilon_graph", eps)
+            parts = _components(m, "epsilon_graph", eps)
             if prev is not None:
                 # every old component is contained in some new one
                 for old in prev:
@@ -276,7 +283,8 @@ class TestRestrictFullMass:
             assert np.allclose(f[a == 0],
                                (cost[a == 0] - g[None, :]).min(axis=1),
                                atol=1e-12)
-            tight = subdifferential_of(res.pair, cost).tight_pairs
+            ti, tj = subdifferential_of(res.pair, cost)
+            tight = set(zip(ti.tolist(), tj.tolist()))
             src, tgt, *_ = float_core(mu, nu, CostSpec.explicit(cost))
             assert_tight_tree(src, tgt, a, b, lambda i, j: (i, j) in tight,
                               res.plan.support_pairs())

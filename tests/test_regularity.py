@@ -5,7 +5,6 @@ import pytest
 
 from otuniq.core import CostProfile, CostSpec, DiscreteMeasure
 from otuniq.errors import (
-    DimensionMismatch,
     NotAGrid,
     OTUniqError,
     ProfileNotMonotone,
@@ -225,37 +224,7 @@ class TestGradientIdentity:
         rep = gradient_identity_check(res, CostSpec.sq_euclidean())
         assert not rep.interior[0] and not rep.interior[4]
 
-    def test_explicit_interior_mask_respected(self):
-        mu = DiscreteMeasure(np.linspace(0, 1, 7)[:, None], np.full(7, 1 / 7))
-        nu = DiscreteMeasure(np.linspace(0.1, 1.1, 7)[:, None],
-                             np.full(7, 1 / 7))
-        res = solve(mu, nu, CostSpec.sq_euclidean())
-        mask = np.zeros(7, dtype=bool)
-        mask[3] = True
-        rep = gradient_identity_check(res, CostSpec.sq_euclidean(),
-                                      interior=mask)
-        assert all(e[0] == 3 for e in rep.entries)
-
-    def test_mask_on_boundary_or_of_wrong_length_rejected(self):
-        mu = DiscreteMeasure(np.linspace(0, 1, 5)[:, None], np.full(5, 0.2))
-        res = solve(mu, mu, CostSpec.sq_euclidean())
-        cost = CostSpec.sq_euclidean()
-        with pytest.raises(OTUniqError, match="marks point 0, which lies on "
-                                               "the grid boundary"):
-            gradient_identity_check(res, cost, interior=np.ones(5, bool))
-        edge = np.zeros(5, dtype=bool)
-        edge[[2, 4]] = True
-        with pytest.raises(OTUniqError, match="marks point 4,"):
-            gradient_identity_check(res, cost, interior=edge)
-        with pytest.raises(DimensionMismatch,
-                           match=r"4 entries for 5 grid points \(first bad "
-                                 r"index 4\)"):
-            gradient_identity_check(res, cost, interior=np.zeros(4, bool))
-        with pytest.raises(DimensionMismatch, match="first bad index 5"):
-            gradient_identity_check(res, cost, interior=np.zeros(6, bool))
-
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_2d_matches_per_entry_recomputation(self, masked):
+    def test_2d_matches_per_entry_recomputation(self):
         rng = np.random.default_rng(44)
         w = rng.uniform(0.5, 1.5, 36)
         mu = DiscreteMeasure(_grid_2d(0, 1, 6), w / w.sum())
@@ -269,10 +238,7 @@ class TestGradientIdentity:
         inner = [all(0 < np.searchsorted(a, p[k]) < len(a) - 1
                      for k, a in enumerate(axes)) for p in pts]
         interior = np.array(inner)
-        if masked:
-            interior &= rng.uniform(size=36) < 0.5
-        rep = gradient_identity_check(res, cost,
-                                      interior=interior if masked else None)
+        rep = gradient_identity_check(res, cost)
         assert np.array_equal(rep.interior, interior)
         want, fds = [], {}
         num, den = np.zeros((36, 2)), np.zeros(36)
